@@ -1,30 +1,14 @@
 //! Static-analysis benchmark (PR 7): analyzer throughput over the
-//! seeded fuzz corpora, and what the interval prescreen saves on a
-//! contradiction-seeded grading batch.
+//! seeded fuzz corpora.
 //!
-//! Two measurements:
-//!
-//! 1. **Analyzer throughput.** `qrhint_analysis::analyze` over every
-//!    working query of each workload's seed-42 mutation corpus
-//!    (min-of-reps wall clock). The analyzer sits on the hot path of
-//!    `advise`/`lint`/`serve`, so queries/sec is the number that bounds
-//!    how much latency the new pass adds per submission.
-//! 2. **Prescreen ablation.** A 50-submission batch against one
-//!    prepared target, every other submission seeded with an interval
-//!    contradiction (`x > k AND x < k-10`) in its WHERE clause. The
-//!    batch is graded twice on *fresh* targets — prescreen on
-//!    (default) and off ([`QrHintConfig::static_prescreen`]) — and the
-//!    per-submission advice must be byte-identical (the prescreen may
-//!    only skip solver work, never change verdicts) while
-//!    [`SessionStats::solver_calls_skipped`] must move on the
-//!    prescreen-on run.
-//!
-//! The binary exits nonzero if advice parity breaks or no solver call
-//! was skipped; throughput numbers are report-only (CI runs this
-//! without gating on speed). Results land in `BENCH_analyze.json` (run
-//! from the repo root: `cargo run --release --bin exp_analyze`).
+//! `qrhint_analysis::analyze` runs over every working query of each
+//! workload's seed-42 mutation corpus (min-of-reps wall clock). The
+//! analyzer sits on the hot path of `advise`/`lint`/`serve`, so
+//! queries/sec is the number that bounds how much latency the pass adds
+//! per submission. The numbers are report-only (CI runs this without
+//! gating on speed). Results land in `BENCH_analyze.json` (run from the
+//! repo root: `cargo run --release --bin exp_analyze`).
 
-use qr_hint::prelude::*;
 use qrhint_workloads::mutate::{Fuzzer, SCHEMA_NAMES};
 use serde::Serialize;
 use std::time::Instant;
@@ -33,8 +17,6 @@ use std::time::Instant;
 pub const SEED: u64 = 42;
 /// Working queries analyzed per schema in the throughput pass.
 pub const CORPUS_PER_SCHEMA: usize = 120;
-/// Submissions in the prescreen-ablation batch.
-pub const BATCH: usize = 50;
 const TIMED_REPS: usize = 3;
 
 /// Analyzer throughput over one workload corpus.
@@ -51,31 +33,10 @@ pub struct ThroughputRow {
     pub queries_per_s: f64,
 }
 
-/// The prescreen on/off ablation on the contradiction-seeded batch.
-#[derive(Debug, Clone, Serialize)]
-pub struct PrescreenAblation {
-    pub submissions: usize,
-    /// Submissions carrying a seeded interval contradiction.
-    pub contradiction_seeded: usize,
-    /// Per-submission advice JSON identical between the two runs.
-    pub advice_parity: bool,
-    pub ms_prescreen_on: f64,
-    pub ms_prescreen_off: f64,
-    /// Stats from the prescreen-on target.
-    pub solver_calls: u64,
-    pub solver_calls_skipped: u64,
-    pub stages_short_circuited: u64,
-    /// Solver calls the prescreen-off target paid for the same batch.
-    pub solver_calls_without: u64,
-}
-
 #[derive(Debug, Clone, Serialize)]
 pub struct AnalyzeReport {
     pub seed: u64,
     pub rows: Vec<ThroughputRow>,
-    pub ablation: PrescreenAblation,
-    /// `advice_parity && solver_calls_skipped > 0`.
-    pub gate_ok: bool,
 }
 
 fn throughput() -> Vec<ThroughputRow> {
@@ -109,83 +70,6 @@ fn throughput() -> Vec<ThroughputRow> {
         .collect()
 }
 
-/// The ablation batch: every even submission gets an interval
-/// contradiction appended to its WHERE clause, odd ones a satisfiable
-/// tightening, so the batch mixes statically-decidable and genuinely
-/// solver-bound work.
-fn batch_submissions() -> Vec<String> {
-    (0..BATCH)
-        .map(|i| {
-            if i % 2 == 0 {
-                format!(
-                    "SELECT f.drinker FROM Frequents f \
-                     WHERE f.times_a_week >= 2 AND f.times_a_week > {} AND f.times_a_week < {}",
-                    i,
-                    i as i64 - 10
-                )
-            } else {
-                format!(
-                    "SELECT f.drinker FROM Frequents f WHERE f.times_a_week > {}",
-                    i % 5
-                )
-            }
-        })
-        .collect()
-}
-
-fn grade_batch(prescreen: bool, subs: &[String]) -> (Vec<String>, SessionStats, f64) {
-    let schema = qrhint_workloads::students::schema();
-    let cfg = QrHintConfig { static_prescreen: prescreen, ..QrHintConfig::default() };
-    let qr = QrHint::with_config(schema, cfg);
-    let prepared = qr
-        .compile_target("SELECT f.drinker FROM Frequents f WHERE f.times_a_week >= 2")
-        .expect("target compiles");
-    let started = Instant::now();
-    let advice: Vec<String> = subs
-        .iter()
-        .map(|sql| match prepared.advise_sql(sql) {
-            Ok(a) => serde_json::to_string(&AdviceReport::new(a)).expect("advice serializes"),
-            Err(e) => format!("error: {e}"),
-        })
-        .collect();
-    let ms = started.elapsed().as_secs_f64() * 1e3;
-    (advice, prepared.stats(), ms)
-}
-
 pub fn run() -> AnalyzeReport {
-    let rows = throughput();
-    let subs = batch_submissions();
-    let (with_advice, with_stats, ms_on) = grade_batch(true, &subs);
-    let (without_advice, without_stats, ms_off) = grade_batch(false, &subs);
-    let advice_parity = with_advice == without_advice;
-    let ablation = PrescreenAblation {
-        submissions: subs.len(),
-        contradiction_seeded: subs.len().div_ceil(2),
-        advice_parity,
-        ms_prescreen_on: ms_on,
-        ms_prescreen_off: ms_off,
-        solver_calls: with_stats.solver_calls,
-        solver_calls_skipped: with_stats.solver_calls_skipped,
-        stages_short_circuited: with_stats.stages_short_circuited,
-        solver_calls_without: without_stats.solver_calls,
-    };
-    let gate_ok = advice_parity && ablation.solver_calls_skipped > 0;
-    AnalyzeReport { seed: SEED, rows, ablation, gate_ok }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ablation_gate_holds_on_the_seeded_batch() {
-        let report = run();
-        assert!(report.ablation.advice_parity, "prescreen changed advice");
-        assert!(
-            report.ablation.solver_calls_skipped > 0,
-            "no solver call skipped: {:?}",
-            report.ablation
-        );
-        assert!(report.gate_ok);
-    }
+    AnalyzeReport { seed: SEED, rows: throughput() }
 }

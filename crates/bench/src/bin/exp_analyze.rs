@@ -1,9 +1,7 @@
 //! Static-analysis benchmark binary (PR 7): analyzer throughput over
-//! the seed-42 fuzz corpora plus the interval-prescreen ablation on a
-//! contradiction-seeded 50-submission batch. Persists
-//! `BENCH_analyze.json` in the working directory (run from the repo
-//! root) and exits nonzero if the prescreen changed any advice or
-//! skipped no solver call; throughput is report-only.
+//! the seed-42 fuzz corpora. Persists `BENCH_analyze.json` in the
+//! working directory (run from the repo root); throughput is
+//! report-only.
 
 use qrhint_bench::{analyze, report};
 
@@ -26,27 +24,5 @@ fn main() {
                 .collect::<Vec<_>>(),
         )
     );
-    let a = &report.ablation;
-    println!(
-        "prescreen ablation: {} submissions ({} contradiction-seeded) · \
-         advice parity: {} · solver calls {} → {} ({} skipped, {} stage \
-         checks short-circuited) · {:.1} ms on / {:.1} ms off",
-        a.submissions,
-        a.contradiction_seeded,
-        if a.advice_parity { "ok" } else { "MISMATCH" },
-        a.solver_calls_without,
-        a.solver_calls,
-        a.solver_calls_skipped,
-        a.stages_short_circuited,
-        a.ms_prescreen_on,
-        a.ms_prescreen_off,
-    );
     report::write_bench("analyze", &report);
-    if !report.gate_ok {
-        eprintln!(
-            "FAIL: advice-parity={} solver-calls-skipped={}",
-            a.advice_parity, a.solver_calls_skipped
-        );
-        std::process::exit(1);
-    }
 }

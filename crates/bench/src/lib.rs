@@ -19,8 +19,7 @@
 //! | `exp_server_throughput` | `qr-hint serve` daemon: req/s + p50/p99, cold vs hot target, 1/4/8 clients (`BENCH_server_throughput.json`) |
 //! | `exp_oracle_cache` | Interned oracle: cold vs hot advise, shared-verdict hit rates at 1/4/8 threads (`BENCH_oracle_cache.json`) |
 //! | `exp_fuzz` | Mutation-fuzz grading: pairs/sec at 1/4/8 threads + verdict-cache eviction cliff (`BENCH_fuzz.json`) |
-//! | `exp_analyze` | Static analyzer: corpus throughput + interval-prescreen ablation on a contradiction-seeded batch (`BENCH_analyze.json`) |
-//! | `exp_incremental` | Incremental solver: push/pop assumption stack vs from-scratch, verdict parity enforced (`BENCH_incremental.json`) |
+//! | `exp_analyze` | Static analyzer: corpus throughput (`BENCH_analyze.json`) |
 //! | `exp_obs` | Telemetry overhead: batch grading with span tracing off vs on, ≤5% wall-clock + advice parity (`BENCH_obs.json`) |
 //! | `exp_soak` | Scale-out serving soak: router + 2 backends, mixed load, overload shedding, fuzz-corpus ingest, failover recovery (`BENCH_soak.json`) |
 
@@ -31,7 +30,6 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod fuzz;
-pub mod incremental;
 pub mod obs;
 pub mod oracle_cache;
 pub mod parallel_grading;

@@ -569,26 +569,12 @@ pub struct Oracle {
     pub verdict_misses: u64,
     /// Entries this oracle's inserts evicted from the shared cache.
     pub verdict_evictions: u64,
-    /// Run the interval prescreen before the solver on verdict-cache
-    /// misses (see [`QrHintConfig::static_prescreen`]).
-    ///
-    /// [`QrHintConfig::static_prescreen`]: crate::pipeline::QrHintConfig::static_prescreen
-    pub prescreen: bool,
-    /// Satisfiability checks answered `Unsat` by the interval prescreen
-    /// instead of the solver (a subset of `verdict_misses`).
-    pub prescreen_skips: u64,
-    /// Stage checks (WHERE / GROUP BY / HAVING / SELECT) during which at
-    /// least one prescreen answer landed — i.e. statically-decided
-    /// predicates let the stage skip solver work.
-    pub stage_short_circuits: u64,
-    /// Literals pushed onto the incremental theory stack across this
-    /// oracle's solver misses (from-scratch mode counts every
-    /// retranslation here, which is the quadratic blow-up the stack
-    /// removes).
+    /// Literals pushed onto the solver's theory stack (root units and
+    /// branch assignments) across this oracle's solver misses.
     pub theory_pushes: u64,
     /// Full theory checks (leaves + pruning strides) across misses.
     pub theory_full_checks: u64,
-    /// Branches cut by the incremental quick-conflict detector.
+    /// Branches (or whole checks) cut by the quick-conflict detector.
     pub quick_conflicts: u64,
     /// Shared-prefix batches issued ([`Oracle::batch_ctx`] consumers:
     /// SELECT positional equivalence, GROUP BY Δ− pruning, WHERE-repair
@@ -637,9 +623,6 @@ impl Oracle {
             verdict_cross_hits: 0,
             verdict_misses: 0,
             verdict_evictions: 0,
-            prescreen: true,
-            prescreen_skips: 0,
-            stage_short_circuits: 0,
             theory_pushes: 0,
             theory_full_checks: 0,
             quick_conflicts: 0,
@@ -1242,18 +1225,6 @@ impl Oracle {
         let mut parts: Vec<&Formula> = Vec::with_capacity(1 + ctx_trees.len());
         parts.extend(ctx_trees.iter().map(|t| t.as_ref()));
         parts.push(&tree);
-        // Interval prescreen: a conjunction refuted by per-variable
-        // interval facts alone is Unsat without the DPLL(T) machinery.
-        // Sound (the prescreen only answers when a fact subset is already
-        // contradictory) and verdict-preserving (the LIA layer refutes the
-        // same conjunctions), so caching the answer keeps cross-slot
-        // results identical with the prescreen on or off.
-        if self.prescreen && qrhint_smt::interval::conjunction_unsat_parts(&parts) {
-            self.prescreen_skips += 1;
-            let verdict = TriBool::False;
-            self.verdict_evictions += self.ctx.verdicts.insert(key, verdict, self.id);
-            return verdict;
-        }
         let out = self.solver.check_parts(&parts, &mut self.scratch_pool);
         self.record_stats(&out.stats);
         let verdict = tri(out.result);
@@ -1382,7 +1353,7 @@ impl Oracle {
         full.extend_from_slice(&self.ambient_ctx);
         let trees: Vec<Arc<Formula>> = full.iter().map(|&c| self.ctx.tree_of(c)).collect();
         let prefix = self.solver.prepare_prefix(&trees);
-        BatchCtx { ctx_ids: full.into_boxed_slice(), trees, prefix }
+        BatchCtx { ctx_ids: full.into_boxed_slice(), prefix }
     }
 
     /// [`Oracle::sat_f`] against a prepared batch context. Same verdict,
@@ -1402,17 +1373,6 @@ impl Oracle {
         let _span = qrhint_obs::span("solver:check");
         self.sync_scratch();
         let tree = self.ctx.tree_of(f);
-        if self.prescreen {
-            let mut parts: Vec<&Formula> = Vec::with_capacity(1 + batch.trees.len());
-            parts.extend(batch.trees.iter().map(|t| t.as_ref()));
-            parts.push(&tree);
-            if qrhint_smt::interval::conjunction_unsat_parts(&parts) {
-                self.prescreen_skips += 1;
-                let verdict = TriBool::False;
-                self.verdict_evictions += self.ctx.verdicts.insert(key, verdict, self.id);
-                return verdict;
-            }
-        }
         let out = self.solver.check_assuming(&batch.prefix, &tree, &mut self.scratch_pool);
         self.record_stats(&out.stats);
         let verdict = tri(out.result);
@@ -1493,11 +1453,10 @@ impl Oracle {
 }
 
 /// A digested context for a batch of candidate checks: the full context
-/// id list (the verdict-cache key suffix), its memoized trees, and the
-/// solver-side prepared prefix. Built by [`Oracle::batch_ctx`].
+/// id list (the verdict-cache key suffix) and the solver-side prepared
+/// prefix over its memoized trees. Built by [`Oracle::batch_ctx`].
 pub struct BatchCtx {
     ctx_ids: Box<[FormulaId]>,
-    trees: Vec<Arc<Formula>>,
     prefix: AssumptionPrefix,
 }
 

@@ -42,24 +42,6 @@ pub struct QrHintConfig {
     /// stalest entries beyond its slice of the budget. `0` = unbounded
     /// (the registry-level shed still reclaims it wholesale).
     pub verdict_cache_max_bytes: usize,
-    /// Enable the interval **static prescreen** in every oracle slot:
-    /// a satisfiability check whose conjunction is refuted by per-variable
-    /// interval reasoning (`qrhint_smt::interval`) is answered `Unsat`
-    /// without running the solver (statically contradictory student
-    /// predicates short-circuit whole stages this way; counted in
-    /// [`crate::session::SessionStats::solver_calls_skipped`]). The
-    /// prescreen only ever decides conjunctions the solver's LIA layer
-    /// would also refute, so verdicts are unchanged — this switch exists
-    /// for A/B parity testing and benchmarks.
-    pub static_prescreen: bool,
-    /// Run the solver's branch search with the **incremental assumption
-    /// stack** (push/pop theory state extended literal-by-literal) instead
-    /// of retranslating the full conjunction at every leaf and pruning
-    /// stride. Verdicts never contradict the from-scratch search (the
-    /// stack may *refine* `Unknown` to a definitive answer via
-    /// quick-conflict pruning); the switch exists for A/B parity testing
-    /// and the `exp_incremental` benchmark.
-    pub incremental_solver: bool,
 }
 
 /// Default bound on the per-target advice cache: generously above any
@@ -80,8 +62,6 @@ impl Default for QrHintConfig {
             max_stage_applications: 3 * Stage::COUNT + 1,
             advice_cache_capacity: DEFAULT_ADVICE_CACHE_CAPACITY,
             verdict_cache_max_bytes: DEFAULT_VERDICT_CACHE_BYTES,
-            static_prescreen: true,
-            incremental_solver: true,
         }
     }
 }

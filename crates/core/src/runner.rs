@@ -132,12 +132,8 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
         match memos.where_memo.get(&key) {
             Some(hit) => hit.clone(),
             None => {
-                let skips = oracle.prescreen_skips;
                 let out =
                     where_stage::check_where(oracle, unified, q, &cfg.repair, domain_ctx);
-                if oracle.prescreen_skips > skips {
-                    oracle.stage_short_circuits += 1;
-                }
                 memos.where_memo.insert(key, out.clone());
                 out
             }
@@ -255,16 +251,12 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
             let gb_out = match memos.groupby_memo.get(&key) {
                 Some(hit) => hit.clone(),
                 None => {
-                    let skips = oracle.prescreen_skips;
                     let out = groupby_stage::fix_grouping(
                         oracle,
                         &reasoning_where,
                         &q.group_by,
                         &unified.group_by,
                     );
-                    if oracle.prescreen_skips > skips {
-                        oracle.stage_short_circuits += 1;
-                    }
                     memos.groupby_memo.insert(key, out.clone());
                     out
                 }
@@ -287,7 +279,6 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
             let hv_out = match memos.having_memo.get(&key) {
                 Some(hit) => hit.clone(),
                 None => {
-                    let skips = oracle.prescreen_skips;
                     let out = having_stage::check_having(
                         oracle,
                         unified,
@@ -296,9 +287,6 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
                         &target_having,
                         &cfg.repair,
                     );
-                    if oracle.prescreen_skips > skips {
-                        oracle.stage_short_circuits += 1;
-                    }
                     memos.having_memo.insert(key, out.clone());
                     out
                 }
@@ -377,11 +365,7 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
     let working_exprs: Vec<Scalar> = q.select.iter().map(|s| s.expr.clone()).collect();
     let target_exprs: Vec<Scalar> =
         unified.select.iter().map(|s| s.expr.clone()).collect();
-    let pre_skips = oracle.prescreen_skips;
     let sel_out = select_stage::fix_select(oracle, &env, &working_exprs, &target_exprs);
-    if oracle.prescreen_skips > pre_skips {
-        oracle.stage_short_circuits += 1;
-    }
     let distinct_ok = q.distinct == unified.distinct;
     oracle.clear_ambient();
     if !sel_out.viable || !distinct_ok {

@@ -146,14 +146,6 @@ pub struct SessionStats {
     /// Solver checks issued across all group oracles, accumulated as
     /// each advise completes.
     pub solver_calls: u64,
-    /// Checks answered `Unsat` by the interval prescreen instead of the
-    /// solver ([`QrHintConfig::static_prescreen`]); a subset of
-    /// `verdict_cache_misses`.
-    pub solver_calls_skipped: u64,
-    /// Stage checks during which at least one prescreen answer landed —
-    /// statically-decided predicates resolved (part of) the stage
-    /// without solver work.
-    pub stages_short_circuited: u64,
     /// Analyzer diagnostics emitted by [`PreparedTarget`] lint runs.
     pub diagnostics_emitted: u64,
     /// Checks answered by the target's **shared verdict cache** (all
@@ -183,14 +175,14 @@ pub struct SessionStats {
     pub interner_dedup_hits: u64,
     /// Approximate bytes of the shared interning tables right now.
     pub interner_bytes: u64,
-    /// Literals pushed onto the incremental theory stack across solver
-    /// misses (the from-scratch solver counts every retranslation here —
-    /// the quadratic work the assumption stack removes).
+    /// Literals pushed onto the solver's theory stack (root units and
+    /// branch assignments) across solver misses.
     pub theory_pushes: u64,
     /// Full theory checks (branch leaves + pruning strides) across
     /// solver misses.
     pub theory_full_checks: u64,
-    /// Branches cut by the incremental quick-conflict detector.
+    /// Branches cut by the quick-conflict detector, plus checks its root
+    /// units refuted outright.
     pub quick_conflicts: u64,
     /// Shared-prefix candidate batches issued (SELECT positional
     /// equivalence, GROUP BY Δ− pruning, WHERE-repair verification).
@@ -225,8 +217,6 @@ struct AtomicStats {
     from_groups: AtomicU64,
     mapping_reuses: AtomicU64,
     solver_calls: AtomicU64,
-    solver_calls_skipped: AtomicU64,
-    stages_short_circuited: AtomicU64,
     diagnostics_emitted: AtomicU64,
     verdict_cache_hits: AtomicU64,
     verdict_cache_cross_thread_hits: AtomicU64,
@@ -254,8 +244,6 @@ impl AtomicStats {
             from_groups: self.from_groups.load(Ordering::Relaxed),
             mapping_reuses: self.mapping_reuses.load(Ordering::Relaxed),
             solver_calls: self.solver_calls.load(Ordering::Relaxed),
-            solver_calls_skipped: self.solver_calls_skipped.load(Ordering::Relaxed),
-            stages_short_circuited: self.stages_short_circuited.load(Ordering::Relaxed),
             diagnostics_emitted: self.diagnostics_emitted.load(Ordering::Relaxed),
             verdict_cache_hits: self.verdict_cache_hits.load(Ordering::Relaxed),
             verdict_cache_cross_thread_hits: self
@@ -315,12 +303,6 @@ struct FromGroup {
     domain_ctx: Vec<Pred>,
     /// Column typing fixed by the binding; seeds each new slot's oracle.
     types: TypeEnv,
-    /// Interval-prescreen switch propagated to every slot's oracle
-    /// ([`QrHintConfig::static_prescreen`]).
-    prescreen: bool,
-    /// Incremental assumption-stack switch propagated to every slot's
-    /// solver ([`QrHintConfig::incremental_solver`]).
-    incremental: bool,
     /// Lock-striped solver state. Starts empty; grows on demand up to
     /// [`MAX_GROUP_SLOTS`], so the sequential path pays for exactly one
     /// oracle, as before.
@@ -331,9 +313,7 @@ struct FromGroup {
 
 impl FromGroup {
     fn new_slot(&self, ctx: &Arc<SolverContext>) -> Arc<Mutex<GroupSlot>> {
-        let mut oracle = Oracle::with_context(self.types.clone(), Arc::clone(ctx));
-        oracle.prescreen = self.prescreen;
-        oracle.solver.incremental = self.incremental;
+        let oracle = Oracle::with_context(self.types.clone(), Arc::clone(ctx));
         Arc::new(Mutex::new(GroupSlot { oracle, memos: StageMemos::default() }))
     }
 
@@ -359,9 +339,7 @@ impl FromGroup {
         let refresh = |slot: &mut GroupSlot| {
             let current = Arc::clone(&shared.read().unwrap());
             if !Arc::ptr_eq(slot.oracle.context(), &current) {
-                let mut oracle = Oracle::with_context(self.types.clone(), current);
-                oracle.prescreen = self.prescreen;
-                oracle.solver.incremental = self.incremental;
+                let oracle = Oracle::with_context(self.types.clone(), current);
                 *slot = GroupSlot { oracle, memos: StageMemos::default() };
             }
         };
@@ -660,8 +638,6 @@ impl PreparedTarget {
             unified,
             domain_ctx,
             types,
-            prescreen: self.cfg.static_prescreen,
-            incremental: self.cfg.incremental_solver,
             slots: RwLock::new(Vec::new()),
             next_slot: AtomicUsize::new(0),
         });
@@ -725,8 +701,6 @@ impl PreparedTarget {
                 let cross = slot.oracle.verdict_cross_hits;
                 let misses = slot.oracle.verdict_misses;
                 let evictions = slot.oracle.verdict_evictions;
-                let skips = slot.oracle.prescreen_skips;
-                let shorts = slot.oracle.stage_short_circuits;
                 let pushes = slot.oracle.theory_pushes;
                 let fulls = slot.oracle.theory_full_checks;
                 let quicks = slot.oracle.quick_conflicts;
@@ -757,12 +731,6 @@ impl PreparedTarget {
                 self.stats
                     .verdict_cache_evictions
                     .fetch_add(o.verdict_evictions - evictions, Ordering::Relaxed);
-                self.stats
-                    .solver_calls_skipped
-                    .fetch_add(o.prescreen_skips - skips, Ordering::Relaxed);
-                self.stats
-                    .stages_short_circuited
-                    .fetch_add(o.stage_short_circuits - shorts, Ordering::Relaxed);
                 self.stats
                     .theory_pushes
                     .fetch_add(o.theory_pushes - pushes, Ordering::Relaxed);
@@ -1109,31 +1077,24 @@ mod tests {
     }
 
     #[test]
-    fn prescreen_skips_solver_work_without_changing_advice() {
+    fn contradictory_where_is_refuted_by_root_units() {
+        // `price > 5 AND price < 3` is refuted by the solver's root unit
+        // assignments alone, before any branching.
         let contradiction = "SELECT s.bar FROM Serves s WHERE s.price > 5 AND s.price < 3";
-        let on = QrHint::new(beers_schema());
-        let p_on = on.compile_target(TARGET).unwrap();
-        let a_on = p_on.advise_sql(contradiction).unwrap();
-        let s_on = p_on.stats();
-        assert!(s_on.solver_calls_skipped > 0, "contradiction must be prescreened");
-        assert!(s_on.stages_short_circuited > 0);
-        assert!(
-            s_on.solver_calls_skipped <= s_on.verdict_cache_misses,
-            "prescreen answers are a subset of cache misses"
-        );
-
-        let off = QrHint::with_config(
-            beers_schema(),
-            QrHintConfig { static_prescreen: false, ..QrHintConfig::default() },
-        );
-        let p_off = off.compile_target(TARGET).unwrap();
-        let a_off = p_off.advise_sql(contradiction).unwrap();
-        let s_off = p_off.stats();
-        assert_eq!(s_off.solver_calls_skipped, 0, "switch must disable the prescreen");
-        assert_eq!(s_off.stages_short_circuited, 0);
-        assert_eq!(a_on.stage, a_off.stage, "prescreen must preserve verdicts");
-        assert_eq!(a_on.hints, a_off.hints);
-        assert_eq!(a_on.fixed, a_off.fixed);
+        let qr = QrHint::new(beers_schema());
+        let prepared = qr.compile_target(TARGET).unwrap();
+        let advice = prepared.advise_sql(contradiction).unwrap();
+        assert_eq!(advice.stage, Stage::Where);
+        let stats = prepared.stats();
+        assert!(stats.quick_conflicts > 0, "root units must refute the contradiction: {stats:?}");
+        // The one-shot path agrees, and the suggested fix converges.
+        let stateless = qr
+            .advise(&qr.prepare(TARGET).unwrap(), &qr.prepare(contradiction).unwrap())
+            .unwrap();
+        assert_eq!(advice.hints, stateless.hints);
+        assert_eq!(advice.fixed, stateless.fixed);
+        let fixed = advice.fixed.expect("WHERE advice carries a fix");
+        assert!(prepared.advise(&fixed).unwrap().is_equivalent());
     }
 
     #[test]

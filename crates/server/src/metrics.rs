@@ -50,8 +50,6 @@ pub const SESSION_GAUGES: &[(&str, &str)] = &[
     ("qrhint_session_from_groups", "Distinct FROM groups, summed over resident targets."),
     ("qrhint_session_mapping_reuses", "Advises reusing an existing FROM group, summed over resident targets."),
     ("qrhint_session_solver_calls", "Solver checks issued, summed over resident targets."),
-    ("qrhint_session_solver_calls_skipped", "Checks answered by the interval prescreen, summed over resident targets."),
-    ("qrhint_session_stages_short_circuited", "Stage checks short-circuited by the prescreen, summed over resident targets."),
     ("qrhint_session_diagnostics_emitted", "Analyzer diagnostics emitted, summed over resident targets."),
     ("qrhint_session_verdict_cache_hits", "Shared verdict-cache hits, summed over resident targets."),
     ("qrhint_session_verdict_cache_cross_thread_hits", "Verdict hits paid for by another oracle slot, summed over resident targets."),
@@ -63,7 +61,7 @@ pub const SESSION_GAUGES: &[(&str, &str)] = &[
     ("qrhint_session_interned_formulas", "Distinct interned formula nodes, summed over resident targets."),
     ("qrhint_session_interner_dedup_hits", "Interner hash-consing hits, summed over resident targets."),
     ("qrhint_session_interner_bytes", "Approximate interner bytes, summed over resident targets."),
-    ("qrhint_session_theory_pushes", "Incremental theory-stack literal pushes, summed over resident targets."),
+    ("qrhint_session_theory_pushes", "Theory-stack literal pushes, summed over resident targets."),
     ("qrhint_session_theory_full_checks", "Full theory checks, summed over resident targets."),
     ("qrhint_session_quick_conflicts", "Branches cut by the quick-conflict detector, summed over resident targets."),
     ("qrhint_session_equiv_batches", "Shared-prefix candidate batches, summed over resident targets."),
@@ -76,7 +74,7 @@ pub const SESSION_GAUGES: &[(&str, &str)] = &[
 
 /// Field-order projection of [`SessionStats`] matching
 /// [`SESSION_GAUGES`] row for row.
-fn session_values(s: &SessionStats) -> [u64; 31] {
+fn session_values(s: &SessionStats) -> [u64; 29] {
     [
         s.advise_calls,
         s.advice_cache_hits,
@@ -87,8 +85,6 @@ fn session_values(s: &SessionStats) -> [u64; 31] {
         s.from_groups,
         s.mapping_reuses,
         s.solver_calls,
-        s.solver_calls_skipped,
-        s.stages_short_circuited,
         s.diagnostics_emitted,
         s.verdict_cache_hits,
         s.verdict_cache_cross_thread_hits,
@@ -235,7 +231,7 @@ impl ServerMetrics {
         // Sum per-target session stats outside any registry lock (each
         // `stats()` takes per-target locks of its own), then mirror.
         let mut bytes = 0u64;
-        let mut sums = [0u64; 31];
+        let mut sums = [0u64; 29];
         for target in &resident {
             bytes += target.prepared.approx_cache_bytes() as u64;
             for (acc, v) in sums.iter_mut().zip(session_values(&target.prepared.stats())) {

@@ -630,7 +630,7 @@ mod tests {
         assert!(resp.body.contains("QH-P01"), "{}", resp.body);
         let stats = svc.handle(&get(&format!("/targets/{id}/stats")));
         assert!(stats.body.contains("\"diagnostics_emitted\":1"), "{}", stats.body);
-        assert!(stats.body.contains("\"solver_calls_skipped\""), "{}", stats.body);
+        assert!(stats.body.contains("\"quick_conflicts\""), "{}", stats.body);
         // Bad submission SQL → 422; wrong verb → 405.
         let bad = svc.handle(&post(&format!("/targets/{id}/lint"), "{\"sql\": \"SELEKT\"}"));
         assert_eq!(bad.status, 422, "{}", bad.body);

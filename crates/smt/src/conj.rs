@@ -74,8 +74,9 @@ pub struct Translation {
 impl Translation {
     /// Translate one literal into the partitioned constraint vectors.
     /// Returns `true` when the literal alone refutes the conjunction (a
-    /// false constant-constant lexicographic string comparison — the one
-    /// case the translation itself decides).
+    /// false constant-constant lexicographic string comparison, or a
+    /// strict one between a string operand and itself — the cases the
+    /// translation itself decides).
     ///
     /// Literals no theory can express are skipped here; the final
     /// validation pass in [`Translation::solve`] still evaluates them
@@ -109,14 +110,17 @@ impl Translation {
                         Rel::Eq => self.str_constraints.push(StrConstraint::Eq(lo, ro)),
                         Rel::Ne => self.str_constraints.push(StrConstraint::Ne(lo, ro)),
                         // Lexicographic order on string variables: decide
-                        // only the constant-constant case; otherwise
-                        // unknown (conservative; skipped pairs are caught
-                        // by the final validation).
+                        // only the constant-constant case and `s < s` /
+                        // `s > s`; otherwise unknown (conservative; skipped
+                        // pairs are caught by the final validation).
                         _ => {
                             if let (StrOperand::Const(a), StrOperand::Const(b)) = (&lo, &ro) {
                                 if !rel.eval(a, b) {
                                     return true;
                                 }
+                            }
+                            if lo == ro && matches!(rel, Rel::Lt | Rel::Gt) {
+                                return true;
                             }
                         }
                     }
@@ -385,6 +389,24 @@ mod tests {
         assert_ne!(r2, SatResult::Unsat);
         if r2 == SatResult::Sat {
             assert!(m2.is_some());
+        }
+    }
+
+    #[test]
+    fn reflexive_strict_string_order_is_unsat() {
+        let mut p = VarPool::new();
+        let s = str_var(&mut p, "beer");
+        for rel in [Rel::Lt, Rel::Gt] {
+            let lits = vec![(Atom::Cmp(s.clone(), rel, s.clone()), true)];
+            assert_eq!(check_conjunction(&lits, &mut p).0, SatResult::Unsat, "{rel}");
+        }
+        // `¬(s ≤ s)` is the same strict comparison.
+        let lits = vec![(Atom::Cmp(s.clone(), Rel::Le, s.clone()), false)];
+        assert_eq!(check_conjunction(&lits, &mut p).0, SatResult::Unsat);
+        // The non-strict orders hold for every string.
+        for rel in [Rel::Le, Rel::Ge] {
+            let lits = vec![(Atom::Cmp(s.clone(), rel, s.clone()), true)];
+            assert_ne!(check_conjunction(&lits, &mut p).0, SatResult::Unsat, "{rel}");
         }
     }
 

@@ -28,7 +28,6 @@
 pub mod conj;
 pub mod formula;
 pub mod intern;
-pub mod interval;
 pub mod lia;
 pub mod model;
 pub mod pattern;

@@ -7,6 +7,14 @@
 //! never wrong; `Unknown` is possible and callers act only on definitive
 //! answers.
 //!
+//! Before branching (and before the atom budget is consulted), every
+//! *root literal* — an atom reachable from the top of the checked
+//! conjunction through conjunctions and negations only — is assigned as a
+//! unit and pushed onto the [`TheoryState`], as root-level unit assignment
+//! does in DPLL(T). A quick conflict among the units refutes the whole
+//! check, so a statically contradictory predicate is `Unsat` however many
+//! atoms the rest of the formula carries.
+//!
 //! The solver consumes the *tree* representation. Callers that work in
 //! interned ids ([`crate::intern`]) extract trees only when they are
 //! about to pay for a real check (their verdict caches answer everything
@@ -14,7 +22,7 @@
 
 use std::sync::Arc;
 
-use crate::conj::{check_conjunction, Lit};
+use crate::conj::Lit;
 use crate::formula::{Atom, Formula};
 use crate::model::Model;
 use crate::term::VarPool;
@@ -31,12 +39,6 @@ pub struct Solver {
     pub partial_check_stride: usize,
     /// Hard cap on theory-checked leaves per `check` call.
     pub max_leaves: usize,
-    /// Maintain a push/pop [`TheoryState`] along the branch search
-    /// instead of retranslating the whole literal prefix at every leaf
-    /// and pruning stride. Definitive verdicts and models agree with the
-    /// from-scratch path; the incremental path additionally prunes
-    /// branches the quick conflict detector refutes at push time.
-    pub incremental: bool,
 }
 
 impl Default for Solver {
@@ -45,7 +47,6 @@ impl Default for Solver {
             max_atoms: 20,
             partial_check_stride: 4,
             max_leaves: 1 << 20,
-            incremental: true,
         }
     }
 }
@@ -53,14 +54,13 @@ impl Default for Solver {
 /// Counters describing the theory work one `check` call performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Literals run through theory translation. The incremental path
-    /// translates each stack push once; the from-scratch path counts the
-    /// whole prefix again at every full check, so this grows
-    /// quadratically with branch depth there.
+    /// Literals pushed onto the theory stack (root units plus branch
+    /// assignments); each is translated exactly once.
     pub theory_lits_translated: u64,
     /// Full string+LIA conjunction checks (leaves plus stride prunes).
     pub theory_full_checks: u64,
-    /// Branches pruned by the quick conflict detector at push time.
+    /// Branches (or, among the root units, whole checks) refuted by the
+    /// quick conflict detector at push time.
     pub quick_conflicts: u64,
     /// Theory-checked leaves.
     pub leaves: u64,
@@ -84,12 +84,8 @@ pub struct CheckOutcome {
 }
 
 impl CheckOutcome {
-    fn unsat() -> Self {
-        CheckOutcome { result: SatResult::Unsat, model: None, stats: SolveStats::default() }
-    }
-
-    fn unknown() -> Self {
-        CheckOutcome { result: SatResult::Unknown, model: None, stats: SolveStats::default() }
+    fn without_model(result: SatResult, stats: SolveStats) -> Self {
+        CheckOutcome { result, model: None, stats }
     }
 }
 
@@ -102,9 +98,9 @@ impl CheckOutcome {
 pub struct AssumptionPrefix {
     parts: Vec<Arc<Formula>>,
     atoms: Vec<Atom>,
+    /// Empty when the context is `False` or already over the atom budget.
     iforms: Vec<IForm>,
     has_false: bool,
-    too_many_atoms: bool,
 }
 
 /// Formula abstracted over canonical atom indices: the hot structure the
@@ -132,6 +128,18 @@ fn abstract_formula(f: &Formula, atoms: &[Atom]) -> IForm {
         Formula::And(cs) => IForm::And(cs.iter().map(|c| abstract_formula(c, atoms)).collect()),
         Formula::Or(cs) => IForm::Or(cs.iter().map(|c| abstract_formula(c, atoms)).collect()),
         Formula::Not(c) => IForm::Not(Box::new(abstract_formula(c, atoms))),
+    }
+}
+
+/// Collect the root literals of `f` under `polarity`: atoms reachable
+/// through conjunctions and negations only, so every model of `f`
+/// satisfies each of them.
+fn root_lits(f: &Formula, polarity: bool, out: &mut Vec<Lit>) {
+    match f {
+        Formula::Atom(a) => out.push((a.canonical().0, polarity)),
+        Formula::Not(c) => root_lits(c, !polarity, out),
+        Formula::And(cs) if polarity => cs.iter().for_each(|c| root_lits(c, true, out)),
+        _ => {}
     }
 }
 
@@ -182,35 +190,19 @@ struct Search<'a> {
     atoms: Vec<Atom>,
     assign: Vec<Option<bool>>,
     pool: &'a mut VarPool,
-    /// Incremental assumption stack; `None` runs the from-scratch path.
-    theory: Option<TheoryState>,
+    /// Assumption stack holding exactly the assigned literals, root units
+    /// first, then branch decisions in assignment order.
+    theory: TheoryState,
     stats: SolveStats,
     unknown_seen: bool,
     leaves: usize,
 }
 
 impl Search<'_> {
-    fn literals(&self) -> Vec<Lit> {
-        self.atoms
-            .iter()
-            .zip(&self.assign)
-            .filter_map(|(a, v)| v.map(|b| (a.clone(), b)))
-            .collect()
-    }
-
-    /// Full theory check of the currently assigned literals. The
-    /// incremental stack holds exactly those literals in assignment
-    /// order, so both arms decide the same conjunction.
+    /// Full theory check of the currently assigned literals.
     fn full_check(&mut self) -> (SatResult, Option<Model>) {
         self.stats.theory_full_checks += 1;
-        match &self.theory {
-            Some(th) => th.check_full(),
-            None => {
-                let lits = self.literals();
-                self.stats.theory_lits_translated += lits.len() as u64;
-                check_conjunction(&lits, self.pool)
-            }
-        }
+        self.theory.check_full()
     }
 
     /// Returns `Some(model)` when a satisfying, validated model is found.
@@ -261,21 +253,17 @@ impl Search<'_> {
         };
         for b in [true, false] {
             self.assign[i] = Some(b);
-            if let Some(th) = self.theory.as_mut() {
-                self.stats.theory_lits_translated += 1;
-                if th.push(self.atoms[i].clone(), b, self.pool) {
-                    // Quick conflict: the stacked prefix is already
-                    // unsatisfiable, so no leaf below can be Sat.
-                    self.stats.quick_conflicts += 1;
-                    th.pop(self.pool);
-                    self.assign[i] = None;
-                    continue;
-                }
+            self.stats.theory_lits_translated += 1;
+            if self.theory.push(self.atoms[i].clone(), b, self.pool) {
+                // Quick conflict: the stacked prefix is already
+                // unsatisfiable, so no leaf below can be Sat.
+                self.stats.quick_conflicts += 1;
+                self.theory.pop(self.pool);
+                self.assign[i] = None;
+                continue;
             }
             let found = self.dfs(depth + 1);
-            if let Some(th) = self.theory.as_mut() {
-                th.pop(self.pool);
-            }
+            self.theory.pop(self.pool);
             self.assign[i] = None;
             if found.is_some() {
                 return found;
@@ -302,36 +290,79 @@ impl Solver {
     /// cloning the parts into a single tree.
     pub fn check_parts(&self, parts: &[&Formula], pool: &mut VarPool) -> CheckOutcome {
         if parts.iter().any(|p| matches!(p, Formula::False)) {
-            return CheckOutcome::unsat();
+            return CheckOutcome::without_model(SatResult::Unsat, SolveStats::default());
         }
         let mut atoms = Vec::new();
         for p in parts {
             p.collect_atoms(&mut atoms);
         }
-        if atoms.len() > self.max_atoms {
-            return CheckOutcome::unknown();
-        }
-        let iform = IForm::And(parts.iter().map(|p| abstract_formula(p, &atoms)).collect());
-        self.run(parts, &iform, atoms, pool)
+        let skeleton =
+            |atoms: &[Atom]| IForm::And(parts.iter().map(|p| abstract_formula(p, atoms)).collect());
+        self.run(parts, atoms, skeleton, pool)
     }
 
+    /// [`Solver::search`], then drop the throwaway linearization
+    /// variables its root units allocated (the branch search unwinds its
+    /// own), so a check leaves `pool` as it found it.
     fn run(
         &self,
         parts: &[&Formula],
-        iform: &IForm,
         atoms: Vec<Atom>,
+        skeleton: impl FnOnce(&[Atom]) -> IForm,
         pool: &mut VarPool,
     ) -> CheckOutcome {
-        let n = atoms.len();
+        let pool_len = pool.len();
+        let out = self.search(parts, atoms, skeleton, pool);
+        pool.truncate(pool_len);
+        out
+    }
+
+    /// Assign the root units of `parts`, then (within the atom budget)
+    /// search the Boolean skeleton that `skeleton` builds over `atoms`.
+    fn search(
+        &self,
+        parts: &[&Formula],
+        atoms: Vec<Atom>,
+        skeleton: impl FnOnce(&[Atom]) -> IForm,
+        pool: &mut VarPool,
+    ) -> CheckOutcome {
+        let mut stats = SolveStats::default();
+        let mut theory = TheoryState::new();
+        let mut assign = vec![None; atoms.len()];
+        let mut units = Vec::new();
+        for p in parts {
+            root_lits(p, true, &mut units);
+        }
+        for (atom, polarity) in units {
+            let i = atoms.iter().position(|a| *a == atom).expect("atom registered");
+            match assign[i] {
+                Some(b) if b == polarity => continue,
+                Some(_) => {
+                    // The same atom is a unit with both polarities.
+                    stats.quick_conflicts += 1;
+                    return CheckOutcome::without_model(SatResult::Unsat, stats);
+                }
+                None => assign[i] = Some(polarity),
+            }
+            stats.theory_lits_translated += 1;
+            if theory.push(atom, polarity, pool) {
+                stats.quick_conflicts += 1;
+                return CheckOutcome::without_model(SatResult::Unsat, stats);
+            }
+        }
+        if atoms.len() > self.max_atoms {
+            return CheckOutcome::without_model(SatResult::Unknown, stats);
+        }
+        let iform = skeleton(&atoms);
         let mut search = Search {
             solver: self,
             parts,
-            iform,
+            iform: &iform,
             atoms,
-            assign: vec![None; n],
+            assign,
             pool,
-            theory: self.incremental.then(TheoryState::new),
-            stats: SolveStats::default(),
+            theory,
+            stats,
             unknown_seen: false,
             leaves: 0,
         };
@@ -371,13 +402,12 @@ impl Solver {
                 p.collect_atoms(&mut atoms);
             }
         }
-        let too_many_atoms = atoms.len() > self.max_atoms;
-        let iforms = if has_false || too_many_atoms {
+        let iforms = if has_false || atoms.len() > self.max_atoms {
             Vec::new()
         } else {
             ctx.iter().map(|p| abstract_formula(p, &atoms)).collect()
         };
-        AssumptionPrefix { parts: ctx.to_vec(), atoms, iforms, has_false, too_many_atoms }
+        AssumptionPrefix { parts: ctx.to_vec(), atoms, iforms, has_false }
     }
 
     /// `check_with_ctx` against a prepared prefix. Returns exactly what
@@ -391,19 +421,20 @@ impl Solver {
         pool: &mut VarPool,
     ) -> CheckOutcome {
         if prefix.has_false || matches!(formula, Formula::False) {
-            return CheckOutcome::unsat();
+            return CheckOutcome::without_model(SatResult::Unsat, SolveStats::default());
         }
         let mut atoms = prefix.atoms.clone();
         formula.collect_atoms(&mut atoms);
-        if prefix.too_many_atoms || atoms.len() > self.max_atoms {
-            return CheckOutcome::unknown();
-        }
-        let mut iforms = prefix.iforms.clone();
-        iforms.push(abstract_formula(formula, &atoms));
-        let iform = IForm::And(iforms);
         let mut parts: Vec<&Formula> = prefix.parts.iter().map(|a| a.as_ref()).collect();
         parts.push(formula);
-        self.run(&parts, &iform, atoms, pool)
+        // Over the budget `run` stops after the root units, before it
+        // would need the (then empty) prepared skeletons.
+        let skeleton = |atoms: &[Atom]| {
+            let mut iforms = prefix.iforms.clone();
+            iforms.push(abstract_formula(formula, atoms));
+            IForm::And(iforms)
+        };
+        self.run(&parts, atoms, skeleton, pool)
     }
 
     /// `IsSatisfiable` with tri-valued result.
@@ -597,6 +628,123 @@ mod tests {
         }
         let f = Formula::and(parts);
         assert_eq!(s.check(&f, &mut p).result, SatResult::Unknown);
+    }
+
+    /// Verdict of `Solver::check_parts` over `parts` with default budgets.
+    fn parts_verdict(parts: &[Formula], pool: &mut VarPool) -> SatResult {
+        let refs: Vec<&Formula> = parts.iter().collect();
+        Solver::new().check_parts(&refs, pool).result
+    }
+
+    #[test]
+    fn interval_contradiction_is_refuted() {
+        let (_, mut p, x, ..) = setup();
+        let f = Formula::and(vec![
+            Formula::cmp(x.clone(), Rel::Gt, Term::IntConst(5)),
+            Formula::cmp(x, Rel::Lt, Term::IntConst(3)),
+        ]);
+        assert_eq!(parts_verdict(std::slice::from_ref(&f), &mut p), SatResult::Unsat);
+        // Root units are refuted before the 20-atom budget is consulted.
+        let wide = Formula::or(
+            (0..20)
+                .map(|i| {
+                    let v = Term::var(p.fresh(&format!("w{i}"), Sort::Int));
+                    Formula::cmp(v, Rel::Eq, Term::IntConst(i))
+                })
+                .collect(),
+        );
+        assert_eq!(parts_verdict(&[f, wide], &mut p), SatResult::Unsat);
+    }
+
+    #[test]
+    fn integer_tightening_applies() {
+        let (_, mut p, x, ..) = setup();
+        // x > 4 ∧ x < 6 has the single model x = 5.
+        let sat = Formula::and(vec![
+            Formula::cmp(x.clone(), Rel::Gt, Term::IntConst(4)),
+            Formula::cmp(x.clone(), Rel::Lt, Term::IntConst(6)),
+        ]);
+        assert_eq!(parts_verdict(&[sat], &mut p), SatResult::Sat);
+        // x > 4 ∧ x < 5 has none over the integers.
+        let unsat = Formula::and(vec![
+            Formula::cmp(x.clone(), Rel::Gt, Term::IntConst(4)),
+            Formula::cmp(x, Rel::Lt, Term::IntConst(5)),
+        ]);
+        assert_eq!(parts_verdict(&[unsat], &mut p), SatResult::Unsat);
+    }
+
+    #[test]
+    fn string_equalities_conflict() {
+        let mut p = VarPool::new();
+        let s = Term::var(p.fresh("s", Sort::Str));
+        let eq = |c: &str| Formula::cmp(s.clone(), Rel::Eq, Term::StrConst(c.into()));
+        let f = Formula::and(vec![eq("a"), eq("b")]);
+        assert_eq!(parts_verdict(&[f], &mut p), SatResult::Unsat);
+        let f = Formula::and(vec![eq("a"), Formula::not(eq("a"))]);
+        assert_eq!(parts_verdict(&[f], &mut p), SatResult::Unsat);
+    }
+
+    #[test]
+    fn context_formulas_participate() {
+        let (_, mut p, x, ..) = setup();
+        let ctx = Formula::cmp(x.clone(), Rel::Le, Term::IntConst(3));
+        let f = Formula::cmp(x, Rel::Ge, Term::IntConst(10));
+        assert_eq!(parts_verdict(&[ctx, f], &mut p), SatResult::Unsat);
+    }
+
+    #[test]
+    fn opaque_shapes_never_decide() {
+        let (_, mut p, x, y, ..) = setup();
+        let s = Term::var(p.fresh("s", Sort::Str));
+        // Satisfiable shapes stay Sat: a disjunction (no root facts), a
+        // lone LIKE unit, and bounds on different variables.
+        let f = Formula::or(vec![
+            Formula::cmp(x.clone(), Rel::Gt, Term::IntConst(5)),
+            Formula::cmp(x.clone(), Rel::Lt, Term::IntConst(3)),
+        ]);
+        assert_eq!(parts_verdict(&[f], &mut p), SatResult::Sat);
+        let like = Formula::atom(Atom::Like(s, "x%".into()));
+        assert_eq!(parts_verdict(&[like], &mut p), SatResult::Sat);
+        // Different variables never conflict.
+        let f = Formula::and(vec![
+            Formula::cmp(x, Rel::Gt, Term::IntConst(5)),
+            Formula::cmp(y, Rel::Lt, Term::IntConst(3)),
+        ]);
+        assert_eq!(parts_verdict(&[f], &mut p), SatResult::Sat);
+    }
+
+    #[test]
+    fn trivial_constants_fold() {
+        let (_, mut p, x, ..) = setup();
+        let one_gt_two = Formula::cmp(Term::IntConst(1), Rel::Gt, Term::IntConst(2));
+        assert_eq!(parts_verdict(&[one_gt_two], &mut p), SatResult::Unsat);
+        let x_ne_x = Formula::cmp(x.clone(), Rel::Ne, x.clone());
+        assert_eq!(parts_verdict(&[x_ne_x], &mut p), SatResult::Unsat);
+        let s = Term::var(p.fresh("s", Sort::Str));
+        for rel in [Rel::Lt, Rel::Gt] {
+            let s_s = Formula::cmp(s.clone(), rel, s.clone());
+            assert_eq!(parts_verdict(&[s_s], &mut p), SatResult::Unsat, "{rel}");
+        }
+        let x_eq_x = Formula::cmp(x.clone(), Rel::Eq, x);
+        assert_eq!(parts_verdict(&[x_eq_x], &mut p), SatResult::Sat);
+        assert_eq!(parts_verdict(&[Formula::False], &mut p), SatResult::Unsat);
+        assert_eq!(parts_verdict(&[Formula::True], &mut p), SatResult::Sat);
+    }
+
+    #[test]
+    fn root_units_leave_the_pool_as_they_found_it() {
+        let (s, mut p, x, y, ..) = setup();
+        let before = p.len();
+        // A non-linear unit allocates an opaque linearization variable.
+        let f = Formula::and(vec![
+            Formula::cmp(Term::mul(x.clone(), y.clone()), Rel::Ge, Term::IntConst(0)),
+            Formula::or(vec![
+                Formula::cmp(x, Rel::Eq, Term::IntConst(1)),
+                Formula::cmp(y, Rel::Eq, Term::IntConst(1)),
+            ]),
+        ]);
+        assert_ne!(s.check(&f, &mut p).result, SatResult::Unsat);
+        assert_eq!(p.len(), before);
     }
 
     #[test]

@@ -208,7 +208,8 @@ impl LinExpr {
 /// map then matches what a from-scratch translation of the remaining
 /// literal stack would have built, which keeps opaque variable ids (and
 /// therefore Fourier–Motzkin elimination order) bit-identical between
-/// the incremental and from-scratch paths.
+/// the assumption stack and a from-scratch
+/// [`crate::conj::check_conjunction`].
 #[derive(Debug, Default)]
 pub struct OpaqueMap {
     map: BTreeMap<OpaqueKey, VarId>,

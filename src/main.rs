@@ -554,10 +554,10 @@ struct GradeEntry {
 
 /// Batch-wide rollup for `grade --json`. Every field is derived from the
 /// per-entry results, so the summary — like the entries — is
-/// byte-identical across `--jobs` settings. (The session's prescreen
-/// counters are *not* here for exactly that reason: cache-race timing
-/// makes them jobs-dependent, so they go to stderr and the server's
-/// stats endpoint instead.)
+/// byte-identical across `--jobs` settings. (The session's cache and
+/// solver counters are *not* here for exactly that reason: cache-race
+/// timing makes them jobs-dependent, so they stay on the server's stats
+/// endpoint.)
 #[derive(Serialize)]
 struct GradeSummary {
     submissions: usize,
@@ -810,13 +810,6 @@ fn run_grade(args: &Args) -> Result<u8, CliError> {
         0
     };
     let entries: Vec<GradeEntry> = graded.into_iter().map(|(entry, _)| entry).collect();
-    // Prescreen counters are jobs-dependent (see [`GradeSummary`]), so
-    // they ride stderr with the other non-deterministic reporting.
-    let stats = prepared.stats();
-    eprintln!(
-        "prescreen: {} solver call(s) answered statically, {} stage check(s) short-circuited",
-        stats.solver_calls_skipped, stats.stages_short_circuited
-    );
 
     if args.json {
         emit_json(&GradeOutput { summary: summarize(&entries), entries })?;

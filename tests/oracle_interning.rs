@@ -238,21 +238,6 @@ fn assert_corpus_parity(schema: &Schema, target: &str, subs: &[String], label: &
         let parallel = report_json(&hammered.grade_batch_parallel(subs, jobs));
         assert_eq!(parallel, baseline_json, "{label}: {jobs}-thread vs stateless");
     }
-
-    // From-scratch solver mode (assumption stack off): the incremental
-    // search may only *refine* Unknown verdicts, and on these corpora
-    // every check is decided definitively — so advice must be
-    // byte-identical across modes, cold and after a shed.
-    let fs = QrHint::with_config(
-        schema.clone(),
-        QrHintConfig { incremental_solver: false, ..QrHintConfig::default() },
-    );
-    let fs_target = fs.compile_target(target).unwrap();
-    let fs_cold = report_json(&fs_target.grade_batch(subs));
-    assert_eq!(fs_cold, baseline_json, "{label}: from-scratch vs incremental");
-    assert!(fs_target.shed_caches() > 0);
-    let fs_shed = report_json(&fs_target.grade_batch(subs));
-    assert_eq!(fs_shed, baseline_json, "{label}: from-scratch post-shed");
 }
 
 #[test]

@@ -177,9 +177,9 @@ fn session_stats_stay_coherent_under_concurrency() {
         seq.equiv_batch_candidates >= seq.equiv_batches,
         "batch candidate accounting inverted: {seq:?}"
     );
-    // The incremental assumption stack is on by default and must have
-    // done per-literal translation work on the cold pass.
-    assert!(seq.theory_pushes > 0, "incremental theory stack idle: {seq:?}");
+    // The solver's assumption stack must have done per-literal
+    // translation work on the cold pass.
+    assert!(seq.theory_pushes > 0, "theory stack idle: {seq:?}");
     assert!(seq.theory_full_checks > 0, "{seq:?}");
 }
 
