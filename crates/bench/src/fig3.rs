@@ -77,7 +77,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "multi-second solver sweep; covered by exp_fig3"]
     fn opt_no_worse_than_basic_at_two_errors() {
         let rows = run(2, 0xF3);
         let two: Vec<&Fig3Row> = rows.iter().filter(|r| r.errors == 2).collect();

@@ -98,7 +98,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "multi-second solver sweep; covered by exp_fig4"]
+    #[ignore = "paper sweep; run by CI's `Paper sweeps (ignored bench tests)` release step"]
     fn traces_record_viable_repairs_in_time_order() {
         let traces = run(1, 0xF4);
         assert_eq!(traces.len(), 2);

@@ -134,7 +134,7 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "full-corpus run (~1 min); executed by exp_students / CI nightly"]
+    #[ignore = "full-corpus run; run by CI's `Paper sweeps (ignored bench tests)` release step"]
     fn full_corpus_report() {
         let report = run();
         assert_eq!(report.supported, 306);

@@ -9,7 +9,10 @@
 //!
 //! 1. **Prime implicant generation** by the Quine–McCluskey merging
 //!    procedure (don't-cares participate in merging but never require
-//!    coverage) — [`prime_implicants`];
+//!    coverage) — [`prime_implicants`]. The cubes of one dash pattern are
+//!    a bitset over the `2^n` values, so merging a whole pattern on one
+//!    variable is a word-wise `b & (b >> 2^i)`, and a cube is prime when
+//!    no merged cube one level up covers it;
 //! 2. **Cover selection**: essential primes first, then an exact
 //!    branch-and-bound set cover (optimal for the sizes Qr-Hint produces),
 //!    falling back to a greedy cover under a node budget — exactly

@@ -211,30 +211,33 @@ impl AffExpr {
         AffExpr { coeffs, k: 0 }
     }
 
-    fn add(&self, o: &AffExpr) -> AffExpr {
+    /// `None` on i64 overflow, as are `scale` and `negate`.
+    fn add(&self, o: &AffExpr) -> Option<AffExpr> {
         let mut out = self.clone();
         for (c, v) in &o.coeffs {
             let e = out.coeffs.entry(c.clone()).or_insert(0);
-            *e += v;
+            *e = e.checked_add(*v)?;
             if *e == 0 {
                 out.coeffs.remove(c);
             }
         }
-        out.k += o.k;
-        out
+        out.k = out.k.checked_add(o.k)?;
+        Some(out)
     }
 
-    fn scale(&self, f: i64) -> AffExpr {
+    fn scale(&self, f: i64) -> Option<AffExpr> {
         if f == 0 {
-            return AffExpr::constant(0);
+            return Some(AffExpr::constant(0));
         }
-        AffExpr {
-            coeffs: self.coeffs.iter().map(|(c, v)| (c.clone(), v * f)).collect(),
-            k: self.k * f,
-        }
+        let coeffs = self
+            .coeffs
+            .iter()
+            .map(|(c, v)| Some((c.clone(), v.checked_mul(f)?)))
+            .collect::<Option<_>>()?;
+        Some(AffExpr { coeffs, k: self.k.checked_mul(f)? })
     }
 
-    fn negate(&self) -> AffExpr {
+    fn negate(&self) -> Option<AffExpr> {
         self.scale(-1)
     }
 
@@ -250,46 +253,45 @@ impl AffExpr {
 }
 
 /// Affine normalization of an aggregate-free integer scalar;
-/// `None` when non-affine (products of columns, division) or when it
-/// contains strings or aggregates.
+/// `None` when non-affine (products of columns, division), when it
+/// contains strings or aggregates, or when a coefficient or constant
+/// overflows i64.
 pub fn affine_of(e: &Scalar) -> Option<AffExpr> {
     match e {
         Scalar::Col(c) => Some(AffExpr::col(c)),
         Scalar::Int(v) => Some(AffExpr::constant(*v)),
         Scalar::Str(_) | Scalar::Agg(_) => None,
-        Scalar::Neg(inner) => Some(affine_of(inner)?.negate()),
+        Scalar::Neg(inner) => affine_of(inner)?.negate(),
         Scalar::Arith(l, op, r) => {
             let (le, re) = (affine_of(l)?, affine_of(r)?);
             match op {
-                ArithOp::Add => Some(le.add(&re)),
-                ArithOp::Sub => Some(le.add(&re.negate())),
+                ArithOp::Add => le.add(&re),
+                ArithOp::Sub => le.add(&re.negate()?),
                 ArithOp::Mul => {
                     if le.coeffs.is_empty() {
-                        Some(re.scale(le.k))
+                        re.scale(le.k)
                     } else if re.coeffs.is_empty() {
-                        Some(le.scale(re.k))
+                        le.scale(re.k)
                     } else {
                         None
                     }
                 }
                 ArithOp::Div => {
-                    if re.coeffs.is_empty() && re.k != 0 {
-                        let d = re.k;
-                        if le.k % d == 0 && le.coeffs.values().all(|c| c % d == 0) {
-                            Some(AffExpr {
-                                coeffs: le
-                                    .coeffs
-                                    .iter()
-                                    .map(|(c, v)| (c.clone(), v / d))
-                                    .collect(),
-                                k: le.k / d,
-                            })
-                        } else {
-                            None
-                        }
-                    } else {
-                        None
+                    if !re.coeffs.is_empty() {
+                        return None;
                     }
+                    // Exact division only. `checked_rem` is `None` for a
+                    // zero divisor and for `i64::MIN / -1`, so the
+                    // divisions below cannot overflow.
+                    let d = re.k;
+                    let exact = |v: i64| v.checked_rem(d) == Some(0);
+                    if !exact(le.k) || !le.coeffs.values().all(|&c| exact(c)) {
+                        return None;
+                    }
+                    Some(AffExpr {
+                        coeffs: le.coeffs.iter().map(|(c, v)| (c.clone(), v / d)).collect(),
+                        k: le.k / d,
+                    })
                 }
             }
         }
@@ -1495,9 +1497,10 @@ pub fn column_bounds(p: &Pred) -> BTreeMap<ColRef, (Option<i64>, Option<i64>)> {
             };
             match op {
                 CmpOp::Eq => tighten(col, Some(cst), Some(cst)),
-                CmpOp::Gt => tighten(col, Some(cst + 1), None),
+                // `> i64::MAX` / `< i64::MIN` have no i64 bound: drop it.
+                CmpOp::Gt => tighten(col, cst.checked_add(1), None),
                 CmpOp::Ge => tighten(col, Some(cst), None),
-                CmpOp::Lt => tighten(col, None, Some(cst - 1)),
+                CmpOp::Lt => tighten(col, None, cst.checked_sub(1)),
                 CmpOp::Le => tighten(col, None, Some(cst)),
                 CmpOp::Ne => {}
             }
@@ -1636,6 +1639,35 @@ mod tests {
         // Disjunctions contribute nothing.
         let p2 = parse_pred("t.a > 100 OR t.b < 5").unwrap();
         assert!(column_bounds(&p2).is_empty());
+    }
+
+    #[test]
+    fn column_bounds_past_i64_are_dropped() {
+        let p = parse_pred("t.a > 9223372036854775807 AND t.a <= 5").unwrap();
+        assert_eq!(column_bounds(&p)[&ColRef::new("t", "a")], (None, Some(5)));
+        let lt_min = Pred::Cmp(
+            Scalar::Col(ColRef::new("t", "a")),
+            CmpOp::Lt,
+            Scalar::Int(i64::MIN),
+        );
+        assert_eq!(column_bounds(&lt_min)[&ColRef::new("t", "a")], (None, None));
+    }
+
+    #[test]
+    fn affine_overflow_is_not_affine() {
+        for sql in [
+            // 2^62 · 2 and 2^62 · 4 (which used to wrap to 0).
+            "4611686018427387904 * 2 * t.x",
+            "4611686018427387904 * 4 * t.x",
+            "t.x * 4611686018427387904 + t.x * 4611686018427387904",
+            "-(0 - 9223372036854775807 - 1)",
+            "(0 - 9223372036854775807 - 1 + 0 * t.x) / (0 - 1)",
+        ] {
+            let e = parse_scalar(sql).unwrap();
+            assert_eq!(affine_of(&e), None, "{sql}");
+        }
+        let min = parse_scalar("0 - 9223372036854775807 - 1").unwrap();
+        assert_eq!(affine_of(&min).unwrap().k, i64::MIN);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::oracle::Oracle;
 use qrhint_boolmin::{minimize, Dnf, Out, TruthTable};
-use qrhint_smt::TriBool;
+use qrhint_smt::{FormulaId, TriBool};
 use qrhint_sqlast::Pred;
 use std::collections::BTreeMap;
 
@@ -107,7 +107,9 @@ impl AtomMap {
         }
     }
 
-    /// The conjunction of literals corresponding to a row.
+    /// The conjunction of literals corresponding to a row: the reference
+    /// `RowLiterals::conjunction` is tested against.
+    #[cfg(test)]
     pub fn row_conjunction(&self, row: u32) -> Pred {
         Pred::and(
             self.atoms
@@ -184,6 +186,35 @@ impl AtomMap {
     }
 }
 
+/// Every atom's two literals and the context, lowered once per table.
+struct RowLiterals {
+    neg: Vec<FormulaId>,
+    pos: Vec<FormulaId>,
+    ctx: Vec<FormulaId>,
+}
+
+impl RowLiterals {
+    /// Lower the negative literals, then the context, then the positive
+    /// literals. Lowering each row's conjunction and then the context,
+    /// row by row, would first meet them in this order (row 0 is all
+    /// negative), so variables are allocated as that would allocate them.
+    fn lower(map: &AtomMap, oracle: &mut Oracle, ctx: &[&Pred]) -> RowLiterals {
+        let neg = map.atoms.iter().map(|a| oracle.lower_pred(&a.negated_nnf())).collect();
+        let ctx = ctx.iter().map(|c| oracle.lower_pred(c)).collect();
+        let pos = map.atoms.iter().map(|a| oracle.lower_pred(a)).collect();
+        RowLiterals { neg, pos, ctx }
+    }
+
+    /// The interned conjunction of a row's literals. `and_f` flattens as
+    /// `Pred::and` does, so this is the id the row's predicate lowers to.
+    fn conjunction(&self, oracle: &Oracle, row: u32) -> FormulaId {
+        let lits = (0..self.pos.len())
+            .map(|i| if row & (1 << i) != 0 { self.pos[i] } else { self.neg[i] })
+            .collect();
+        oracle.and_f(lits)
+    }
+}
+
 /// Build the truth table for the target bound `[lower, upper]` over the
 /// atom map: infeasible rows and slack rows become don't-cares.
 pub fn build_truth_table(
@@ -193,11 +224,12 @@ pub fn build_truth_table(
     lower: &Pred,
     upper: &Pred,
 ) -> TruthTable {
+    let lits = RowLiterals::lower(map, oracle, ctx);
     TruthTable::from_fn(map.len(), |row| {
-        let conj = map.row_conjunction(row);
+        let conj = lits.conjunction(oracle, row);
         // Infeasible combination of atoms → don't-care. Only a definitive
         // UNSAT may mark the row (paper's soundness discipline).
-        if oracle.sat_pred(&conj, ctx) == TriBool::False {
+        if oracle.sat_f(conj, &lits.ctx) == TriBool::False {
             return Out::DontCare;
         }
         let lv = map.eval(lower, row);
@@ -248,10 +280,64 @@ pub fn min_fix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::LowerEnv;
+    use qrhint_sqlast::ColRef;
     use qrhint_sqlparse::parse_pred;
 
     fn oracle_for(preds: &[&Pred]) -> Oracle {
         Oracle::for_preds(preds)
+    }
+
+    /// Every row's interned conjunction is the id its predicate lowers to
+    /// (so its verdict-cache key is too), and the table issues exactly
+    /// one check per row.
+    fn assert_rows_intern_like_their_predicates(
+        o: &mut Oracle,
+        ctx: &Pred,
+        lower: &Pred,
+        upper: &Pred,
+    ) {
+        let mut map = AtomMap::default();
+        map.absorb(lower, o, &[ctx]);
+        map.absorb(upper, o, &[ctx]);
+        assert!(map.len() >= 3, "atoms: {:?}", map.atoms);
+        let lits = RowLiterals::lower(&map, o, &[ctx]);
+        assert_eq!(lits.ctx, vec![o.lower_pred(ctx)]);
+        for row in 0..(1u32 << map.len()) {
+            let expect = o.lower_pred(&map.row_conjunction(row));
+            assert_eq!(lits.conjunction(o, row), expect, "row {row:b}");
+        }
+        let (calls, hits, misses) = (o.solver_calls, o.verdict_hits, o.verdict_misses);
+        build_truth_table(&map, o, &[ctx], lower, upper);
+        let calls = o.solver_calls - calls;
+        assert_eq!(calls, 1 << map.len());
+        assert_eq!((o.verdict_hits - hits) + (o.verdict_misses - misses), calls);
+    }
+
+    #[test]
+    fn truth_table_rows_intern_like_their_predicates() {
+        let ctx = parse_pred("t.x > 10").unwrap();
+        let lower = parse_pred("t.x > 12 AND t.s NOT LIKE 'a%' AND t.y = 1").unwrap();
+        let upper = parse_pred("t.s NOT LIKE 'a%' OR t.y = 1 OR t.x >= 20").unwrap();
+        let mut o = oracle_for(&[&ctx, &lower, &upper]);
+        assert_rows_intern_like_their_predicates(&mut o, &ctx, &lower, &upper);
+    }
+
+    #[test]
+    fn truth_table_rows_intern_like_their_predicates_when_grouped() {
+        // The HAVING stage's ambient state: grouped lowering, with the
+        // WHERE facts and aggregate axioms as ambient context.
+        let ctx = parse_pred("g.a > 4").unwrap();
+        let lower = parse_pred("SUM(s.d) > 10 AND g.b NOT LIKE 'x%' AND COUNT(*) >= 2").unwrap();
+        let upper = parse_pred("SUM(s.d) > 10 OR MAX(s.d) < 3 OR g.a = 5").unwrap();
+        let mut o = oracle_for(&[&ctx, &lower, &upper]);
+        let env = LowerEnv::grouped([ColRef::new("g", "a"), ColRef::new("g", "b")].into());
+        o.lower_pred_env(&lower, &env);
+        o.lower_pred_env(&upper, &env);
+        let mut ambient = vec![o.lower_pred_env(&ctx, &env)];
+        ambient.extend(o.aggregate_axioms(&ctx));
+        o.set_ambient(env, ambient);
+        assert_rows_intern_like_their_predicates(&mut o, &ctx, &lower, &upper);
     }
 
     #[test]

@@ -176,3 +176,23 @@ fn idempotence_done_queries_get_no_hints() {
     assert!(advice.is_equivalent());
     assert!(advice.hints.is_empty());
 }
+
+#[test]
+fn overflowing_constants_neither_panic_nor_fold_away() {
+    let schema = qrhint_sqlparse::parse_schema("CREATE TABLE T (a INT, b INT);").unwrap();
+    let qr = QrHint::new(schema);
+    let sum = |arg: &str| format!("SELECT t.b, SUM({arg}) FROM T t GROUP BY t.b");
+    // 2^62 · 2 overflows i64: the SUM lowers as an opaque aggregate.
+    let advice = qr.advise_sql(&sum("t.a"), &sum("4611686018427387904 * 2 * t.a")).unwrap();
+    assert_eq!(advice.stage, Stage::Select);
+    // 2^62 · 4 must not wrap to 0 and match SUM(0 * t.a).
+    let advice = qr.advise_sql(&sum("0 * t.a"), &sum("4611686018427387904 * 4 * t.a")).unwrap();
+    assert_eq!(advice.stage, Stage::Select);
+    // `t.a > i64::MAX` gives MAX(t.a) no i64 lower bound.
+    let having = |k: u8| {
+        format!(
+            "SELECT t.b FROM T t WHERE t.a > 9223372036854775807 GROUP BY t.b HAVING MAX(t.a) > {k}"
+        )
+    };
+    qr.advise_sql(&having(0), &having(1)).unwrap();
+}
