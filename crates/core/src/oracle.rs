@@ -20,9 +20,11 @@
 //! * **Cheap construction.** Structurally equal subformulas intern to one
 //!   node; negation is memoized per node; conjunction/disjunction flatten
 //!   without cloning children.
-//! * **Trees only on misses.** The solver still consumes trees; they are
-//!   extracted from the arena only on a verdict-cache miss — exactly when
-//!   the caller is about to pay orders of magnitude more for the check.
+//! * **Trees only on misses.** The solver consumes trees; a check
+//!   extracts them from the arena ([`Interner::formula`]) only on a
+//!   verdict-cache miss. A MinFix truth table ([`Oracle::sat_rows`])
+//!   probes every row by id and extracts only its literals and context,
+//!   once, for one [`Solver::check_rows`] walk over all missed rows.
 //!
 //! Variable allocation (columns, aggregates) also lives in the shared
 //! context, keyed by `(column, tuple-tag, sort)` / `(aggregate key,
@@ -68,7 +70,7 @@ use qrhint_smt::{
 use qrhint_sqlast::{
     AggArg, AggCall, AggFunc, ArithOp, CmpOp, ColRef, Pred, Query, Scalar, Schema, SqlType,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -368,33 +370,6 @@ pub struct InternerStats {
 /// name + sort + the col/agg map entry pointing at it).
 const VAR_ENTRY_BYTES: usize = 160;
 
-/// Per-tree-node byte estimate for the lowering memo (enum discriminant,
-/// child vectors, and the map entry, amortized over the subtree).
-const TREE_NODE_BYTES: usize = 64;
-
-/// Point-in-time lowering-memo statistics (see
-/// [`crate::session::SessionStats`]). Like the interner counters, these
-/// live in the [`SolverContext`] and reset when a shed swaps it out.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoweringMemoStats {
-    /// Tree requests answered by a memoized `Arc<Formula>`.
-    pub hits: u64,
-    /// Tree requests that extracted (and memoized) a fresh tree.
-    pub misses: u64,
-    /// Distinct interned formulas with a resident memoized tree.
-    pub entries: u64,
-    /// Approximate resident bytes of the memoized trees.
-    pub bytes: u64,
-}
-
-fn formula_nodes(f: &Formula) -> usize {
-    match f {
-        Formula::True | Formula::False | Formula::Atom(_) => 1,
-        Formula::And(cs) | Formula::Or(cs) => 1 + cs.iter().map(formula_nodes).sum::<usize>(),
-        Formula::Not(c) => 1 + formula_nodes(c),
-    }
-}
-
 /// The interning + verdict state shared by every [`Oracle`] of one
 /// [`crate::session::PreparedTarget`]: the hash-consing arena, the
 /// variable tables, and the sharded cross-slot verdict cache. All of it
@@ -403,16 +378,6 @@ fn formula_nodes(f: &Formula) -> usize {
 pub struct SolverContext {
     lower: RwLock<LowerState>,
     pub(crate) verdicts: VerdictCache,
-    /// Per-node lowering memo: interned formula → its extracted tree,
-    /// shared (via `Arc`) across every oracle bound to this context. A
-    /// verdict-cache miss used to re-extract the full tree of the formula
-    /// *and every context formula* per check; now each interned node is
-    /// extracted at most once per context lifetime. Shed with the
-    /// context.
-    trees: RwLock<HashMap<FormulaId, Arc<Formula>>>,
-    tree_hits: AtomicU64,
-    tree_misses: AtomicU64,
-    tree_bytes: AtomicU64,
 }
 
 impl SolverContext {
@@ -423,55 +388,14 @@ impl SolverContext {
         SolverContext {
             lower: RwLock::new(LowerState::new()),
             verdicts: VerdictCache::new(verdict_cache_max_bytes),
-            trees: RwLock::new(HashMap::new()),
-            tree_hits: AtomicU64::new(0),
-            tree_misses: AtomicU64::new(0),
-            tree_bytes: AtomicU64::new(0),
         }
     }
 
     /// Approximate resident bytes of everything in the context: interner
-    /// tables, variable pool/maps, the lowering memo, and the verdict
-    /// cache.
+    /// tables, variable pool/maps, and the verdict cache.
     pub fn approx_bytes(&self) -> usize {
         let st = self.lower.read().unwrap();
-        st.interner.approx_bytes()
-            + st.pool.len() * VAR_ENTRY_BYTES
-            + self.tree_bytes.load(Ordering::Relaxed) as usize
-            + self.verdicts.bytes()
-    }
-
-    /// Memoized tree extraction: the `Arc<Formula>` tree of an interned
-    /// formula, extracted at most once per context lifetime.
-    pub fn tree_of(&self, f: FormulaId) -> Arc<Formula> {
-        if let Some(t) = self.trees.read().unwrap().get(&f) {
-            self.tree_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(t);
-        }
-        // Extract outside the memo lock (two racing extractors do
-        // redundant work but the entry — and the byte accounting — is
-        // charged once).
-        let tree = Arc::new(self.lower.read().unwrap().interner.formula(f));
-        self.tree_misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.trees.write().unwrap();
-        let entry = map.entry(f).or_insert_with(|| {
-            self.tree_bytes.fetch_add(
-                (formula_nodes(&tree) * TREE_NODE_BYTES) as u64,
-                Ordering::Relaxed,
-            );
-            Arc::clone(&tree)
-        });
-        Arc::clone(entry)
-    }
-
-    /// Point-in-time lowering-memo counters.
-    pub fn lowering_memo_stats(&self) -> LoweringMemoStats {
-        LoweringMemoStats {
-            hits: self.tree_hits.load(Ordering::Relaxed),
-            misses: self.tree_misses.load(Ordering::Relaxed),
-            entries: self.trees.read().unwrap().len() as u64,
-            bytes: self.tree_bytes.load(Ordering::Relaxed),
-        }
+        st.interner.approx_bytes() + st.pool.len() * VAR_ENTRY_BYTES + self.verdicts.bytes()
     }
 
     /// Point-in-time interner counters.
@@ -497,7 +421,7 @@ impl SolverContext {
 
     /// One coherent snapshot of every point-in-time counter in this
     /// context. The interner fields are read under a single `lower`
-    /// lock acquisition and the memo/verdict fields back-to-back, so a
+    /// lock acquisition and the verdict fields back-to-back, so a
     /// snapshot never mixes numbers from before and after a concurrent
     /// shed swap the way four independent getter calls can — callers
     /// that clone the context `Arc` once and snapshot it see one
@@ -514,7 +438,6 @@ impl SolverContext {
         };
         ContextStats {
             interner,
-            lowering_memo: self.lowering_memo_stats(),
             verdict_entries: self.verdicts.entries() as u64,
             verdict_bytes: self.verdicts.bytes() as u64,
         }
@@ -526,7 +449,6 @@ impl SolverContext {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContextStats {
     pub interner: InternerStats,
-    pub lowering_memo: LoweringMemoStats,
     /// Resident shared-verdict entries.
     pub verdict_entries: u64,
     /// Approximate shared-verdict bytes.
@@ -1089,6 +1011,12 @@ impl Oracle {
         self.ctx.lower.read().unwrap().interner.formula(f)
     }
 
+    /// [`Oracle::formula`] of each of `ids`, under one lock.
+    fn trees(&self, ids: impl IntoIterator<Item = FormulaId>) -> Vec<Formula> {
+        let st = self.ctx.lower.read().unwrap();
+        ids.into_iter().map(|f| st.interner.formula(f)).collect()
+    }
+
     // ---------------- aggregate axioms ----------------
 
     /// Emit sound axioms over the aggregate variables **this oracle**
@@ -1202,38 +1130,98 @@ impl Oracle {
     /// under different budgets.
     pub fn sat_f(&mut self, f: FormulaId, ctx: &[FormulaId]) -> TriBool {
         self.solver_calls += 1;
-        let mut full: Vec<FormulaId> = Vec::with_capacity(ctx.len() + self.ambient_ctx.len());
-        full.extend_from_slice(ctx);
-        full.extend_from_slice(&self.ambient_ctx);
-        let key = VerdictKey { f, ctx: full.into_boxed_slice() };
-        if let Some((verdict, owner)) = self.ctx.verdicts.get(&key) {
-            self.verdict_hits += 1;
-            if owner != self.id {
-                self.verdict_cross_hits += 1;
-            }
+        let key = VerdictKey { f, ctx: self.full_ctx(ctx) };
+        if let Some(verdict) = self.probe(&key) {
             return verdict;
         }
-        self.verdict_misses += 1;
         let _span = qrhint_obs::span("solver:check");
-        // Miss: pull memoized `Arc` trees (extracted at most once per
-        // context lifetime) and sync the scratch pool, then solve. The
-        // solver appends throwaway opaque variables during linearization,
-        // which is why it gets the private mirror rather than a shared
-        // borrow.
+        // Miss: extract the trees and sync the scratch pool, then solve.
+        // The solver appends throwaway opaque variables during
+        // linearization, which is why it gets the private mirror rather
+        // than a shared borrow.
         self.sync_scratch();
-        let tree = self.ctx.tree_of(key.f);
-        let ctx_trees: Vec<Arc<Formula>> =
-            key.ctx.iter().map(|&c| self.ctx.tree_of(c)).collect();
-        let mut parts: Vec<&Formula> = Vec::with_capacity(1 + ctx_trees.len());
-        parts.extend(ctx_trees.iter().map(|t| t.as_ref()));
-        parts.push(&tree);
+        let trees = self.trees(key.ctx.iter().copied().chain([key.f]));
+        let parts: Vec<&Formula> = trees.iter().collect();
         let out = self.solver.check_parts(&parts, &mut self.scratch_pool);
         self.record_stats(&out.stats);
         let verdict = tri(out.result);
+        self.cache(key, verdict);
+        verdict
+    }
+
+    /// [`Oracle::sat_f`] for every row of a truth table over `lits`
+    /// under `ctx`: row `r` is the `and_f` of `lits[i][1]` where bit `i`
+    /// of `r` is set and `lits[i][0]` elsewhere, so it is the id, and
+    /// the verdict-cache key, that `sat_f` of the row's predicate uses.
+    /// Each row counts one `solver_calls` and one hit or miss, as in
+    /// `sat_f`; the missed rows are then decided together by one
+    /// [`Solver::check_rows`] walk (every row is probed before any is
+    /// decided, so a key repeated within one table would count a miss
+    /// each time). Returns one verdict per row.
+    pub fn sat_rows(&mut self, lits: &[[FormulaId; 2]], ctx: &[FormulaId]) -> Vec<TriBool> {
+        let rows: Vec<FormulaId> = {
+            let mut st = self.ctx.lower.write().unwrap();
+            (0..1usize << lits.len())
+                .map(|r| {
+                    st.interner.and(lits.iter().enumerate().map(|(i, l)| l[r >> i & 1]).collect())
+                })
+                .collect()
+        };
+        let mut key = VerdictKey { f: FormulaId::TRUE, ctx: self.full_ctx(ctx) };
+        let mut verdicts = Vec::with_capacity(rows.len());
+        let mut needed = Vec::with_capacity(rows.len());
+        for &f in &rows {
+            self.solver_calls += 1;
+            key.f = f;
+            let hit = self.probe(&key);
+            verdicts.push(hit.unwrap_or(TriBool::Unknown));
+            needed.push(hit.is_none());
+        }
+        if needed.contains(&true) {
+            let _span = qrhint_obs::span("solver:check");
+            self.sync_scratch();
+            let ctx_trees = self.trees(key.ctx.iter().copied());
+            let lit_trees = self.trees(lits.iter().flatten().copied());
+            let ctx_refs: Vec<&Formula> = ctx_trees.iter().collect();
+            let lit_refs: Vec<[&Formula; 2]> =
+                lit_trees.chunks(2).map(|l| [&l[0], &l[1]]).collect();
+            let out = self.solver.check_rows(&ctx_refs, &lit_refs, &needed, &mut self.scratch_pool);
+            self.record_stats(&out.stats);
+            for (row, result) in out.verdicts.into_iter().enumerate() {
+                if let Some(result) = result {
+                    verdicts[row] = tri(result);
+                    key.f = rows[row];
+                    self.cache(key.clone(), verdicts[row]);
+                }
+            }
+        }
+        verdicts
+    }
+
+    /// The verdict-cache context of a check: `ctx`, then the ambient
+    /// context.
+    fn full_ctx(&self, ctx: &[FormulaId]) -> Box<[FormulaId]> {
+        ctx.iter().chain(&self.ambient_ctx).copied().collect()
+    }
+
+    /// Probe the shared verdict cache, counting one hit or one miss.
+    fn probe(&mut self, key: &VerdictKey) -> Option<TriBool> {
+        let Some((verdict, owner)) = self.ctx.verdicts.get(key) else {
+            self.verdict_misses += 1;
+            return None;
+        };
+        self.verdict_hits += 1;
+        if owner != self.id {
+            self.verdict_cross_hits += 1;
+        }
+        Some(verdict)
+    }
+
+    /// Cache a decided verdict; `Unknown` is never cached.
+    fn cache(&mut self, key: VerdictKey, verdict: TriBool) {
         if verdict != TriBool::Unknown {
             self.verdict_evictions += self.ctx.verdicts.insert(key, verdict, self.id);
         }
-        verdict
     }
 
     /// Bring the scratch pool level with the append-only shared pool:
@@ -1263,11 +1251,6 @@ impl Oracle {
         self.theory_pushes += s.theory_lits_translated;
         self.theory_full_checks += s.theory_full_checks;
         self.quick_conflicts += s.quick_conflicts;
-    }
-
-    /// Memoized tree extraction (see [`SolverContext::tree_of`]).
-    pub fn tree_of(&self, f: FormulaId) -> Arc<Formula> {
-        self.ctx.tree_of(f)
     }
 
     /// Formula-level unsatisfiability.
@@ -1340,9 +1323,9 @@ impl Oracle {
     // ---------------- batched checks over a shared prefix ----------------
 
     /// Digest a formula context (plus the current ambient context) once
-    /// for a batch of candidate checks: the trees come from the lowering
-    /// memo and the solver pre-collects the context's atoms and Boolean
-    /// skeletons ([`Solver::prepare_prefix`]), so per-candidate work is
+    /// for a batch of candidate checks: its trees are extracted once and
+    /// the solver pre-collects the context's atoms and Boolean skeletons
+    /// ([`Solver::prepare_prefix`]), so per-candidate work is
     /// proportional to the candidate, not to the context.
     ///
     /// Verdicts (and verdict-cache keys) are identical to calling
@@ -1350,12 +1333,9 @@ impl Oracle {
     /// preparation. The ambient context is captured at construction, so
     /// build the batch after any [`Oracle::set_ambient`].
     pub fn batch_ctx(&mut self, ctx: &[FormulaId]) -> BatchCtx {
-        let mut full: Vec<FormulaId> = Vec::with_capacity(ctx.len() + self.ambient_ctx.len());
-        full.extend_from_slice(ctx);
-        full.extend_from_slice(&self.ambient_ctx);
-        let trees: Vec<Arc<Formula>> = full.iter().map(|&c| self.ctx.tree_of(c)).collect();
-        let prefix = self.solver.prepare_prefix(&trees);
-        BatchCtx { ctx_ids: full.into_boxed_slice(), prefix }
+        let ctx_ids = self.full_ctx(ctx);
+        let prefix = self.solver.prepare_prefix(self.trees(ctx_ids.iter().copied()));
+        BatchCtx { ctx_ids, prefix }
     }
 
     /// [`Oracle::sat_f`] against a prepared batch context. Same verdict,
@@ -1364,23 +1344,16 @@ impl Oracle {
     pub fn sat_batch(&mut self, f: FormulaId, batch: &BatchCtx) -> TriBool {
         self.solver_calls += 1;
         let key = VerdictKey { f, ctx: batch.ctx_ids.clone() };
-        if let Some((verdict, owner)) = self.ctx.verdicts.get(&key) {
-            self.verdict_hits += 1;
-            if owner != self.id {
-                self.verdict_cross_hits += 1;
-            }
+        if let Some(verdict) = self.probe(&key) {
             return verdict;
         }
-        self.verdict_misses += 1;
         let _span = qrhint_obs::span("solver:check");
         self.sync_scratch();
-        let tree = self.ctx.tree_of(f);
+        let tree = self.formula(f);
         let out = self.solver.check_assuming(&batch.prefix, &tree, &mut self.scratch_pool);
         self.record_stats(&out.stats);
         let verdict = tri(out.result);
-        if verdict != TriBool::Unknown {
-            self.verdict_evictions += self.ctx.verdicts.insert(key, verdict, self.id);
-        }
+        self.cache(key, verdict);
         verdict
     }
 
@@ -1456,7 +1429,7 @@ impl Oracle {
 
 /// A digested context for a batch of candidate checks: the full context
 /// id list (the verdict-cache key suffix) and the solver-side prepared
-/// prefix over its memoized trees. Built by [`Oracle::batch_ctx`].
+/// prefix over its trees. Built by [`Oracle::batch_ctx`].
 pub struct BatchCtx {
     ctx_ids: Box<[FormulaId]>,
     prefix: AssumptionPrefix,
@@ -1580,25 +1553,6 @@ mod tests {
         assert_eq!(o.equiv_batches, 1);
         assert_eq!(o.equiv_batch_candidates, 3);
         assert_eq!(o.verdict_hits + o.verdict_misses, o.solver_calls);
-    }
-
-    #[test]
-    fn lowering_memo_hits_on_repeated_context_extraction() {
-        let p = parse_pred("s.price > 3").unwrap();
-        let q = parse_pred("s.price > 5").unwrap();
-        let c = parse_pred("s.price < 50").unwrap();
-        let mut o = oracle_for(&[&p, &q, &c]);
-        let (fp, fq, fc) = (o.lower_pred(&p), o.lower_pred(&q), o.lower_pred(&c));
-        o.sat_f(fp, &[fc]);
-        let stats = o.context().lowering_memo_stats();
-        assert_eq!(stats.hits, 0);
-        assert!(stats.misses >= 2, "{stats:?}");
-        assert!(stats.entries >= 2);
-        assert!(stats.bytes > 0);
-        // Different formula, same context: the context tree is a hit.
-        o.sat_f(fq, &[fc]);
-        let stats = o.context().lowering_memo_stats();
-        assert!(stats.hits >= 1, "{stats:?}");
     }
 
     #[test]

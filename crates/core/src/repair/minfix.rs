@@ -186,33 +186,22 @@ impl AtomMap {
     }
 }
 
-/// Every atom's two literals and the context, lowered once per table.
-struct RowLiterals {
-    neg: Vec<FormulaId>,
-    pos: Vec<FormulaId>,
-    ctx: Vec<FormulaId>,
-}
-
-impl RowLiterals {
-    /// Lower the negative literals, then the context, then the positive
-    /// literals. Lowering each row's conjunction and then the context,
-    /// row by row, would first meet them in this order (row 0 is all
-    /// negative), so variables are allocated as that would allocate them.
-    fn lower(map: &AtomMap, oracle: &mut Oracle, ctx: &[&Pred]) -> RowLiterals {
-        let neg = map.atoms.iter().map(|a| oracle.lower_pred(&a.negated_nnf())).collect();
-        let ctx = ctx.iter().map(|c| oracle.lower_pred(c)).collect();
-        let pos = map.atoms.iter().map(|a| oracle.lower_pred(a)).collect();
-        RowLiterals { neg, pos, ctx }
-    }
-
-    /// The interned conjunction of a row's literals. `and_f` flattens as
-    /// `Pred::and` does, so this is the id the row's predicate lowers to.
-    fn conjunction(&self, oracle: &Oracle, row: u32) -> FormulaId {
-        let lits = (0..self.pos.len())
-            .map(|i| if row & (1 << i) != 0 { self.pos[i] } else { self.neg[i] })
-            .collect();
-        oracle.and_f(lits)
-    }
+/// Lower every atom's `[negative, positive]` literal pair and the context
+/// once per table. The negative literals are lowered first, then the
+/// context, then the positive literals: lowering each row's conjunction
+/// and then the context, row by row, would first meet them in this order
+/// (row 0 is all negative), so variables are allocated as that would
+/// allocate them.
+fn lower_literals(
+    map: &AtomMap,
+    oracle: &mut Oracle,
+    ctx: &[&Pred],
+) -> (Vec<[FormulaId; 2]>, Vec<FormulaId>) {
+    let neg: Vec<FormulaId> =
+        map.atoms.iter().map(|a| oracle.lower_pred(&a.negated_nnf())).collect();
+    let ctx = ctx.iter().map(|c| oracle.lower_pred(c)).collect();
+    let lits = neg.into_iter().zip(&map.atoms).map(|(n, a)| [n, oracle.lower_pred(a)]).collect();
+    (lits, ctx)
 }
 
 /// Build the truth table for the target bound `[lower, upper]` over the
@@ -224,12 +213,12 @@ pub fn build_truth_table(
     lower: &Pred,
     upper: &Pred,
 ) -> TruthTable {
-    let lits = RowLiterals::lower(map, oracle, ctx);
+    let (lits, ctx) = lower_literals(map, oracle, ctx);
+    let feasible = oracle.sat_rows(&lits, &ctx);
     TruthTable::from_fn(map.len(), |row| {
-        let conj = lits.conjunction(oracle, row);
         // Infeasible combination of atoms → don't-care. Only a definitive
         // UNSAT may mark the row (paper's soundness discipline).
-        if oracle.sat_f(conj, &lits.ctx) == TriBool::False {
+        if feasible[row as usize] == TriBool::False {
             return Out::DontCare;
         }
         let lv = map.eval(lower, row);
@@ -288,30 +277,87 @@ mod tests {
         Oracle::for_preds(preds)
     }
 
-    /// Every row's interned conjunction is the id its predicate lowers to
-    /// (so its verdict-cache key is too), and the table issues exactly
-    /// one check per row.
-    fn assert_rows_intern_like_their_predicates(
-        o: &mut Oracle,
+    /// Solver work visible on an oracle's counters.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct Work {
+        solver_calls: u64,
+        verdict_hits: u64,
+        verdict_misses: u64,
+        theory_full_checks: u64,
+        theory_pushes: u64,
+    }
+
+    fn work_since(o: &Oracle, before: &Work) -> Work {
+        Work {
+            solver_calls: o.solver_calls - before.solver_calls,
+            verdict_hits: o.verdict_hits - before.verdict_hits,
+            verdict_misses: o.verdict_misses - before.verdict_misses,
+            theory_full_checks: o.theory_full_checks - before.theory_full_checks,
+            theory_pushes: o.theory_pushes - before.theory_pushes,
+        }
+    }
+
+    /// Build the same table on two fresh oracles from `fresh`: through
+    /// `build_truth_table`, and with one `sat_f` per row. Both give every
+    /// row the same verdict for the same solver work, except that the
+    /// table shares the pushes of common row prefixes. A later per-row
+    /// sweep over the rows' lowered predicates is all verdict-cache hits:
+    /// each row is interned (and keyed) like its predicate.
+    fn assert_table_matches_per_row_checks(
+        fresh: impl Fn() -> Oracle,
         ctx: &Pred,
         lower: &Pred,
         upper: &Pred,
     ) {
-        let mut map = AtomMap::default();
-        map.absorb(lower, o, &[ctx]);
-        map.absorb(upper, o, &[ctx]);
+        let atom_map = |o: &mut Oracle| {
+            let mut map = AtomMap::default();
+            map.absorb(lower, o, &[ctx]);
+            map.absorb(upper, o, &[ctx]);
+            map
+        };
+        let mut table_oracle = fresh();
+        let map = atom_map(&mut table_oracle);
         assert!(map.len() >= 3, "atoms: {:?}", map.atoms);
-        let lits = RowLiterals::lower(&map, o, &[ctx]);
-        assert_eq!(lits.ctx, vec![o.lower_pred(ctx)]);
-        for row in 0..(1u32 << map.len()) {
-            let expect = o.lower_pred(&map.row_conjunction(row));
-            assert_eq!(lits.conjunction(o, row), expect, "row {row:b}");
+        let rows = 1u32 << map.len();
+        let before = work_since(&table_oracle, &Work::default());
+        build_truth_table(&map, &mut table_oracle, &[ctx], lower, upper);
+        let table_work = work_since(&table_oracle, &before);
+
+        let mut row_oracle = fresh();
+        assert_eq!(atom_map(&mut row_oracle).atoms, map.atoms);
+        let before = work_since(&row_oracle, &Work::default());
+        let (lits, ctx_ids) = lower_literals(&map, &mut row_oracle, &[ctx]);
+        let per_row: Vec<TriBool> = (0..rows)
+            .map(|row| {
+                let lits = lits.iter().enumerate().map(|(i, l)| l[(row >> i & 1) as usize]);
+                let f = row_oracle.and_f(lits.collect());
+                row_oracle.sat_f(f, &ctx_ids)
+            })
+            .collect();
+        let row_work = work_since(&row_oracle, &before);
+        assert!(per_row.contains(&TriBool::False), "some rows must be infeasible");
+        assert!(per_row.contains(&TriBool::True));
+
+        assert_eq!(table_work.solver_calls, u64::from(rows));
+        assert_eq!(
+            (table_work.solver_calls, table_work.verdict_hits, table_work.verdict_misses),
+            (row_work.solver_calls, row_work.verdict_hits, row_work.verdict_misses),
+        );
+        assert_eq!(table_work.theory_full_checks, row_work.theory_full_checks);
+        assert!(
+            table_work.theory_pushes < row_work.theory_pushes,
+            "{table_work:?} vs {row_work:?}"
+        );
+
+        let ctx_id = table_oracle.lower_pred(ctx);
+        let before = work_since(&table_oracle, &Work::default());
+        for row in 0..rows {
+            let f = table_oracle.lower_pred(&map.row_conjunction(row));
+            let verdict = table_oracle.sat_f(f, &[ctx_id]);
+            assert_eq!(verdict, per_row[row as usize], "row {row:b}");
         }
-        let (calls, hits, misses) = (o.solver_calls, o.verdict_hits, o.verdict_misses);
-        build_truth_table(&map, o, &[ctx], lower, upper);
-        let calls = o.solver_calls - calls;
-        assert_eq!(calls, 1 << map.len());
-        assert_eq!((o.verdict_hits - hits) + (o.verdict_misses - misses), calls);
+        let sweep = work_since(&table_oracle, &before);
+        assert_eq!(sweep.verdict_hits, u64::from(rows), "{sweep:?}");
     }
 
     #[test]
@@ -319,25 +365,30 @@ mod tests {
         let ctx = parse_pred("t.x > 10").unwrap();
         let lower = parse_pred("t.x > 12 AND t.s NOT LIKE 'a%' AND t.y = 1").unwrap();
         let upper = parse_pred("t.s NOT LIKE 'a%' OR t.y = 1 OR t.x >= 20").unwrap();
-        let mut o = oracle_for(&[&ctx, &lower, &upper]);
-        assert_rows_intern_like_their_predicates(&mut o, &ctx, &lower, &upper);
+        let fresh = || oracle_for(&[&ctx, &lower, &upper]);
+        assert_table_matches_per_row_checks(fresh, &ctx, &lower, &upper);
     }
 
     #[test]
     fn truth_table_rows_intern_like_their_predicates_when_grouped() {
         // The HAVING stage's ambient state: grouped lowering, with the
-        // WHERE facts and aggregate axioms as ambient context.
+        // WHERE facts and aggregate axioms as ambient context. The
+        // MIN ≤ MAX axiom makes rows with MIN(s.d) > 4 and MAX(s.d) < 3
+        // infeasible.
         let ctx = parse_pred("g.a > 4").unwrap();
         let lower = parse_pred("SUM(s.d) > 10 AND g.b NOT LIKE 'x%' AND COUNT(*) >= 2").unwrap();
-        let upper = parse_pred("SUM(s.d) > 10 OR MAX(s.d) < 3 OR g.a = 5").unwrap();
-        let mut o = oracle_for(&[&ctx, &lower, &upper]);
-        let env = LowerEnv::grouped([ColRef::new("g", "a"), ColRef::new("g", "b")].into());
-        o.lower_pred_env(&lower, &env);
-        o.lower_pred_env(&upper, &env);
-        let mut ambient = vec![o.lower_pred_env(&ctx, &env)];
-        ambient.extend(o.aggregate_axioms(&ctx));
-        o.set_ambient(env, ambient);
-        assert_rows_intern_like_their_predicates(&mut o, &ctx, &lower, &upper);
+        let upper = parse_pred("SUM(s.d) > 10 OR MAX(s.d) < 3 OR g.a = 5 OR MIN(s.d) > 4").unwrap();
+        let fresh = || {
+            let mut o = oracle_for(&[&ctx, &lower, &upper]);
+            let env = LowerEnv::grouped([ColRef::new("g", "a"), ColRef::new("g", "b")].into());
+            o.lower_pred_env(&lower, &env);
+            o.lower_pred_env(&upper, &env);
+            let mut ambient = vec![o.lower_pred_env(&ctx, &env)];
+            ambient.extend(o.aggregate_axioms(&ctx));
+            o.set_ambient(env, ambient);
+            o
+        };
+        assert_table_matches_per_row_checks(fresh, &ctx, &lower, &upper);
     }
 
     #[test]

@@ -189,15 +189,6 @@ pub struct SessionStats {
     pub equiv_batches: u64,
     /// Candidate checks routed through those batches.
     pub equiv_batch_candidates: u64,
-    /// Tree requests answered by the shared lowering memo (since the
-    /// last shed; point-in-time like the interner counters).
-    pub lowering_memo_hits: u64,
-    /// Tree requests that extracted (and memoized) a fresh tree.
-    pub lowering_memo_misses: u64,
-    /// Interned formulas with a resident memoized tree right now.
-    pub lowering_memo_entries: u64,
-    /// Approximate resident bytes of the memoized trees right now.
-    pub lowering_memo_bytes: u64,
 }
 
 /// The atomic backing store for [`SessionStats`]: plain counters would
@@ -262,10 +253,6 @@ impl AtomicStats {
             quick_conflicts: self.quick_conflicts.load(Ordering::Relaxed),
             equiv_batches: self.equiv_batches.load(Ordering::Relaxed),
             equiv_batch_candidates: self.equiv_batch_candidates.load(Ordering::Relaxed),
-            lowering_memo_hits: 0,
-            lowering_memo_misses: 0,
-            lowering_memo_entries: 0,
-            lowering_memo_bytes: 0,
         }
     }
 }
@@ -524,10 +511,6 @@ impl PreparedTarget {
         stats.interned_formulas = snap.interner.formulas;
         stats.interner_dedup_hits = snap.interner.dedup_hits;
         stats.interner_bytes = snap.interner.bytes;
-        stats.lowering_memo_hits = snap.lowering_memo.hits;
-        stats.lowering_memo_misses = snap.lowering_memo.misses;
-        stats.lowering_memo_entries = snap.lowering_memo.entries;
-        stats.lowering_memo_bytes = snap.lowering_memo.bytes;
         stats
     }
 

@@ -66,15 +66,11 @@ pub const SESSION_GAUGES: &[(&str, &str)] = &[
     ("qrhint_session_quick_conflicts", "Branches cut by the quick-conflict detector, summed over resident targets."),
     ("qrhint_session_equiv_batches", "Shared-prefix candidate batches, summed over resident targets."),
     ("qrhint_session_equiv_batch_candidates", "Candidate checks routed through batches, summed over resident targets."),
-    ("qrhint_session_lowering_memo_hits", "Lowering-memo tree hits, summed over resident targets."),
-    ("qrhint_session_lowering_memo_misses", "Lowering-memo tree misses, summed over resident targets."),
-    ("qrhint_session_lowering_memo_entries", "Resident memoized trees, summed over resident targets."),
-    ("qrhint_session_lowering_memo_bytes", "Approximate lowering-memo bytes, summed over resident targets."),
 ];
 
 /// Field-order projection of [`SessionStats`] matching
 /// [`SESSION_GAUGES`] row for row.
-fn session_values(s: &SessionStats) -> [u64; 29] {
+fn session_values(s: &SessionStats) -> [u64; 25] {
     [
         s.advise_calls,
         s.advice_cache_hits,
@@ -101,10 +97,6 @@ fn session_values(s: &SessionStats) -> [u64; 29] {
         s.quick_conflicts,
         s.equiv_batches,
         s.equiv_batch_candidates,
-        s.lowering_memo_hits,
-        s.lowering_memo_misses,
-        s.lowering_memo_entries,
-        s.lowering_memo_bytes,
     ]
 }
 
@@ -231,7 +223,7 @@ impl ServerMetrics {
         // Sum per-target session stats outside any registry lock (each
         // `stats()` takes per-target locks of its own), then mirror.
         let mut bytes = 0u64;
-        let mut sums = [0u64; 29];
+        let mut sums = [0u64; 25];
         for target in &resident {
             bytes += target.prepared.approx_cache_bytes() as u64;
             for (acc, v) in sums.iter_mut().zip(session_values(&target.prepared.stats())) {

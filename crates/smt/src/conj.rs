@@ -128,15 +128,19 @@ impl Translation {
                 } else {
                     let le = linearize(l, pool, &mut self.opaque);
                     let re = linearize(r, pool, &mut self.opaque);
+                    let one = LinExpr::constant(1);
                     let d = le.sub(&re); // l - r
-                    match rel {
-                        Rel::Eq => self.eqs.push(d),
-                        Rel::Ne => self.nes.push(d),
-                        Rel::Le => self.ineqs.push(d),
-                        Rel::Lt => self.ineqs.push(d.add(&LinExpr::constant(1))),
-                        Rel::Ge => self.ineqs.push(d.negate()),
-                        Rel::Gt => self.ineqs.push(d.negate().add(&LinExpr::constant(1))),
-                    }
+                    let (constraints, e) = match rel {
+                        Rel::Eq => (&mut self.eqs, d),
+                        Rel::Ne => (&mut self.nes, d),
+                        Rel::Le => (&mut self.ineqs, d),
+                        Rel::Lt => (&mut self.ineqs, d.and_then(|d| d.add(&one))),
+                        Rel::Ge => (&mut self.ineqs, d.and_then(|d| d.negate())),
+                        Rel::Gt => (&mut self.ineqs, d.and_then(|d| d.negate()?.add(&one))),
+                    };
+                    // A constraint that leaves i128 is skipped, caught by
+                    // final validation.
+                    constraints.extend(e);
                     false
                 }
             }
@@ -164,13 +168,16 @@ impl Translation {
         let nbranches: u64 = 1u64 << self.nes.len();
         for mask in 0..nbranches {
             let mut branch = self.ineqs.clone();
+            let one = LinExpr::constant(1);
             for (i, ne) in self.nes.iter().enumerate() {
+                // A side that leaves i128 is skipped: the branch only
+                // grows, so its Unsat stays sound.
                 if mask & (1 << i) != 0 {
                     // d ≥ 1, i.e. -d + 1 ≤ 0
-                    branch.push(ne.negate().add(&LinExpr::constant(1)));
+                    branch.extend(ne.negate().and_then(|e| e.add(&one)));
                 } else {
                     // d ≤ -1, i.e. d + 1 ≤ 0
-                    branch.push(ne.add(&LinExpr::constant(1)));
+                    branch.extend(ne.add(&one));
                 }
             }
             match lia::solve(&branch, &self.eqs) {

@@ -19,10 +19,11 @@
 //! * **per-node memoization** — negation is memoized per formula node,
 //!   so repeated `¬f` over a shared subformula is a table lookup.
 //!
-//! The solver itself ([`crate::solver`]) still consumes trees: callers
-//! extract with [`Interner::formula`] only on a verdict-cache miss,
-//! which is exactly when they are about to pay orders of magnitude more
-//! for the satisfiability check itself.
+//! The solver ([`crate::solver`]) consumes trees: callers extract with
+//! [`Interner::formula`] only for the checks their verdict caches miss.
+//! A truth table of literal combinations is probed row by row in ids,
+//! and only its literals and context are extracted, once, for one
+//! [`crate::Solver::check_rows`] walk over the missed rows.
 
 use crate::formula::{Atom, Formula, Rel};
 use crate::term::{Term, VarId};

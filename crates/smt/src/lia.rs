@@ -34,25 +34,23 @@ const MAX_CONSTRAINTS: usize = 20_000;
 /// `ceil(a / b)` for `b > 0`.
 fn div_ceil(a: i128, b: i128) -> i128 {
     debug_assert!(b > 0);
-    if a >= 0 {
-        (a + b - 1) / b
-    } else {
-        -((-a) / b)
-    }
+    a.div_euclid(b) + i128::from(a.rem_euclid(b) != 0)
 }
 
 /// `floor(a / b)` for `b > 0`.
 fn div_floor(a: i128, b: i128) -> i128 {
     debug_assert!(b > 0);
-    if a >= 0 {
-        a / b
-    } else {
-        -((-a + b - 1) / b)
-    }
+    a.div_euclid(b)
 }
 
-/// Solve `ineqs: e ≤ 0` ∧ `eqs: e = 0` over the integers.
+/// Solve `ineqs: e ≤ 0` ∧ `eqs: e = 0` over the integers. `Unknown` when
+/// a substitution, an elimination step or a model value leaves `i128`.
 pub fn solve(ineqs: &[LinExpr], eqs: &[LinExpr]) -> LiaResult {
+    solve_checked(ineqs, eqs).unwrap_or(LiaResult::Unknown)
+}
+
+/// [`solve`], with `None` on overflow.
+fn solve_checked(ineqs: &[LinExpr], eqs: &[LinExpr]) -> Option<LiaResult> {
     // ---- Phase 0: normalize equalities ----
     // Substitute away variables with ±1 coefficients in equalities (exact
     // over the integers); convert remaining equalities into inequality
@@ -79,24 +77,24 @@ pub fn solve(ineqs: &[LinExpr], eqs: &[LinExpr]) -> LiaResult {
         // precisely v = (-rest) * c  (since 1/c == c for c = ±1).
         let mut rest = eq.clone();
         rest.coeffs.remove(&v);
-        let def = rest.negate().scale(c); // v = def
+        let def = rest.negate()?.scale(c)?; // v = def
         // Substitute v := def everywhere.
-        let subst = |e: &LinExpr| -> LinExpr {
+        let subst = |e: &LinExpr| -> Option<LinExpr> {
             match e.coeffs.get(&v) {
-                None => e.clone(),
+                None => Some(e.clone()),
                 Some(&cv) => {
                     let mut out = e.clone();
                     out.coeffs.remove(&v);
-                    out.add(&def.scale(cv))
+                    out.add(&def.scale(cv)?)
                 }
             }
         };
-        ineqs = ineqs.iter().map(&subst).collect();
-        eqs = eqs.iter().map(&subst).collect();
+        ineqs = ineqs.iter().map(subst).collect::<Option<_>>()?;
+        eqs = eqs.iter().map(subst).collect::<Option<_>>()?;
         substitutions = substitutions
             .into_iter()
-            .map(|(w, d)| (w, subst(&d)))
-            .collect();
+            .map(|(w, d)| Some((w, subst(&d)?)))
+            .collect::<Option<_>>()?;
         substitutions.push((v, def));
     }
     // Remaining equalities (no unit coefficients): check constant ones,
@@ -104,12 +102,13 @@ pub fn solve(ineqs: &[LinExpr], eqs: &[LinExpr]) -> LiaResult {
     for e in eqs {
         if e.is_constant() {
             if e.k != 0 {
-                return LiaResult::Unsat;
+                return Some(LiaResult::Unsat);
             }
             continue;
         }
-        ineqs.push(e.clone());
-        ineqs.push(e.negate());
+        let negated = e.negate()?;
+        ineqs.push(e);
+        ineqs.push(negated);
     }
 
     // ---- Phase 1: Fourier–Motzkin elimination ----
@@ -143,20 +142,20 @@ pub fn solve(ineqs: &[LinExpr], eqs: &[LinExpr]) -> LiaResult {
         for up in &uppers {
             for lo in &lowers {
                 let a = up.coeffs[&v]; // > 0
-                let b = -lo.coeffs[&v]; // > 0
+                let b = lo.coeffs[&v].checked_neg()?; // > 0
                 // a*v + e1 ≤ 0 and -b*v + e2 ≤ 0
                 //   =>  b*e1 + a*e2 ≤ 0
-                let combined = up.scale(b).add(&lo.scale(a));
+                let combined = up.scale(b)?.add(&lo.scale(a)?)?;
                 debug_assert!(!combined.coeffs.contains_key(&v));
                 if combined.is_constant() {
                     if combined.k > 0 {
-                        return LiaResult::Unsat;
+                        return Some(LiaResult::Unsat);
                     }
                 } else {
                     live.push(combined);
                 }
                 if live.len() > MAX_CONSTRAINTS {
-                    return LiaResult::Unknown;
+                    return Some(LiaResult::Unknown);
                 }
             }
         }
@@ -167,62 +166,56 @@ pub fn solve(ineqs: &[LinExpr], eqs: &[LinExpr]) -> LiaResult {
     for e in &live {
         debug_assert!(e.is_constant());
         if e.k > 0 {
-            return LiaResult::Unsat;
+            return Some(LiaResult::Unsat);
         }
     }
 
     // ---- Phase 2: integer model reconstruction ----
     let mut model: BTreeMap<VarId, i128> = BTreeMap::new();
+    // Evaluate e without the `except` variable's contribution.
     let assign = |model: &BTreeMap<VarId, i128>, e: &LinExpr, except: VarId| -> Option<i128> {
-        // Evaluate e without the `except` variable's contribution.
-        let mut total = e.k;
-        for (v, c) in &e.coeffs {
-            if *v == except {
-                continue;
-            }
-            total += c * model.get(v).copied()?;
-        }
-        Some(total)
+        e.coeffs
+            .iter()
+            .filter(|(v, _)| **v != except)
+            .try_fold(e.k, |total, (v, c)| total.checked_add(c.checked_mul(*model.get(v)?)?))
     };
     for (v, constraints) in eliminated.iter().rev() {
         let mut lb = i128::MIN;
         let mut ub = i128::MAX;
         for e in constraints {
             let a = e.coeffs[v];
-            let Some(rest) = assign(&model, e, *v) else {
-                return LiaResult::Unknown;
-            };
+            let rest = assign(&model, e, *v)?;
             // a*v + rest ≤ 0
             if a > 0 {
-                ub = ub.min(div_floor(-rest, a));
+                ub = ub.min(div_floor(rest.checked_neg()?, a));
             } else {
-                lb = lb.max(div_ceil(rest, -a));
+                lb = lb.max(div_ceil(rest, a.checked_neg()?));
             }
         }
         if lb > ub {
             // Integrality gap (rational-feasible but no integer point in
             // this back-substitution order).
-            return LiaResult::Unknown;
+            return Some(LiaResult::Unknown);
         }
         let value = 0i128.clamp(lb, ub);
         model.insert(*v, value);
     }
     // Apply equality substitutions in reverse.
     for (v, def) in substitutions.iter().rev() {
-        let mut total = def.k;
-        for (w, c) in &def.coeffs {
-            total += c * model.get(w).copied().unwrap_or(0);
-        }
+        let total = def.coeffs.iter().try_fold(def.k, |total, (w, c)| {
+            total.checked_add(c.checked_mul(model.get(w).copied().unwrap_or(0))?)
+        })?;
         model.insert(*v, total);
     }
 
-    LiaResult::Sat(model)
+    Some(LiaResult::Sat(model))
 }
 
 /// Verify a model against constraints (diagnostic / defensive helper).
 pub fn verify(model: &BTreeMap<VarId, i128>, ineqs: &[LinExpr], eqs: &[LinExpr]) -> bool {
     let get = |v: VarId| model.get(&v).copied().unwrap_or(0);
-    ineqs.iter().all(|e| e.eval(&get) <= 0) && eqs.iter().all(|e| e.eval(&get) == 0)
+    ineqs.iter().all(|e| e.eval(&get).is_some_and(|x| x <= 0))
+        && eqs.iter().all(|e| e.eval(&get) == Some(0))
 }
 
 #[cfg(test)]
@@ -240,7 +233,7 @@ mod tests {
     fn lin(consts: i128, terms: &[(i128, VarId)]) -> LinExpr {
         let mut e = LinExpr::constant(consts);
         for (c, v) in terms {
-            e = e.add(&LinExpr::variable(*v).scale(*c));
+            e = e.add(&LinExpr::variable(*v).scale(*c).unwrap()).unwrap();
         }
         e
     }
@@ -336,6 +329,33 @@ mod tests {
         // x = x (tautological equality) — substitution path.
         let e = lin(0, &[(1, v[0]), (-1, v[0])]);
         assert!(matches!(solve(&[], &[e]), LiaResult::Sat(_)));
+    }
+
+    #[test]
+    fn overflowing_elimination_is_unknown() {
+        let (_, v) = vars(3);
+        let big = 1i128 << 100;
+        // 2^100·x0 ≤ x1, 2^100·x1 ≤ x2, x2 ≤ −1, x0 ≥ 1: eliminating x1
+        // scales 2^100·x0 by 2^100, which leaves i128.
+        let cs = [
+            lin(0, &[(big, v[0]), (-1, v[1])]),
+            lin(0, &[(big, v[1]), (-1, v[2])]),
+            lin(1, &[(1, v[2])]),
+            lin(1, &[(-1, v[0])]),
+        ];
+        assert_eq!(solve(&cs, &[]), LiaResult::Unknown);
+        // Substituting x1 = 2^100·x0 into 2^100·x1 ≤ x2 overflows too.
+        let eq = lin(0, &[(big, v[0]), (-1, v[1])]);
+        assert_eq!(solve(&cs[1..], &[eq]), LiaResult::Unknown);
+        // Within range, 2^100 coefficients still decide.
+        let sat = [lin(0, &[(big, v[0]), (-1, v[1])]), lin(1, &[(-1, v[0])])];
+        match solve(&sat, &[]) {
+            LiaResult::Sat(m) => assert!(verify(&m, &sat, &[])),
+            other => panic!("expected sat, got {other:?}"),
+        }
+        // 2^100·x0 ≥ 1 ∧ x0 ≤ 0.
+        let unsat = [lin(1, &[(-big, v[0])]), lin(0, &[(1, v[0])])];
+        assert_eq!(solve(&unsat, &[]), LiaResult::Unsat);
     }
 
     #[test]

@@ -15,12 +15,13 @@
 //! check, so a statically contradictory predicate is `Unsat` however many
 //! atoms the rest of the formula carries.
 //!
-//! The solver consumes the *tree* representation. Callers that work in
-//! interned ids ([`crate::intern`]) extract trees only when they are
-//! about to pay for a real check (their verdict caches answer everything
-//! else), so the per-check tree cost is dominated by the search itself.
-
-use std::sync::Arc;
+//! The solver consumes the *tree* representation; callers that work in
+//! interned ids ([`crate::intern`]) extract trees only for the checks
+//! their verdict caches miss. [`Solver::check_rows`] decides a whole
+//! truth table of literal combinations (MinFix's rows) on one theory
+//! stack: it pushes the context's units once and walks the rows
+//! depth-first, so rows sharing a prefix share its pushes, and each leaf
+//! runs the same skeleton search a from-scratch check of that row runs.
 
 use crate::conj::Lit;
 use crate::formula::{Atom, Formula};
@@ -89,6 +90,16 @@ impl CheckOutcome {
     }
 }
 
+/// Outcome of a [`Solver::check_rows`] call.
+#[derive(Debug, Clone)]
+pub struct RowsOutcome {
+    /// One entry per row: the verdict of a needed row, `None` for a row
+    /// the mask left out.
+    pub verdicts: Vec<Option<SatResult>>,
+    /// Theory work of the whole walk.
+    pub stats: SolveStats,
+}
+
 /// A context digested once by [`Solver::prepare_prefix`] and shared by a
 /// batch of [`Solver::check_assuming`] calls: the parts themselves (for
 /// defensive model validation), their canonical atoms, and their
@@ -96,7 +107,7 @@ impl CheckOutcome {
 /// formula pushed on top of the prefix.
 #[derive(Debug, Clone)]
 pub struct AssumptionPrefix {
-    parts: Vec<Arc<Formula>>,
+    parts: Vec<Formula>,
     atoms: Vec<Atom>,
     /// Empty when the context is `False` or already over the atom budget.
     iforms: Vec<IForm>,
@@ -143,26 +154,29 @@ fn root_lits(f: &Formula, polarity: bool, out: &mut Vec<Lit>) {
     }
 }
 
+/// Three-valued conjunction of `cs` under a partial assignment.
+fn eval3_and(cs: &[IForm], assign: &[Option<bool>]) -> Option<bool> {
+    let mut unknown = false;
+    for c in cs {
+        match eval3_idx(c, assign) {
+            Some(false) => return Some(false),
+            None => unknown = true,
+            Some(true) => {}
+        }
+    }
+    if unknown {
+        None
+    } else {
+        Some(true)
+    }
+}
+
 fn eval3_idx(f: &IForm, assign: &[Option<bool>]) -> Option<bool> {
     match f {
         IForm::True => Some(true),
         IForm::False => Some(false),
         IForm::Atom(i) => assign[*i],
-        IForm::And(cs) => {
-            let mut unknown = false;
-            for c in cs {
-                match eval3_idx(c, assign) {
-                    Some(false) => return Some(false),
-                    None => unknown = true,
-                    Some(true) => {}
-                }
-            }
-            if unknown {
-                None
-            } else {
-                Some(true)
-            }
-        }
+        IForm::And(cs) => eval3_and(cs, assign),
         IForm::Or(cs) => {
             let mut unknown = false;
             for c in cs {
@@ -182,27 +196,95 @@ fn eval3_idx(f: &IForm, assign: &[Option<bool>]) -> Option<bool> {
     }
 }
 
-struct Search<'a> {
+/// The assignment state the root units and the skeleton search share:
+/// the canonical atoms of the check, their current assignment, and the
+/// theory stack holding exactly the assigned literals, root units first,
+/// then branch decisions in assignment order.
+struct Stack<'p> {
+    atoms: Vec<Atom>,
+    assign: Vec<Option<bool>>,
+    /// Atom index of each root unit, in push order: one theory frame
+    /// each.
+    units: Vec<usize>,
+    theory: TheoryState,
+    pool: &'p mut VarPool,
+    stats: SolveStats,
+}
+
+impl<'p> Stack<'p> {
+    fn new(atoms: Vec<Atom>, pool: &'p mut VarPool) -> Self {
+        Stack {
+            assign: vec![None; atoms.len()],
+            atoms,
+            units: Vec::new(),
+            theory: TheoryState::new(),
+            pool,
+            stats: SolveStats::default(),
+        }
+    }
+
+    /// Register the canonical atoms of `f` after those already known.
+    fn add_atoms(&mut self, f: &Formula) {
+        f.collect_atoms(&mut self.atoms);
+        self.assign.resize(self.atoms.len(), None);
+    }
+
+    /// Assign and push the root literals of `parts` as units. Returns
+    /// `false` on a quick conflict, including an atom that is a unit with
+    /// both polarities.
+    fn assign_units(&mut self, parts: &[&Formula]) -> bool {
+        let mut units = Vec::new();
+        for p in parts {
+            root_lits(p, true, &mut units);
+        }
+        for (atom, polarity) in units {
+            let i = self.atoms.iter().position(|a| *a == atom).expect("atom registered");
+            match self.assign[i] {
+                Some(b) if b == polarity => continue,
+                Some(_) => {
+                    self.stats.quick_conflicts += 1;
+                    return false;
+                }
+                None => self.assign[i] = Some(polarity),
+            }
+            self.units.push(i);
+            self.stats.theory_lits_translated += 1;
+            if self.theory.push(atom, polarity, self.pool) {
+                self.stats.quick_conflicts += 1;
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Undo every unit pushed after the first `units` and forget the
+    /// atoms registered after the first `atoms`.
+    fn unwind(&mut self, units: usize, atoms: usize) {
+        for i in self.units.drain(units..).rev() {
+            self.assign[i] = None;
+            self.theory.pop(self.pool);
+        }
+        self.atoms.truncate(atoms);
+        self.assign.truncate(atoms);
+    }
+}
+
+struct Search<'a, 'p> {
     solver: &'a Solver,
     /// Conjunction parts of the query (for defensive model validation).
     parts: &'a [&'a Formula],
-    iform: &'a IForm,
-    atoms: Vec<Atom>,
-    assign: Vec<Option<bool>>,
-    pool: &'a mut VarPool,
-    /// Assumption stack holding exactly the assigned literals, root units
-    /// first, then branch decisions in assignment order.
-    theory: TheoryState,
-    stats: SolveStats,
+    /// Skeletons of `parts`, abstracted over the stack's atoms.
+    skeleton: &'a [IForm],
+    stack: &'a mut Stack<'p>,
     unknown_seen: bool,
     leaves: usize,
 }
 
-impl Search<'_> {
+impl Search<'_, '_> {
     /// Full theory check of the currently assigned literals.
     fn full_check(&mut self) -> (SatResult, Option<Model>) {
-        self.stats.theory_full_checks += 1;
-        self.theory.check_full()
+        self.stack.stats.theory_full_checks += 1;
+        self.stack.theory.check_full()
     }
 
     /// Returns `Some(model)` when a satisfying, validated model is found.
@@ -212,13 +294,13 @@ impl Search<'_> {
             return None;
         }
         // Three-valued evaluation under the current partial assignment.
-        let value = eval3_idx(self.iform, &self.assign);
+        let value = eval3_and(self.skeleton, &self.stack.assign);
         match value {
             Some(false) => return None,
             Some(true) => {
                 // Formula already true: theory-check the assigned literals.
                 self.leaves += 1;
-                self.stats.leaves += 1;
+                self.stack.stats.leaves += 1;
                 let (r, m) = self.full_check();
                 match r {
                     SatResult::Sat => {
@@ -246,30 +328,98 @@ impl Search<'_> {
             }
         }
         // Branch on the first unassigned atom.
-        let next = self.assign.iter().position(Option::is_none);
+        let next = self.stack.assign.iter().position(Option::is_none);
         let Some(i) = next else {
             // Fully assigned but formula undetermined cannot happen.
             return None;
         };
         for b in [true, false] {
-            self.assign[i] = Some(b);
-            self.stats.theory_lits_translated += 1;
-            if self.theory.push(self.atoms[i].clone(), b, self.pool) {
+            let st = &mut *self.stack;
+            st.assign[i] = Some(b);
+            st.stats.theory_lits_translated += 1;
+            if st.theory.push(st.atoms[i].clone(), b, st.pool) {
                 // Quick conflict: the stacked prefix is already
                 // unsatisfiable, so no leaf below can be Sat.
-                self.stats.quick_conflicts += 1;
-                self.theory.pop(self.pool);
-                self.assign[i] = None;
+                st.stats.quick_conflicts += 1;
+                st.theory.pop(st.pool);
+                st.assign[i] = None;
                 continue;
             }
             let found = self.dfs(depth + 1);
-            self.theory.pop(self.pool);
-            self.assign[i] = None;
+            let st = &mut *self.stack;
+            st.theory.pop(st.pool);
+            st.assign[i] = None;
             if found.is_some() {
                 return found;
             }
         }
         None
+    }
+}
+
+/// The depth-first walk of [`Solver::check_rows`]: `parts` and
+/// `skeleton` hold the context followed by one literal per depth.
+struct RowWalk<'a, 'p> {
+    solver: &'a Solver,
+    lits: &'a [[&'a Formula; 2]],
+    parts: Vec<&'a Formula>,
+    skeleton: Vec<IForm>,
+    stack: Stack<'p>,
+    verdicts: Vec<Option<SatResult>>,
+}
+
+impl RowWalk<'_, '_> {
+    fn refute(&mut self, rows: &[u32]) {
+        for &r in rows {
+            self.verdicts[r as usize] = Some(SatResult::Unsat);
+        }
+    }
+
+    /// Decide `rows`, which agree on bits `0..depth` (the literals
+    /// already on the stack).
+    fn descend(&mut self, depth: usize, rows: &mut [u32]) {
+        if depth == self.lits.len() {
+            // Every bit is fixed, so exactly one row is left.
+            let verdict = if self.stack.atoms.len() > self.solver.max_atoms {
+                SatResult::Unknown
+            } else {
+                self.solver.search(&mut self.stack, &self.parts, &self.skeleton).0
+            };
+            self.verdicts[rows[0] as usize] = Some(verdict);
+            return;
+        }
+        let mut split = 0;
+        for j in 0..rows.len() {
+            if rows[j] >> depth & 1 == 0 {
+                rows.swap(split, j);
+                split += 1;
+            }
+        }
+        let (neg, pos) = rows.split_at_mut(split);
+        for (bit, sub) in [(0, neg), (1, pos)] {
+            if sub.is_empty() {
+                continue;
+            }
+            let lit = self.lits[depth][bit];
+            if matches!(lit, Formula::False) {
+                self.refute(sub);
+                continue;
+            }
+            let (units, atoms) = (self.stack.units.len(), self.stack.atoms.len());
+            self.stack.add_atoms(lit);
+            if self.stack.assign_units(&[lit]) {
+                self.skeleton.push(abstract_formula(lit, &self.stack.atoms));
+                self.parts.push(lit);
+                self.descend(depth + 1, sub);
+                self.parts.pop();
+                self.skeleton.pop();
+            } else {
+                // A quick conflict among the units refutes every row
+                // below.
+                self.refute(sub);
+            }
+            self.stack.unwind(units, atoms);
+        }
     }
 }
 
@@ -296,86 +446,101 @@ impl Solver {
         for p in parts {
             p.collect_atoms(&mut atoms);
         }
-        let skeleton =
-            |atoms: &[Atom]| IForm::And(parts.iter().map(|p| abstract_formula(p, atoms)).collect());
+        let skeleton = |atoms: &[Atom]| parts.iter().map(|p| abstract_formula(p, atoms)).collect();
         self.run(parts, atoms, skeleton, pool)
-    }
-
-    /// [`Solver::search`], then drop the throwaway linearization
-    /// variables its root units allocated (the branch search unwinds its
-    /// own), so a check leaves `pool` as it found it.
-    fn run(
-        &self,
-        parts: &[&Formula],
-        atoms: Vec<Atom>,
-        skeleton: impl FnOnce(&[Atom]) -> IForm,
-        pool: &mut VarPool,
-    ) -> CheckOutcome {
-        let pool_len = pool.len();
-        let out = self.search(parts, atoms, skeleton, pool);
-        pool.truncate(pool_len);
-        out
     }
 
     /// Assign the root units of `parts`, then (within the atom budget)
     /// search the Boolean skeleton that `skeleton` builds over `atoms`.
-    fn search(
+    /// Drops the throwaway linearization variables the root units
+    /// allocated (the branch search unwinds its own), so a check leaves
+    /// `pool` as it found it.
+    fn run(
         &self,
         parts: &[&Formula],
         atoms: Vec<Atom>,
-        skeleton: impl FnOnce(&[Atom]) -> IForm,
+        skeleton: impl FnOnce(&[Atom]) -> Vec<IForm>,
         pool: &mut VarPool,
     ) -> CheckOutcome {
-        let mut stats = SolveStats::default();
-        let mut theory = TheoryState::new();
-        let mut assign = vec![None; atoms.len()];
-        let mut units = Vec::new();
-        for p in parts {
-            root_lits(p, true, &mut units);
-        }
-        for (atom, polarity) in units {
-            let i = atoms.iter().position(|a| *a == atom).expect("atom registered");
-            match assign[i] {
-                Some(b) if b == polarity => continue,
-                Some(_) => {
-                    // The same atom is a unit with both polarities.
-                    stats.quick_conflicts += 1;
-                    return CheckOutcome::without_model(SatResult::Unsat, stats);
-                }
-                None => assign[i] = Some(polarity),
-            }
-            stats.theory_lits_translated += 1;
-            if theory.push(atom, polarity, pool) {
-                stats.quick_conflicts += 1;
-                return CheckOutcome::without_model(SatResult::Unsat, stats);
-            }
-        }
-        if atoms.len() > self.max_atoms {
-            return CheckOutcome::without_model(SatResult::Unknown, stats);
-        }
-        let iform = skeleton(&atoms);
-        let mut search = Search {
-            solver: self,
-            parts,
-            iform: &iform,
-            atoms,
-            assign,
-            pool,
-            theory,
-            stats,
-            unknown_seen: false,
-            leaves: 0,
+        let pool_len = pool.len();
+        let mut stack = Stack::new(atoms, pool);
+        let (result, model) = if !stack.assign_units(parts) {
+            (SatResult::Unsat, None)
+        } else if stack.atoms.len() > self.max_atoms {
+            (SatResult::Unknown, None)
+        } else {
+            let skeleton = skeleton(&stack.atoms);
+            self.search(&mut stack, parts, &skeleton)
         };
+        let stats = stack.stats;
+        pool.truncate(pool_len);
+        CheckOutcome { result, model, stats }
+    }
+
+    /// Search the Boolean skeleton of `parts` on top of the units already
+    /// on `stack`.
+    fn search(
+        &self,
+        stack: &mut Stack,
+        parts: &[&Formula],
+        skeleton: &[IForm],
+    ) -> (SatResult, Option<Model>) {
+        let mut search =
+            Search { solver: self, parts, skeleton, stack, unknown_seen: false, leaves: 0 };
         match search.dfs(0) {
-            Some(m) => {
-                CheckOutcome { result: SatResult::Sat, model: Some(m), stats: search.stats }
-            }
-            None => CheckOutcome {
-                result: if search.unknown_seen { SatResult::Unknown } else { SatResult::Unsat },
-                model: None,
-                stats: search.stats,
-            },
+            Some(m) => (SatResult::Sat, Some(m)),
+            None if search.unknown_seen => (SatResult::Unknown, None),
+            None => (SatResult::Unsat, None),
         }
+    }
+
+    /// Decide the needed rows of a truth table under a context: row `r`
+    /// is the conjunction of `ctx` and, for each `i`, `lits[i][1]` when
+    /// bit `i` of `r` is set and `lits[i][0]` otherwise. `needed` has one
+    /// entry per row.
+    ///
+    /// Each needed row gets the verdict `check_parts(ctx ++
+    /// [Formula::and(row literals)])` gives it: the context's units are
+    /// pushed once, the rows are walked depth-first pushing literal `i`'s
+    /// units at depth `i`, and each leaf's stack holds the literals that
+    /// row's from-scratch root units would push, in the same order. A
+    /// quick conflict refutes every row below it; each surviving leaf
+    /// applies the atom budget and runs the same skeleton search as
+    /// [`Solver::check_parts`]. `pool` ends as it started.
+    pub fn check_rows(
+        &self,
+        ctx: &[&Formula],
+        lits: &[[&Formula; 2]],
+        needed: &[bool],
+        pool: &mut VarPool,
+    ) -> RowsOutcome {
+        assert_eq!(needed.len(), 1 << lits.len(), "one mask entry per row");
+        let mut rows: Vec<u32> = (0..needed.len() as u32).filter(|&r| needed[r as usize]).collect();
+        let pool_len = pool.len();
+        let mut walk = RowWalk {
+            solver: self,
+            lits,
+            parts: ctx.to_vec(),
+            skeleton: Vec::new(),
+            stack: Stack::new(Vec::new(), pool),
+            verdicts: vec![None; needed.len()],
+        };
+        if ctx.iter().any(|p| matches!(p, Formula::False)) {
+            walk.refute(&rows);
+        } else {
+            ctx.iter().for_each(|p| walk.stack.add_atoms(p));
+            if !walk.stack.assign_units(ctx) {
+                walk.refute(&rows);
+            } else if !rows.is_empty() {
+                walk.skeleton =
+                    ctx.iter().map(|p| abstract_formula(p, &walk.stack.atoms)).collect();
+                walk.descend(0, &mut rows);
+            }
+        }
+        let RowWalk { verdicts, stack, .. } = walk;
+        let stats = stack.stats;
+        pool.truncate(pool_len);
+        RowsOutcome { verdicts, stats }
     }
 
     /// Check satisfiability of `formula` under a context of assertions
@@ -394,11 +559,11 @@ impl Solver {
     /// Digest a context once so a batch of [`Solver::check_assuming`]
     /// calls shares its atom collection and skeleton abstraction instead
     /// of redoing both per candidate.
-    pub fn prepare_prefix(&self, ctx: &[Arc<Formula>]) -> AssumptionPrefix {
-        let has_false = ctx.iter().any(|p| matches!(p.as_ref(), Formula::False));
+    pub fn prepare_prefix(&self, ctx: Vec<Formula>) -> AssumptionPrefix {
+        let has_false = ctx.iter().any(|p| matches!(p, Formula::False));
         let mut atoms = Vec::new();
         if !has_false {
-            for p in ctx {
+            for p in &ctx {
                 p.collect_atoms(&mut atoms);
             }
         }
@@ -407,7 +572,7 @@ impl Solver {
         } else {
             ctx.iter().map(|p| abstract_formula(p, &atoms)).collect()
         };
-        AssumptionPrefix { parts: ctx.to_vec(), atoms, iforms, has_false }
+        AssumptionPrefix { parts: ctx, atoms, iforms, has_false }
     }
 
     /// `check_with_ctx` against a prepared prefix. Returns exactly what
@@ -425,14 +590,14 @@ impl Solver {
         }
         let mut atoms = prefix.atoms.clone();
         formula.collect_atoms(&mut atoms);
-        let mut parts: Vec<&Formula> = prefix.parts.iter().map(|a| a.as_ref()).collect();
+        let mut parts: Vec<&Formula> = prefix.parts.iter().collect();
         parts.push(formula);
         // Over the budget `run` stops after the root units, before it
         // would need the (then empty) prepared skeletons.
         let skeleton = |atoms: &[Atom]| {
             let mut iforms = prefix.iforms.clone();
             iforms.push(abstract_formula(formula, atoms));
-            IForm::And(iforms)
+            iforms
         };
         self.run(&parts, atoms, skeleton, pool)
     }

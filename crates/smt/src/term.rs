@@ -134,7 +134,10 @@ impl Term {
 /// A linear expression `Σ coeff·var + k` over integer variables.
 ///
 /// All coefficients are stored as `i128` so Fourier–Motzkin combinations do
-/// not overflow for realistic SQL constants.
+/// not overflow for realistic SQL constants. The arithmetic is checked:
+/// every operation returns `None` where a coefficient or the constant
+/// would leave `i128`, and each caller falls back to something sound
+/// (an opaque variable, a skipped constraint, or `Unknown`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LinExpr {
     /// var → coefficient (non-zero entries only).
@@ -158,43 +161,50 @@ impl LinExpr {
         self.coeffs.is_empty()
     }
 
-    pub fn add(&self, other: &LinExpr) -> LinExpr {
+    /// Combine `self` and `other` term by term with `op`.
+    fn zip(&self, other: &LinExpr, op: fn(i128, i128) -> Option<i128>) -> Option<LinExpr> {
         let mut out = self.clone();
         for (v, c) in &other.coeffs {
             let e = out.coeffs.entry(*v).or_insert(0);
-            *e += c;
+            *e = op(*e, *c)?;
             if *e == 0 {
                 out.coeffs.remove(v);
             }
         }
-        out.k += other.k;
-        out
+        out.k = op(out.k, other.k)?;
+        Some(out)
     }
 
-    pub fn negate(&self) -> LinExpr {
-        LinExpr {
-            coeffs: self.coeffs.iter().map(|(v, c)| (*v, -c)).collect(),
-            k: -self.k,
-        }
+    pub fn add(&self, other: &LinExpr) -> Option<LinExpr> {
+        self.zip(other, i128::checked_add)
     }
 
-    pub fn sub(&self, other: &LinExpr) -> LinExpr {
-        self.add(&other.negate())
+    pub fn sub(&self, other: &LinExpr) -> Option<LinExpr> {
+        self.zip(other, i128::checked_sub)
     }
 
-    pub fn scale(&self, c: i128) -> LinExpr {
+    pub fn negate(&self) -> Option<LinExpr> {
+        self.scale(-1)
+    }
+
+    pub fn scale(&self, c: i128) -> Option<LinExpr> {
         if c == 0 {
-            return LinExpr::constant(0);
+            return Some(LinExpr::constant(0));
         }
-        LinExpr {
-            coeffs: self.coeffs.iter().map(|(v, k)| (*v, k * c)).collect(),
-            k: self.k * c,
-        }
+        let coeffs = self
+            .coeffs
+            .iter()
+            .map(|(v, k)| Some((*v, k.checked_mul(c)?)))
+            .collect::<Option<_>>()?;
+        Some(LinExpr { coeffs, k: self.k.checked_mul(c)? })
     }
 
-    /// Evaluate under a variable assignment (must cover all variables).
-    pub fn eval(&self, assign: &impl Fn(VarId) -> i128) -> i128 {
-        self.coeffs.iter().map(|(v, c)| c * assign(*v)).sum::<i128>() + self.k
+    /// Evaluate under a variable assignment (must cover all variables);
+    /// `None` on overflow.
+    pub fn eval(&self, assign: &impl Fn(VarId) -> i128) -> Option<i128> {
+        self.coeffs
+            .iter()
+            .try_fold(self.k, |acc, (v, c)| acc.checked_add(c.checked_mul(assign(*v))?))
     }
 }
 
@@ -223,7 +233,14 @@ pub struct OpaqueMap {
 enum OpaqueKey {
     Mul(Vec<(VarId, i128)>, i128, Vec<(VarId, i128)>, i128),
     Div(Vec<(VarId, i128)>, i128, Vec<(VarId, i128)>, i128),
+    /// A sum, difference or negation whose result leaves `i128`.
+    Add(Vec<(VarId, i128)>, i128, Vec<(VarId, i128)>, i128),
+    Sub(Vec<(VarId, i128)>, i128, Vec<(VarId, i128)>, i128),
+    Neg(Vec<(VarId, i128)>, i128),
 }
+
+/// Constructor of a two-operand [`OpaqueKey`].
+type BinaryKey = fn(Vec<(VarId, i128)>, i128, Vec<(VarId, i128)>, i128) -> OpaqueKey;
 
 fn lin_key(e: &LinExpr) -> (Vec<(VarId, i128)>, i128) {
     (e.coeffs.iter().map(|(v, c)| (*v, *c)).collect(), e.k)
@@ -232,6 +249,12 @@ fn lin_key(e: &LinExpr) -> (Vec<(VarId, i128)>, i128) {
 impl OpaqueMap {
     pub fn new() -> Self {
         OpaqueMap::default()
+    }
+
+    /// The variable standing for the opaque binary term `op(l, r)`.
+    fn binary(&mut self, op: BinaryKey, l: &LinExpr, r: &LinExpr, pool: &mut VarPool) -> LinExpr {
+        let ((lv, lk), (rv, rk)) = (lin_key(l), lin_key(r));
+        LinExpr::variable(self.intern(op(lv, lk, rv, rk), pool))
     }
 
     fn intern(&mut self, key: OpaqueKey, pool: &mut VarPool) -> VarId {
@@ -270,8 +293,8 @@ impl OpaqueMap {
 }
 
 /// Normalize an integer-sorted term into a linear expression, abstracting
-/// non-affine subterms (variable products, non-exact division) as opaque
-/// variables.
+/// non-affine subterms (variable products, non-exact division) and
+/// subterms whose coefficients overflow `i128` as opaque variables.
 ///
 /// The abstraction *over-approximates* the solution set, so an UNSAT
 /// verdict on the abstraction is sound for the original; SAT verdicts are
@@ -284,45 +307,53 @@ pub fn linearize(term: &Term, pool: &mut VarPool, opaque: &mut OpaqueMap) -> Lin
             // Type-checked inputs never reach here; be defensive.
             LinExpr::constant(0)
         }
-        Term::Add(l, r) => linearize(l, pool, opaque).add(&linearize(r, pool, opaque)),
-        Term::Sub(l, r) => linearize(l, pool, opaque).sub(&linearize(r, pool, opaque)),
-        Term::Neg(t) => linearize(t, pool, opaque).negate(),
+        Term::Add(l, r) => {
+            let (ll, rr) = (linearize(l, pool, opaque), linearize(r, pool, opaque));
+            ll.add(&rr).unwrap_or_else(|| opaque.binary(OpaqueKey::Add, &ll, &rr, pool))
+        }
+        Term::Sub(l, r) => {
+            let (ll, rr) = (linearize(l, pool, opaque), linearize(r, pool, opaque));
+            ll.sub(&rr).unwrap_or_else(|| opaque.binary(OpaqueKey::Sub, &ll, &rr, pool))
+        }
+        Term::Neg(t) => {
+            let e = linearize(t, pool, opaque);
+            e.negate().unwrap_or_else(|| {
+                let (v, k) = lin_key(&e);
+                LinExpr::variable(opaque.intern(OpaqueKey::Neg(v, k), pool))
+            })
+        }
         Term::Mul(l, r) => {
             let ll = linearize(l, pool, opaque);
             let rr = linearize(r, pool, opaque);
-            if ll.is_constant() {
+            let scaled = if ll.is_constant() {
                 rr.scale(ll.k)
             } else if rr.is_constant() {
                 ll.scale(rr.k)
             } else {
-                let (lv, lk) = lin_key(&ll);
-                let (rv, rk) = lin_key(&rr);
+                None
+            };
+            scaled.unwrap_or_else(|| {
                 // Order operands canonically so x*y and y*x unify.
-                let key = if (lv.clone(), lk) <= (rv.clone(), rk) {
-                    OpaqueKey::Mul(lv, lk, rv, rk)
-                } else {
-                    OpaqueKey::Mul(rv, rk, lv, lk)
-                };
-                LinExpr::variable(opaque.intern(key, pool))
-            }
+                let (a, b) = if lin_key(&ll) <= lin_key(&rr) { (&ll, &rr) } else { (&rr, &ll) };
+                opaque.binary(OpaqueKey::Mul, a, b, pool)
+            })
         }
         Term::Div(l, r) => {
             let ll = linearize(l, pool, opaque);
             let rr = linearize(r, pool, opaque);
             if rr.is_constant() && rr.k != 0 {
+                // `checked_rem` is `None` for `i128::MIN % -1`, so the
+                // divisions below cannot overflow.
                 let d = rr.k;
-                let divisible =
-                    ll.k % d == 0 && ll.coeffs.values().all(|c| c % d == 0);
-                if divisible {
+                let exact = |c: i128| c.checked_rem(d) == Some(0);
+                if exact(ll.k) && ll.coeffs.values().all(|&c| exact(c)) {
                     return LinExpr {
                         coeffs: ll.coeffs.iter().map(|(v, c)| (*v, c / d)).collect(),
                         k: ll.k / d,
                     };
                 }
             }
-            let (lv, lk) = lin_key(&ll);
-            let (rv, rk) = lin_key(&rr);
-            LinExpr::variable(opaque.intern(OpaqueKey::Div(lv, lk, rv, rk), pool))
+            opaque.binary(OpaqueKey::Div, &ll, &rr, pool)
         }
     }
 }
@@ -405,12 +436,36 @@ mod tests {
     #[test]
     fn linexpr_arith() {
         let (_, a, b, _) = pool3();
-        let e1 = LinExpr::variable(a).scale(3);
-        let e2 = LinExpr::variable(b).add(&LinExpr::constant(5));
-        let sum = e1.add(&e2);
-        assert_eq!(sum.eval(&|v| if v == a { 2 } else { 10 }), 3 * 2 + 10 + 5);
-        let diff = sum.sub(&sum);
+        let e1 = LinExpr::variable(a).scale(3).unwrap();
+        let e2 = LinExpr::variable(b).add(&LinExpr::constant(5)).unwrap();
+        let sum = e1.add(&e2).unwrap();
+        assert_eq!(sum.eval(&|v| if v == a { 2 } else { 10 }), Some(3 * 2 + 10 + 5));
+        let diff = sum.sub(&sum).unwrap();
         assert!(diff.is_constant());
         assert_eq!(diff.k, 0);
+        // Arithmetic that leaves i128 is `None`, never wrapped.
+        let big = LinExpr::variable(a).scale(1 << 100).unwrap();
+        assert_eq!(big.scale(1 << 100), None);
+        assert_eq!(LinExpr::constant(i128::MIN).negate(), None);
+        assert_eq!(LinExpr::constant(i128::MAX).add(&LinExpr::constant(1)), None);
+        assert_eq!(big.eval(&|_| 1 << 100), None);
+    }
+
+    #[test]
+    fn overflowing_subterms_are_opaque() {
+        let (mut p, a, _, _) = pool3();
+        let mut op = OpaqueMap::new();
+        let c = Term::IntConst(1 << 62);
+        // a · 2^62 · 2^62 is 2^124·a; one more factor leaves i128.
+        let t = Term::mul(Term::mul(Term::var(a), c.clone()), c.clone());
+        assert_eq!(linearize(&t, &mut p, &mut op).coeffs[&a], 1 << 124);
+        assert!(op.is_empty());
+        let t = Term::mul(t, c);
+        let e = linearize(&t, &mut p, &mut op);
+        assert_eq!(op.len(), 1);
+        assert!(!e.coeffs.contains_key(&a), "the coefficient must not wrap: {e:?}");
+        // The same overflowing term is the same opaque variable.
+        assert_eq!(linearize(&t, &mut p, &mut op), e);
+        assert_eq!(op.len(), 1);
     }
 }

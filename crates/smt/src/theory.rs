@@ -266,12 +266,20 @@ impl Quick {
                 }
             }
             LinClass::Single(v, c, k) => {
-                if k % c != 0 {
-                    // c·v = −k has no integer solution.
-                    self.conflict();
-                    return;
+                // c·v = −k. A value that leaves i128 is skipped: the
+                // detector only ever adds pruning.
+                match k.checked_rem(c) {
+                    Some(0) => {}
+                    Some(_) => {
+                        // c·v = −k has no integer solution.
+                        self.conflict();
+                        return;
+                    }
+                    None => return,
                 }
-                let val = -k / c;
+                let Some(val) = k.checked_neg().and_then(|k| k.checked_div(c)) else {
+                    return;
+                };
                 let n = self.int_node(v);
                 let r = self.int_uf.find(n);
                 self.narrow(r, Some(val), Some(val));
@@ -296,8 +304,11 @@ impl Quick {
             LinClass::Single(v, c, k) => {
                 // c·v ≤ −k: `div_euclid` floors for positive divisors and
                 // ceils for negative ones — exactly the rounding each
-                // direction needs for integer bounds.
-                let bound = (-k).div_euclid(c);
+                // direction needs for integer bounds. A bound that leaves
+                // i128 is skipped.
+                let Some(bound) = k.checked_neg().and_then(|k| k.checked_div_euclid(c)) else {
+                    return;
+                };
                 let n = self.int_node(v);
                 let r = self.int_uf.find(n);
                 if c > 0 {
@@ -331,10 +342,12 @@ impl Quick {
                 }
             }
             LinClass::Single(v, c, k) => {
-                if k % c != 0 {
-                    return; // trivially true over the integers
-                }
-                let val = -k / c;
+                // Trivially true over the integers unless c divides k;
+                // skipped when −k/c leaves i128.
+                let val = match (k.checked_rem(c), k.checked_neg().and_then(|k| k.checked_div(c))) {
+                    (Some(0), Some(val)) => val,
+                    _ => return,
+                };
                 let n = self.int_node(v);
                 let r = self.int_uf.find(n);
                 if self.pinned(r) == Some(val) {

@@ -1,7 +1,9 @@
 //! Parity of the incremental assumption-stack theory with the
-//! from-scratch conjunction check, agreement of the solver's definitive
-//! verdicts with a truth-table reference, and the regression guard that
-//! the assumption stack keeps per-branch theory work linear in depth.
+//! from-scratch conjunction check, parity of the shared-stack truth-table
+//! walk (`Solver::check_rows`) with per-row checks, agreement of the
+//! solver's definitive verdicts with a truth-table reference, and the
+//! regression guard that the assumption stack keeps per-branch theory
+//! work linear in depth.
 
 use proptest::prelude::*;
 use qrhint_smt::conj::{check_conjunction, Lit, Translation};
@@ -92,8 +94,150 @@ fn arb_formula() -> impl Strategy<Value = Formula> {
     })
 }
 
+fn literal(a: Atom, polarity: bool) -> Formula {
+    let f = Formula::atom(a);
+    if polarity {
+        f
+    } else {
+        Formula::not(f)
+    }
+}
+
+/// How one literal of a random truth table is built.
+#[derive(Debug, Clone)]
+enum LitSpec {
+    Leaf(Formula),
+    False,
+    /// The context's `i`-th atom (modulo its atom count) in a polarity;
+    /// `True` when the context has no atoms.
+    CtxAtom(usize, bool),
+    /// `x_a · x_b ≤ k`: the product is an opaque pool variable.
+    NonLinear(usize, usize, i64),
+    /// A disjunction of 21 distinct atoms, so any row holding it is over
+    /// the 20-atom budget.
+    Wide,
+}
+
+impl LitSpec {
+    fn build(&self, ctx_atoms: &[Atom]) -> Formula {
+        match self {
+            LitSpec::Leaf(f) => f.clone(),
+            LitSpec::False => Formula::False,
+            LitSpec::CtxAtom(_, _) if ctx_atoms.is_empty() => Formula::True,
+            LitSpec::CtxAtom(i, p) => literal(ctx_atoms[i % ctx_atoms.len()].clone(), *p),
+            LitSpec::NonLinear(a, b, k) => {
+                Formula::cmp(Term::mul(int_var(*a), int_var(*b)), Rel::Le, Term::IntConst(*k))
+            }
+            LitSpec::Wide => Formula::or(
+                (0..21)
+                    .map(|k| Formula::cmp(int_var(k % NI), Rel::Eq, Term::IntConst(100 + k as i64)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+fn arb_lit_spec() -> impl Strategy<Value = LitSpec> {
+    let leaf = || arb_lit().prop_map(|(a, p)| LitSpec::Leaf(literal(a, p)));
+    let ctx_atom = || ((0..16usize), any::<bool>()).prop_map(|(i, p)| LitSpec::CtxAtom(i, p));
+    prop_oneof![
+        leaf(),
+        leaf(),
+        leaf(),
+        ctx_atom(),
+        ctx_atom(),
+        Just(LitSpec::False),
+        ((0..NI), (0..NI), -4i64..5).prop_map(|(a, b, k)| LitSpec::NonLinear(a, b, k)),
+        Just(LitSpec::Wide),
+    ]
+}
+
+/// A context of random formulas (disjunctions among them), one to five
+/// `[negative, positive]` literal specs, and a random needed-row mask.
+fn arb_table() -> impl Strategy<Value = (Vec<Formula>, Vec<(LitSpec, LitSpec)>, Vec<bool>)> {
+    (
+        proptest::collection::vec(arb_formula(), 0..3),
+        proptest::collection::vec((arb_lit_spec(), arb_lit_spec()), 1..6),
+    )
+        .prop_flat_map(|(ctx, specs)| {
+            let rows = 1usize << specs.len();
+            proptest::collection::vec(any::<bool>(), rows)
+                .prop_map(move |needed| (ctx.clone(), specs.clone(), needed))
+        })
+}
+
+/// `check_rows` gives every needed row the verdict `check_parts(ctx ++
+/// [and of the row's literals])` gives it, and no verdict to the others;
+/// it leaves the pool at its starting length and runs exactly the full
+/// theory checks the per-row checks run.
+fn assert_rows_match_check_parts(ctx: &[Formula], lits: &[[Formula; 2]], needed: &[bool]) {
+    let solver = Solver::new();
+    let ctx: Vec<&Formula> = ctx.iter().collect();
+    let lit_refs: Vec<[&Formula; 2]> = lits.iter().map(|[n, p]| [n, p]).collect();
+    let mut pool = base_pool();
+    let out = solver.check_rows(&ctx, &lit_refs, needed, &mut pool);
+    assert_eq!(pool.len(), base_pool().len(), "check_rows must leave the pool as it found it");
+    let mut full_checks = 0;
+    for (row, verdict) in out.verdicts.iter().enumerate() {
+        if !needed[row] {
+            assert_eq!(*verdict, None, "row {row:b} was not needed");
+            continue;
+        }
+        let conj =
+            Formula::and(lits.iter().enumerate().map(|(i, l)| l[row >> i & 1].clone()).collect());
+        let mut parts = ctx.clone();
+        parts.push(&conj);
+        let expect = solver.check_parts(&parts, &mut base_pool());
+        assert_eq!(*verdict, Some(expect.result), "row {row:b}: {conj}");
+        full_checks += expect.stats.theory_full_checks;
+    }
+    assert_eq!(out.stats.theory_full_checks, full_checks);
+}
+
+/// One fixed table with every literal kind the random tables draw.
+#[test]
+fn check_rows_matches_check_parts_on_every_literal_kind() {
+    let ctx = vec![
+        Formula::or(vec![
+            Formula::cmp(int_var(0), Rel::Ge, Term::IntConst(1)),
+            Formula::cmp(int_var(1), Rel::Le, Term::IntConst(2)),
+        ]),
+        Formula::cmp(int_var(2), Rel::Eq, Term::IntConst(3)),
+    ];
+    let mut ctx_atoms = Vec::new();
+    ctx.iter().for_each(|p| p.collect_atoms(&mut ctx_atoms));
+    let leaf = |v: usize, rel: Rel, k: i64| {
+        LitSpec::Leaf(Formula::cmp(int_var(v), rel, Term::IntConst(k)))
+    };
+    let specs = [
+        (LitSpec::CtxAtom(0, false), LitSpec::CtxAtom(0, true)),
+        // ¬(x2 = 3) conflicts with the context's unit; x2 = 3 repeats it.
+        (LitSpec::CtxAtom(2, false), LitSpec::CtxAtom(2, true)),
+        (LitSpec::NonLinear(0, 1, 4), LitSpec::NonLinear(1, 0, -1)),
+        (leaf(1, Rel::Eq, 0), LitSpec::False),
+        (LitSpec::Wide, leaf(0, Rel::Le, 5)),
+    ];
+    let lits: Vec<[Formula; 2]> =
+        specs.iter().map(|(n, p)| [n.build(&ctx_atoms), p.build(&ctx_atoms)]).collect();
+    let needed: Vec<bool> = (0..32).map(|row| row % 5 != 3).collect();
+    assert_rows_match_check_parts(&ctx, &lits, &needed);
+    // Without literals the one row is the context alone.
+    assert_rows_match_check_parts(&ctx, &[], &[true]);
+    assert_rows_match_check_parts(&ctx, &[], &[false]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `check_rows` matches per-row `check_parts` on random tables.
+    #[test]
+    fn check_rows_matches_check_parts_per_row((ctx, specs, needed) in arb_table()) {
+        let mut ctx_atoms = Vec::new();
+        ctx.iter().for_each(|p| p.collect_atoms(&mut ctx_atoms));
+        let lits: Vec<[Formula; 2]> =
+            specs.iter().map(|(n, p)| [n.build(&ctx_atoms), p.build(&ctx_atoms)]).collect();
+        assert_rows_match_check_parts(&ctx, &lits, &needed);
+    }
 
     /// Pushing a literal stack one element at a time gives the exact
     /// verdict *and model* of a from-scratch `check_conjunction` at every

@@ -196,3 +196,29 @@ fn overflowing_constants_neither_panic_nor_fold_away() {
     };
     qr.advise_sql(&having(0), &having(1)).unwrap();
 }
+
+#[test]
+fn overflowing_linear_coefficients_never_wrap() {
+    // 2^62 · 2^62 · 2^62 leaves the solver's i128 arithmetic. The
+    // coefficient must not wrap to 0 and make `t.a·2^186 > 0` look
+    // unsatisfiable: it holds for every positive `t.a`, so the working
+    // query is not equivalent to the empty target.
+    let c = "4611686018427387904";
+    let schema =
+        qrhint_sqlparse::parse_schema("CREATE TABLE T (a INT NOT NULL, b INT NOT NULL);").unwrap();
+    let qr = QrHint::new(schema);
+    let working = format!("SELECT t.b FROM T t WHERE t.a * {c} * {c} * {c} > 0");
+    let advice = qr.advise_sql("SELECT t.b FROM T t WHERE t.a < t.a", &working).unwrap();
+    assert_ne!(advice.stage, Stage::Done, "{advice:?}");
+    // Eliminating t.b multiplies the constant 2^124 by 2^124.
+    let schema = qrhint_sqlparse::parse_schema(
+        "CREATE TABLE T (a INT NOT NULL, b INT NOT NULL, c INT NOT NULL);",
+    )
+    .unwrap();
+    let qr = QrHint::new(schema);
+    let working = format!(
+        "SELECT t.b FROM T t WHERE t.a * {c} * {c} <= t.b AND t.b * {c} * {c} <= t.c \
+         AND t.c < 0 AND t.a > 0"
+    );
+    qr.advise_sql("SELECT t.b FROM T t WHERE t.a > 0", &working).unwrap();
+}
