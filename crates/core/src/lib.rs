@@ -92,7 +92,7 @@ pub use error::{QrHintError, QrResult};
 pub use qrhint_analysis as analysis;
 pub use qrhint_analysis::{DiagCode, Diagnostic, Severity};
 pub use hint::{ClauseKind, Hint, SiteHint, Stage};
-pub use oracle::{BatchCtx, InternerStats, LowerEnv, Oracle, SolverContext, TypeEnv};
+pub use oracle::{InternerStats, LowerEnv, Oracle, SolverContext, TypeEnv};
 pub use pipeline::{Advice, QrHint, QrHintConfig};
 pub use qrhint_sqlparse::FlattenOptions;
 pub use repair::{FixStrategy, Repair, RepairConfig, RepairOutcome};

@@ -64,8 +64,8 @@
 
 use crate::verdicts::{VerdictCache, VerdictKey};
 use qrhint_smt::{
-    AssumptionPrefix, Formula, FormulaId, Interner, Rel, SolveStats, Solver, Sort, TermId,
-    TriBool, VarId, VarPool,
+    Formula, FormulaId, Interner, Rel, SolveStats, Solver, Sort, TermId, TriBool, VarId,
+    VarPool,
 };
 use qrhint_sqlast::{
     AggArg, AggCall, AggFunc, ArithOp, CmpOp, ColRef, Pred, Query, Scalar, Schema, SqlType,
@@ -500,11 +500,11 @@ pub struct Oracle {
     pub theory_full_checks: u64,
     /// Branches (or whole checks) cut by the quick-conflict detector.
     pub quick_conflicts: u64,
-    /// Shared-prefix batches issued ([`Oracle::batch_ctx`] consumers:
-    /// SELECT positional equivalence, GROUP BY Δ− pruning, WHERE-repair
-    /// candidate verification).
+    /// Candidate lists checked against one context (SELECT positional
+    /// equivalence, GROUP BY Δ− pruning, WHERE-repair site sets); each
+    /// candidate is an ordinary [`Oracle::sat_f`]-based check.
     pub equiv_batches: u64,
-    /// Candidate checks routed through those batches.
+    /// Candidates in those lists.
     pub equiv_batch_candidates: u64,
     /// Ambient lowering environment used by the `*_pred` convenience
     /// methods (set by the HAVING/SELECT stages to the grouped
@@ -1319,120 +1319,6 @@ impl Oracle {
         let ne = self.cmp_f(t1, Rel::Ne, t2);
         self.unsat_f(ne, ctx)
     }
-
-    // ---------------- batched checks over a shared prefix ----------------
-
-    /// Digest a formula context (plus the current ambient context) once
-    /// for a batch of candidate checks: its trees are extracted once and
-    /// the solver pre-collects the context's atoms and Boolean skeletons
-    /// ([`Solver::prepare_prefix`]), so per-candidate work is
-    /// proportional to the candidate, not to the context.
-    ///
-    /// Verdicts (and verdict-cache keys) are identical to calling
-    /// [`Oracle::sat_f`] with the same context — the batch only shares
-    /// preparation. The ambient context is captured at construction, so
-    /// build the batch after any [`Oracle::set_ambient`].
-    pub fn batch_ctx(&mut self, ctx: &[FormulaId]) -> BatchCtx {
-        let ctx_ids = self.full_ctx(ctx);
-        let prefix = self.solver.prepare_prefix(self.trees(ctx_ids.iter().copied()));
-        BatchCtx { ctx_ids, prefix }
-    }
-
-    /// [`Oracle::sat_f`] against a prepared batch context. Same verdict,
-    /// same cache key, same counter discipline (one `solver_calls` and
-    /// exactly one cache hit *or* miss per call).
-    pub fn sat_batch(&mut self, f: FormulaId, batch: &BatchCtx) -> TriBool {
-        self.solver_calls += 1;
-        let key = VerdictKey { f, ctx: batch.ctx_ids.clone() };
-        if let Some(verdict) = self.probe(&key) {
-            return verdict;
-        }
-        let _span = qrhint_obs::span("solver:check");
-        self.sync_scratch();
-        let tree = self.formula(f);
-        let out = self.solver.check_assuming(&batch.prefix, &tree, &mut self.scratch_pool);
-        self.record_stats(&out.stats);
-        let verdict = tri(out.result);
-        self.cache(key, verdict);
-        verdict
-    }
-
-    /// Batched unsatisfiability.
-    pub fn unsat_batch(&mut self, f: FormulaId, batch: &BatchCtx) -> TriBool {
-        self.sat_batch(f, batch).negate()
-    }
-
-    /// Batched implication.
-    pub fn implies_batch(&mut self, f: FormulaId, g: FormulaId, batch: &BatchCtx) -> TriBool {
-        let ng = self.not_f(g);
-        let q = self.and_f(vec![f, ng]);
-        self.unsat_batch(q, batch)
-    }
-
-    /// Batched equivalence of one candidate against a target (the inner
-    /// step of [`Oracle::equiv_batch`]; exposed for loops that must keep
-    /// their own sequencing, e.g. cost-ordered WHERE-repair early stop).
-    pub fn equiv_batch_one(&mut self, f: FormulaId, g: FormulaId, batch: &BatchCtx) -> TriBool {
-        if f == g {
-            return TriBool::True;
-        }
-        match self.implies_batch(f, g, batch) {
-            TriBool::False => TriBool::False,
-            fw => match self.implies_batch(g, f, batch) {
-                TriBool::False => TriBool::False,
-                bw => fw.and(bw),
-            },
-        }
-    }
-
-    /// The paper's `IsEquiv` for a whole candidate list: check every
-    /// candidate against one target under a shared pushed assumption
-    /// prefix. Verdicts are exactly those of per-candidate
-    /// [`Oracle::equiv_f`] calls under the same context.
-    pub fn equiv_batch(
-        &mut self,
-        cands: &[FormulaId],
-        target: FormulaId,
-        ctx: &[FormulaId],
-    ) -> Vec<TriBool> {
-        let _span = qrhint_obs::span("oracle:equiv_batch");
-        let batch = self.batch_ctx(ctx);
-        self.equiv_batches += 1;
-        self.equiv_batch_candidates += cands.len() as u64;
-        cands.iter().map(|&c| self.equiv_batch_one(c, target, &batch)).collect()
-    }
-
-    /// Batched value-level equivalence for positional expression lists
-    /// (the SELECT stage): `pairs[i]` is equivalent iff
-    /// `ctx ∧ e1ᵢ ≠ e2ᵢ` is unsatisfiable, with the context prepared
-    /// once for the whole list.
-    pub fn equiv_scalar_batch(
-        &mut self,
-        pairs: &[(&Scalar, &Scalar)],
-        env: &LowerEnv,
-        ctx: &[FormulaId],
-    ) -> Vec<TriBool> {
-        let _span = qrhint_obs::span("oracle:equiv_scalar_batch");
-        let nes: Vec<FormulaId> = pairs
-            .iter()
-            .map(|(e1, e2)| {
-                let (t1, t2) = (self.lower_scalar_env(e1, env), self.lower_scalar_env(e2, env));
-                self.cmp_f(t1, Rel::Ne, t2)
-            })
-            .collect();
-        let batch = self.batch_ctx(ctx);
-        self.equiv_batches += 1;
-        self.equiv_batch_candidates += pairs.len() as u64;
-        nes.iter().map(|&ne| self.unsat_batch(ne, &batch)).collect()
-    }
-}
-
-/// A digested context for a batch of candidate checks: the full context
-/// id list (the verdict-cache key suffix) and the solver-side prepared
-/// prefix over its trees. Built by [`Oracle::batch_ctx`].
-pub struct BatchCtx {
-    ctx_ids: Box<[FormulaId]>,
-    prefix: AssumptionPrefix,
 }
 
 fn tri(r: qrhint_smt::SatResult) -> TriBool {
@@ -1512,46 +1398,28 @@ mod tests {
     }
 
     #[test]
-    fn batch_primitives_match_their_scalar_counterparts() {
-        // Same verdicts, same cache keys: a batch check after a scalar
-        // check (and vice versa) must be a verdict-cache hit.
+    fn equiv_f_over_a_candidate_list() {
+        // The shape of WHERE-repair verification: every candidate of a
+        // list checked against one target under one context.
         let p = parse_pred("s.price > 3 AND s.bar = 'Joe'").unwrap();
         let q = parse_pred("s.price >= 4 AND s.bar = 'Joe'").unwrap();
-        let c = parse_pred("s.price < 100").unwrap();
-        let mut a = oracle_for(&[&p, &q, &c]);
-        let (fp, fq, fc) = (a.lower_pred(&p), a.lower_pred(&q), a.lower_pred(&c));
-        let scalar = a.equiv_f(fp, fq, &[fc]);
-        let calls_before = a.solver_calls;
-        let hits_before = a.verdict_hits;
-        let batch = a.batch_ctx(&[fc]);
-        assert_eq!(a.equiv_batch_one(fp, fq, &batch), scalar);
-        // Every batched sat call was answered by the shared cache.
-        let calls = a.solver_calls - calls_before;
-        assert!(calls > 0);
-        assert_eq!(a.verdict_hits - hits_before, calls, "batch keys must equal scalar keys");
-
-        // Cold batch first, scalar second — other direction.
-        let mut b = oracle_for(&[&p, &q, &c]);
-        let (fp, fq, fc) = (b.lower_pred(&p), b.lower_pred(&q), b.lower_pred(&c));
-        let batch = b.batch_ctx(&[fc]);
-        let batched = b.equiv_batch_one(fp, fq, &batch);
-        assert_eq!(batched, scalar);
-        let hits_before = b.verdict_hits;
-        let calls_before = b.solver_calls;
-        assert_eq!(b.equiv_f(fp, fq, &[fc]), batched);
-        assert_eq!(b.verdict_hits - hits_before, b.solver_calls - calls_before);
-
-        // equiv_batch over a candidate list agrees position-by-position.
         let r = parse_pred("s.price > 100").unwrap();
+        let c = parse_pred("s.price < 100").unwrap();
         let mut o = oracle_for(&[&p, &q, &r, &c]);
         let (fp, fq, fr, fc) =
             (o.lower_pred(&p), o.lower_pred(&q), o.lower_pred(&r), o.lower_pred(&c));
-        let verdicts = o.equiv_batch(&[fq, fr, fp], fp, &[fc]);
-        assert_eq!(verdicts[0], TriBool::True);
-        assert_eq!(verdicts[1], TriBool::False);
-        assert_eq!(verdicts[2], TriBool::True, "identical ids short-circuit");
-        assert_eq!(o.equiv_batches, 1);
-        assert_eq!(o.equiv_batch_candidates, 3);
+        let verdicts: Vec<TriBool> = [fq, fr].iter().map(|&f| o.equiv_f(f, fp, &[fc])).collect();
+        assert_eq!(verdicts, [TriBool::True, TriBool::False]);
+        // Identical ids short-circuit without a solver call.
+        let calls_before = o.solver_calls;
+        assert_eq!(o.equiv_f(fp, fp, &[fc]), TriBool::True, "identical ids short-circuit");
+        assert_eq!(o.solver_calls, calls_before);
+        // A repeated check is answered by the verdict cache alone.
+        let hits_before = o.verdict_hits;
+        assert_eq!(o.equiv_f(fq, fp, &[fc]), TriBool::True);
+        let calls = o.solver_calls - calls_before;
+        assert!(calls > 0);
+        assert_eq!(o.verdict_hits - hits_before, calls);
         assert_eq!(o.verdict_hits + o.verdict_misses, o.solver_calls);
     }
 

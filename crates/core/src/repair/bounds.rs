@@ -1,7 +1,7 @@
 //! `CreateBounds` (Algorithm 2): repair bounds for a predicate given a set
 //! of repair sites, and the exact viability test of §5.1.
 
-use crate::oracle::{BatchCtx, Oracle};
+use crate::oracle::Oracle;
 use qrhint_smt::{FormulaId, TriBool};
 use qrhint_sqlast::pred::PredPath;
 use qrhint_sqlast::Pred;
@@ -55,41 +55,25 @@ pub fn create_bounds(p: &Pred, sites: &[PredPath]) -> (Pred, Pred) {
     go(p, &mut Vec::new(), sites)
 }
 
-/// Exact viability test: is `target ∈ [lower, upper]`? Only a definitive
-/// `True` admits the candidate site set (the paper acts only on positive
-/// solver answers).
+/// Exact viability test: is `target ∈ [lower, upper]` under `ctx`? Only
+/// a definitive `True` admits the candidate site set (the paper acts only
+/// on positive solver answers). `target` and `ctx` come lowered, since
+/// `repair_where` tests one `(target, ctx)` pair against every candidate
+/// site set; `upper` is lowered only when `lower` does not already
+/// refute the candidate.
 pub fn bounds_admit(
     oracle: &mut Oracle,
     lower: &Pred,
     upper: &Pred,
-    target: &Pred,
-    ctx: &[&Pred],
-) -> TriBool {
-    match oracle.implies_pred(lower, target, ctx) {
-        TriBool::False => TriBool::False,
-        a => match oracle.implies_pred(target, upper, ctx) {
-            TriBool::False => TriBool::False,
-            b => a.and(b),
-        },
-    }
-}
-
-/// [`bounds_admit`] against a pre-lowered target and a prepared batch
-/// context — the shape `repair_where` uses, where one `(target, ctx)`
-/// pair is tested against every candidate site set.
-pub fn bounds_admit_batch(
-    oracle: &mut Oracle,
-    lower: &Pred,
-    upper: &Pred,
     target: FormulaId,
-    batch: &BatchCtx,
+    ctx: &[FormulaId],
 ) -> TriBool {
     let lo = oracle.lower_pred(lower);
-    match oracle.implies_batch(lo, target, batch) {
+    match oracle.implies_f(lo, target, ctx) {
         TriBool::False => TriBool::False,
         a => {
             let hi = oracle.lower_pred(upper);
-            match oracle.implies_batch(target, hi, batch) {
+            match oracle.implies_f(target, hi, ctx) {
                 TriBool::False => TriBool::False,
                 b => a.and(b),
             }
@@ -141,12 +125,13 @@ mod tests {
         let sites = vec![vec![0, 0], vec![1, 1, 0], vec![1, 1, 2]];
         let (lo, hi) = create_bounds(&p, &sites);
         let mut o = Oracle::for_preds(&[&p, &p_star]);
-        assert!(bounds_admit(&mut o, &lo, &hi, &p_star, &[]).is_true());
+        let target = o.lower_pred(&p_star);
+        assert!(bounds_admit(&mut o, &lo, &hi, target, &[]).is_true());
         // A site set that cannot reach P★: only x11 (D<7) — the bound
         // pins everything else.
         let bad = vec![vec![1, 1, 1]];
         let (lo2, hi2) = create_bounds(&p, &bad);
-        assert!(bounds_admit(&mut o, &lo2, &hi2, &p_star, &[]).is_false());
+        assert!(bounds_admit(&mut o, &lo2, &hi2, target, &[]).is_false());
     }
 
     #[test]

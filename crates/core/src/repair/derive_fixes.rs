@@ -217,8 +217,9 @@ mod tests {
         let p_star = parse_pred(p_star_sql).unwrap();
         let mut o = Oracle::for_preds(&[&p, &p_star]);
         let (lo, hi) = create_bounds(&p, &sites);
+        let target = o.lower_pred(&p_star);
         assert!(
-            bounds_admit(&mut o, &lo, &hi, &p_star, &[]).is_true(),
+            bounds_admit(&mut o, &lo, &hi, target, &[]).is_true(),
             "sites not viable for this test"
         );
         let fixes = derive_fixes(&mut o, &[], &p, &sites, &p_star, &p_star);

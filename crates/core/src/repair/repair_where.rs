@@ -8,7 +8,7 @@
 //! correctness guarantee of Lemma 5.1 holds independently of solver
 //! completeness.
 
-use super::bounds::{bounds_admit_batch, create_bounds};
+use super::bounds::{bounds_admit, create_bounds};
 use super::cost::{tree_size, CostModel};
 use super::derive_fixes::derive_fixes;
 use super::minfix_mult::min_fix_mult;
@@ -135,13 +135,10 @@ pub fn repair_where(
     let mut sets_examined = 0usize;
 
     // Every candidate site set is tested against the same `(p_star, ctx)`
-    // pair, so lower both once and prepare the assumption prefix up
-    // front. Candidate order and early-stop behaviour are untouched —
-    // only the shared preparation is hoisted.
+    // pair, so both are lowered once, up front.
     let ctx_ids: Vec<qrhint_smt::FormulaId> =
         ctx.iter().map(|c| oracle.lower_pred(c)).collect();
     let p_star_id = oracle.lower_pred(p_star);
-    let batch = oracle.batch_ctx(&ctx_ids);
     oracle.equiv_batches += 1;
 
     'outer: for k in 1..=cfg.max_sites {
@@ -163,7 +160,7 @@ pub fn repair_where(
             }
             let (lo, hi) = create_bounds(p, &sites);
             oracle.equiv_batch_candidates += 1;
-            if !bounds_admit_batch(oracle, &lo, &hi, p_star_id, &batch).is_true() {
+            if !bounds_admit(oracle, &lo, &hi, p_star_id, &ctx_ids).is_true() {
                 continue;
             }
             if first_viable.is_none() {
@@ -198,7 +195,7 @@ pub fn repair_where(
             // equivalent to the target.
             let applied = candidate.apply(p);
             let applied_id = oracle.lower_pred(&applied);
-            if !oracle.equiv_batch_one(applied_id, p_star_id, &batch).is_true() {
+            if !oracle.equiv_f(applied_id, p_star_id, &ctx_ids).is_true() {
                 continue;
             }
             let cost = cfg.cost.cost(p, p_star, &candidate);

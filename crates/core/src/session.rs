@@ -184,10 +184,10 @@ pub struct SessionStats {
     /// Branches cut by the quick-conflict detector, plus checks its root
     /// units refuted outright.
     pub quick_conflicts: u64,
-    /// Shared-prefix candidate batches issued (SELECT positional
-    /// equivalence, GROUP BY Δ− pruning, WHERE-repair verification).
+    /// Candidate lists checked against one context (SELECT positional
+    /// equivalence, GROUP BY Δ− pruning, WHERE-repair site sets).
     pub equiv_batches: u64,
-    /// Candidate checks routed through those batches.
+    /// Candidates in those lists.
     pub equiv_batch_candidates: u64,
 }
 

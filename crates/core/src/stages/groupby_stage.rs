@@ -73,14 +73,13 @@ pub fn fix_grouping(
     let g_star = oracle.and_f(star_pairs.iter().map(|(eq, _)| *eq).collect());
 
     // Δ−: o_i is wrong if two tuples grouped together by ®o★ can be split
-    // by o_i. The `P[t1] ∧ P[t2] ∧ G★` prefix is shared by every
-    // candidate, so it is pushed once and each `ne` checked against it.
+    // by o_i: every candidate `ne` is checked under the one context
+    // `P[t1] ∧ P[t2] ∧ G★`.
     let mut remove = Vec::new();
-    let batch = oracle.batch_ctx(&[both, g_star]);
     oracle.equiv_batches += 1;
     oracle.equiv_batch_candidates += o_pairs.len() as u64;
     for (i, (_, ne)) in o_pairs.iter().enumerate() {
-        if oracle.sat_batch(*ne, &batch) == TriBool::True {
+        if oracle.sat_f(*ne, &[both, g_star]) == TriBool::True {
             remove.push(i);
         }
     }

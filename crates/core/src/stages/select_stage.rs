@@ -4,6 +4,7 @@
 
 use crate::hint::Hint;
 use crate::oracle::{LowerEnv, Oracle};
+use qrhint_smt::{FormulaId, Rel};
 use qrhint_sqlast::{Query, Scalar};
 
 /// Outcome of `FixSelect`: positions (0-based) to replace/remove in the
@@ -51,11 +52,20 @@ pub fn fix_select(
     let n = working.len().min(target.len());
     let mut remove = Vec::new();
     let mut add = Vec::new();
-    // One shared preparation of the ambient context for the whole
-    // positional list (per-position verdicts and cache keys unchanged).
-    let pairs: Vec<(&Scalar, &Scalar)> = (0..n).map(|i| (&working[i], &target[i])).collect();
-    for (i, verdict) in oracle.equiv_scalar_batch(&pairs, env, &[]).into_iter().enumerate() {
-        if !verdict.is_true() {
+    // Position i is equivalent iff `ctx ∧ e1ᵢ ≠ e2ᵢ` is unsatisfiable.
+    // Every position is lowered before the first check, so all checks
+    // see the same shared variable pool.
+    let nes: Vec<FormulaId> = (0..n)
+        .map(|i| {
+            let t1 = oracle.lower_scalar_env(&working[i], env);
+            let t2 = oracle.lower_scalar_env(&target[i], env);
+            oracle.cmp_f(t1, Rel::Ne, t2)
+        })
+        .collect();
+    oracle.equiv_batches += 1;
+    oracle.equiv_batch_candidates += n as u64;
+    for (i, &ne) in nes.iter().enumerate() {
+        if !oracle.unsat_f(ne, &[]).is_true() {
             remove.push(i);
             add.push(i);
         }

@@ -13,7 +13,7 @@
 //!   ([`metrics::Registry::render`]). Quantiles (p50/p99/p999) are
 //!   derivable from the cumulative buckets by any scraper.
 //! * [`mod@span`] — hierarchical wall-clock span timing
-//!   (`advise` → `stage:where` → `oracle:equiv_batch`) recorded through
+//!   (`advise` → `stage:where` → `solver:check`) recorded through
 //!   thread-local span stacks. Disabled by default: the per-span cost is
 //!   one relaxed atomic load. When enabled, completed spans accumulate
 //!   in a process-global buffer and drain as Chrome trace-event JSON

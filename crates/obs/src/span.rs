@@ -233,7 +233,7 @@ mod tests {
             {
                 let _b = span("stage:where");
                 assert_eq!(current_depth(), 2);
-                let _c = span("oracle:equiv_batch");
+                let _c = span("solver:check");
                 assert_eq!(current_depth(), 3);
             }
             assert_eq!(current_depth(), 1);
@@ -243,7 +243,7 @@ mod tests {
         let (events, _) = take_events();
         // Children drop before parents, so events arrive leaf-first.
         let names: Vec<&str> = events.iter().map(|e| e.name).collect();
-        assert_eq!(names, ["oracle:equiv_batch", "stage:where", "advise"]);
+        assert_eq!(names, ["solver:check", "stage:where", "advise"]);
         let depths: Vec<u32> = events.iter().map(|e| e.depth).collect();
         assert_eq!(depths, [2, 1, 0]);
         // All on one thread, and parents envelop children in time.

@@ -45,10 +45,9 @@
 //! * [`service`] — transport-agnostic route dispatch and the JSON wire
 //!   shapes; unit-testable without sockets.
 //! * [`server`] — event-driven acceptor (readiness-polled
-//!   multiplexing over the vendored `polling` shim, with a documented
-//!   blocking fallback), scoped request worker pool, bounded dispatch
-//!   queue with `429` + `Retry-After` overload shedding, graceful
-//!   drain.
+//!   multiplexing over the vendored `polling` shim), scoped request
+//!   worker pool, bounded dispatch queue with `429` + `Retry-After`
+//!   overload shedding, graceful drain.
 //! * [`client`] — the matching minimal blocking client, shared by the
 //!   integration tests, the throughput benchmark and the
 //!   `serve_classroom` example.
@@ -77,5 +76,5 @@ pub use metrics::ServerMetrics;
 pub use pool::{ClientPool, PoolStats};
 pub use registry::{EvictionReport, RegisteredTarget, RegistryConfig, TargetRegistry};
 pub use router::{Ring, Router, RouterConfig, RouterService};
-pub use server::{AcceptorMode, HttpHandler, Server, ServerConfig, ShellConfig};
+pub use server::{HttpHandler, Server, ServerConfig, ShellConfig};
 pub use service::{resolve_jobs, QrHintService, ServiceConfig};

@@ -64,8 +64,8 @@ pub const SESSION_GAUGES: &[(&str, &str)] = &[
     ("qrhint_session_theory_pushes", "Theory-stack literal pushes, summed over resident targets."),
     ("qrhint_session_theory_full_checks", "Full theory checks, summed over resident targets."),
     ("qrhint_session_quick_conflicts", "Branches cut by the quick-conflict detector, summed over resident targets."),
-    ("qrhint_session_equiv_batches", "Shared-prefix candidate batches, summed over resident targets."),
-    ("qrhint_session_equiv_batch_candidates", "Candidate checks routed through batches, summed over resident targets."),
+    ("qrhint_session_equiv_batches", "Candidate lists checked against one context, summed over resident targets."),
+    ("qrhint_session_equiv_batch_candidates", "Candidates in those lists, summed over resident targets."),
 ];
 
 /// Field-order projection of [`SessionStats`] matching

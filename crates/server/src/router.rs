@@ -46,7 +46,7 @@
 
 use crate::http::{Request, Response};
 use crate::pool::ClientPool;
-use crate::server::{AcceptorMode, HttpHandler, Server, ShellConfig};
+use crate::server::{HttpHandler, Server, ShellConfig};
 use crate::service::{error_response, route_template};
 use qrhint_obs::metrics::default_latency_buckets;
 use qrhint_obs::Registry as MetricsRegistry;
@@ -160,7 +160,6 @@ pub struct RouterConfig {
     pub workers: usize,
     /// Bounded dispatch queue; beyond it, `429` + `Retry-After`.
     pub max_pending: usize,
-    pub acceptor: AcceptorMode,
     pub read_timeout: Duration,
     pub max_body_bytes: usize,
 }
@@ -177,7 +176,6 @@ impl Default for RouterConfig {
             health_interval: Duration::from_millis(250),
             workers: 0,
             max_pending: shell.max_pending,
-            acceptor: shell.acceptor,
             read_timeout: shell.read_timeout,
             max_body_bytes: shell.max_body_bytes,
         }
@@ -772,7 +770,6 @@ impl Router {
             max_body_bytes: cfg.max_body_bytes,
             read_timeout: cfg.read_timeout,
             max_pending: cfg.max_pending,
-            acceptor: cfg.acceptor,
         };
         let server = Server::bind_with(shell, Arc::clone(&service))?;
         Ok(Router { server, service, children, health_interval: cfg.health_interval })

@@ -2,7 +2,7 @@
 //! multiplexing over the vendored [`polling`] shim), a scoped request
 //! worker pool, bounded-overload backpressure, and graceful drain.
 //!
-//! ## Life of a connection (event-driven mode, the default)
+//! ## Life of a connection
 //!
 //! One event-loop thread owns the listener and every **idle**
 //! connection, registered for readability with the poller. When a
@@ -11,8 +11,7 @@
 //! and serves requests until the client pauses (no pipelined bytes
 //! left buffered), then hands the connection back to the event loop,
 //! which re-arms it. Idle keep-alive connections therefore cost one fd
-//! and a poll registration, not a parked thread — the thread-per-
-//! connection ceiling this module replaces.
+//! and a poll registration, not a parked thread.
 //!
 //! ## Backpressure
 //!
@@ -25,25 +24,29 @@
 //! is visible to clients as 429s and to operators as the
 //! `qrhint_http_shed_total` counter.
 //!
-//! ## Portable fallback
+//! ## Accept errors
 //!
-//! Readiness polling needs `poll(2)` (see the `polling` shim). Where
-//! that is unavailable — or when an operator passes
-//! `--acceptor blocking` — the daemon falls back to the previous
-//! architecture: a blocking accept loop feeding the same bounded queue,
-//! with each worker pinned to one connection for its whole keep-alive
-//! lifetime. The backpressure contract (bounded queue, 429 +
-//! `Retry-After` shed) is identical in both modes; only idle-connection
-//! cost differs.
+//! An accept error other than `WouldBlock`, `Interrupted` or
+//! `ConnectionAborted` pauses accepting. Typically it is `EMFILE`: the
+//! process is out of file descriptors, for the accept itself or for the
+//! clone of the accepted stream. The error is logged at warn, and the
+//! listener stays un-armed until something else wakes the event loop
+//! (a returned connection, another event or the 500 ms wait timeout).
+//! Closing connections free their fds meanwhile, and the loop never
+//! spins on a backlog it cannot accept.
 //!
-//! `POST /shutdown` flips the service's draining flag; the event loop
-//! (or, in blocking mode, a loopback nudge to the acceptor) notices,
-//! stops accepting, lets workers finish queued connections, and
+//! `POST /shutdown` flips the service's draining flag; the worker that
+//! answered it wakes the event loop, which stops accepting, drops its
+//! idle connections, lets workers finish queued connections, and
 //! [`Server::run`] returns.
+//!
+//! Readiness polling needs `poll(2)`; where the `polling` shim has none,
+//! [`Server::run`] returns its `Unsupported` error.
 
 use crate::http::{self, HttpError, Request, Response};
 use crate::service::{QrHintService, ServiceConfig};
 use polling::{Event, Poller};
+use qrhint_obs::log::{self as obs_log, Level};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::io::{BufReader, Read};
@@ -70,30 +73,6 @@ pub trait HttpHandler: Send + Sync {
     fn observe_shed(&self);
 }
 
-/// How the daemon waits for work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcceptorMode {
-    /// Event-driven if the platform supports readiness polling,
-    /// blocking otherwise (the default).
-    Auto,
-    /// Readiness-polled multiplexing; fails to bind where unsupported.
-    Event,
-    /// The portable blocking accept loop (thread-per-connection).
-    Blocking,
-}
-
-impl AcceptorMode {
-    /// Parse a CLI argument value.
-    pub fn parse(s: &str) -> Option<AcceptorMode> {
-        match s {
-            "auto" => Some(AcceptorMode::Auto),
-            "event" => Some(AcceptorMode::Event),
-            "blocking" => Some(AcceptorMode::Blocking),
-            _ => None,
-        }
-    }
-}
-
 /// Everything `qr-hint serve` configures.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -110,7 +89,6 @@ pub struct ServerConfig {
     /// Bound on connections queued for a worker; a readable connection
     /// beyond it is shed with `429 Too Many Requests` + `Retry-After`.
     pub max_pending: usize,
-    pub acceptor: AcceptorMode,
 }
 
 impl Default for ServerConfig {
@@ -122,7 +100,6 @@ impl Default for ServerConfig {
             max_body_bytes: http::DEFAULT_MAX_BODY_BYTES,
             read_timeout: Duration::from_secs(30),
             max_pending: 1024,
-            acceptor: AcceptorMode::Auto,
         }
     }
 }
@@ -231,7 +208,6 @@ pub struct ShellConfig {
     pub max_body_bytes: usize,
     pub read_timeout: Duration,
     pub max_pending: usize,
-    pub acceptor: AcceptorMode,
 }
 
 impl Default for ShellConfig {
@@ -243,7 +219,6 @@ impl Default for ShellConfig {
             max_body_bytes: cfg.max_body_bytes,
             read_timeout: cfg.read_timeout,
             max_pending: cfg.max_pending,
-            acceptor: cfg.acceptor,
         }
     }
 }
@@ -259,7 +234,6 @@ pub struct Server<H = QrHintService> {
     max_body_bytes: usize,
     read_timeout: Duration,
     max_pending: usize,
-    acceptor: AcceptorMode,
 }
 
 impl Server<QrHintService> {
@@ -272,7 +246,6 @@ impl Server<QrHintService> {
             max_body_bytes: cfg.max_body_bytes,
             read_timeout: cfg.read_timeout,
             max_pending: cfg.max_pending,
-            acceptor: cfg.acceptor,
         };
         Server::bind_with(shell, Arc::new(QrHintService::new(cfg.service)))
     }
@@ -296,7 +269,6 @@ impl<H: HttpHandler> Server<H> {
             max_body_bytes: shell.max_body_bytes,
             read_timeout: shell.read_timeout,
             max_pending: shell.max_pending.max(1),
-            acceptor: shell.acceptor,
         })
     }
 
@@ -313,35 +285,14 @@ impl<H: HttpHandler> Server<H> {
     /// calling thread; run it on a spawned thread to keep a handle
     /// (the integration tests and the classroom example do).
     pub fn run(self) -> io::Result<()> {
-        match self.acceptor {
-            AcceptorMode::Blocking => self.run_blocking(),
-            AcceptorMode::Event => {
-                let poller = Poller::new()?;
-                self.run_event(poller)
-            }
-            AcceptorMode::Auto => match Poller::new() {
-                Ok(poller) => self.run_event(poller),
-                // No readiness syscall on this platform: the documented
-                // portable fallback.
-                Err(e) if e.kind() == io::ErrorKind::Unsupported => self.run_blocking(),
-                Err(e) => Err(e),
-            },
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Event-driven acceptor
-    // -----------------------------------------------------------------
-
-    fn run_event(self, poller: Poller) -> io::Result<()> {
         const LISTENER_KEY: usize = 0;
+        let poller = Arc::new(Poller::new()?);
         self.listener.set_nonblocking(true)?;
-        let poller = Arc::new(poller);
         let queue: BoundedQueue<(usize, Conn)> = BoundedQueue::new(self.max_pending);
         let returned: Mutex<Vec<Returned>> = Mutex::new(Vec::new());
         poller.add(&self.listener, Event::readable(LISTENER_KEY))?;
 
-        let result = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let server = &self;
             for _ in 0..server.workers {
                 let poller = Arc::clone(&poller);
@@ -361,15 +312,21 @@ impl<H: HttpHandler> Server<H> {
             let mut idle: HashMap<usize, Conn> = HashMap::new();
             let mut next_key: usize = 1;
             let mut events: Vec<Event> = Vec::new();
+            let mut listener_armed = true;
             let loop_result: io::Result<()> = loop {
                 if self.service.is_draining() {
                     break Ok(());
                 }
                 events.clear();
-                // The timeout is a liveness backstop (missed wake, exotic
-                // platform); all real transitions arrive as events.
+                // The timeout is a liveness backstop (missed wake) and
+                // bounds how long a paused listener stays un-armed; all
+                // real transitions arrive as events.
                 if let Err(e) = poller.wait(&mut events, Some(Duration::from_millis(500))) {
                     break Err(e);
+                }
+                if !listener_armed {
+                    listener_armed =
+                        poller.modify(&self.listener, Event::readable(LISTENER_KEY)).is_ok();
                 }
 
                 // Returned connections first: unregister closed fds
@@ -396,38 +353,10 @@ impl<H: HttpHandler> Server<H> {
 
                 for event in &events {
                     if event.key == LISTENER_KEY {
-                        loop {
-                            match self.listener.accept() {
-                                Ok((stream, _)) => {
-                                    let Ok(conn) = Conn::new(stream) else { continue };
-                                    if conn.set_nonblocking(true).is_err() {
-                                        continue;
-                                    }
-                                    let key = next_key;
-                                    next_key += 1;
-                                    if poller
-                                        .add(conn.fd_source(), Event::readable(key))
-                                        .is_ok()
-                                    {
-                                        idle.insert(key, conn);
-                                    }
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                                Err(e)
-                                    if matches!(
-                                        e.kind(),
-                                        io::ErrorKind::ConnectionAborted
-                                            | io::ErrorKind::Interrupted
-                                    ) =>
-                                {
-                                    continue
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        // Stay subscribed to new connections (one-shot
-                        // interests need explicit re-arming).
-                        let _ = poller.modify(&self.listener, Event::readable(LISTENER_KEY));
+                        // One-shot interests need explicit re-arming; a
+                        // paused listener waits for the next wake-up.
+                        listener_armed = self.accept_pending(&poller, &mut idle, &mut next_key)
+                            && poller.modify(&self.listener, Event::readable(LISTENER_KEY)).is_ok();
                         continue;
                     }
                     let Some(conn) = idle.remove(&event.key) else { continue };
@@ -448,8 +377,52 @@ impl<H: HttpHandler> Server<H> {
             queue.close();
             loop_result
             // Scope end joins the workers, which finish queued conns.
-        });
-        result
+        })
+    }
+
+    /// Accept every pending connection and register it as idle. Returns
+    /// `false` when accepting must pause: after an error such as
+    /// `EMFILE` the backlog stays readable, so re-arming the listener at
+    /// once would spin. A connection whose stream cannot be cloned
+    /// pauses too: it was accepted with the last free fd, and going on
+    /// would accept and drop the rest of the backlog one by one.
+    fn accept_pending(
+        &self,
+        poller: &Poller,
+        idle: &mut HashMap<usize, Conn>,
+        next_key: &mut usize,
+    ) -> bool {
+        loop {
+            let conn = match self.listener.accept().and_then(|(stream, _)| Conn::new(stream)) {
+                Ok(conn) => conn,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    continue
+                }
+                Err(e) => {
+                    obs_log::event(
+                        Level::Warn,
+                        "server",
+                        "accept failed; pausing accepts",
+                        &[("err", &e.to_string())],
+                    );
+                    return false;
+                }
+            };
+            if conn.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let key = *next_key;
+            *next_key += 1;
+            if poller.add(conn.fd_source(), Event::readable(key)).is_ok() {
+                idle.insert(key, conn);
+            }
+        }
     }
 
     /// Serve a dispatched (readable) connection: blocking reads from
@@ -506,86 +479,19 @@ impl<H: HttpHandler> Server<H> {
         }
     }
 
-    // -----------------------------------------------------------------
-    // Portable blocking fallback
-    // -----------------------------------------------------------------
-
-    fn run_blocking(self) -> io::Result<()> {
-        let queue: BoundedQueue<Conn> = BoundedQueue::new(self.max_pending);
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                scope.spawn(|| {
-                    while let Some(conn) = queue.pop() {
-                        self.serve_connection(conn);
-                    }
-                });
-            }
-            // Acceptor (this thread). `accept` blocks, so the drain
-            // path nudges it with a loopback connection.
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        if self.service.is_draining() {
-                            // Likely the nudge itself; either way no new
-                            // work is accepted while draining.
-                            drop(stream);
-                            break;
-                        }
-                        let Ok(conn) = Conn::new(stream) else { continue };
-                        if let Err(conn) = queue.try_push(conn) {
-                            self.shed(conn);
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        queue.close();
-                        return Err(e);
-                    }
-                }
-            }
-            queue.close();
-            Ok(())
-        })
-    }
-
-    /// Blocking mode: serve one connection, requests in series over
-    /// keep-alive, pinned to this worker until it closes.
-    fn serve_connection(&self, mut conn: Conn) {
-        let _ = conn.fd_source().set_read_timeout(Some(self.read_timeout));
-        loop {
-            match self.serve_one(&mut conn) {
-                ServeOutcome::Continue => {}
-                ServeOutcome::Close => return,
-            }
-        }
-    }
-
-    /// Read, dispatch and answer exactly one request. Shared by both
-    /// acceptor modes.
+    /// Read, dispatch and answer exactly one request.
     fn serve_one(&self, conn: &mut Conn) -> ServeOutcome {
         let request =
             http::read_request(&mut conn.reader, &mut conn.writer, self.max_body_bytes);
         match request {
             Ok(req) => {
-                let was_draining = self.service.is_draining();
                 let resp = self.service.handle(&req);
                 // Keep-alive survives unless the client opted out or
-                // the server is draining after this response.
-                let draining = self.service.is_draining();
-                let keep = req.keep_alive && !draining;
+                // the server is draining after this response. (A drain
+                // needs no wake-up here: the worker notifies the event
+                // loop when it returns the connection.)
+                let keep = req.keep_alive && !self.service.is_draining();
                 let wrote = http::write_response(&mut conn.writer, &resp, keep);
-                if draining && !was_draining {
-                    // This request initiated the drain: wake the
-                    // (possibly blocking) acceptor so `run` can return.
-                    // Must happen even if the response write failed (a
-                    // client may fire /shutdown and hang up without
-                    // reading) — otherwise a blocking acceptor waits
-                    // forever on a drained server. In event mode the
-                    // worker's return-notify wakes the loop; this nudge
-                    // is a harmless extra event.
-                    let _ = TcpStream::connect(self.addr);
-                }
                 if wrote.is_err() || !keep {
                     ServeOutcome::Close
                 } else {
@@ -632,13 +538,5 @@ mod tests {
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
         assert_eq!(q.pop(), None, "closed and drained");
-    }
-
-    #[test]
-    fn acceptor_mode_parses() {
-        assert_eq!(AcceptorMode::parse("auto"), Some(AcceptorMode::Auto));
-        assert_eq!(AcceptorMode::parse("event"), Some(AcceptorMode::Event));
-        assert_eq!(AcceptorMode::parse("blocking"), Some(AcceptorMode::Blocking));
-        assert_eq!(AcceptorMode::parse("epoll"), None);
     }
 }

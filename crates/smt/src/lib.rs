@@ -39,7 +39,7 @@ pub mod theory;
 pub use formula::{Atom, Formula, Rel};
 pub use intern::{FormulaId, Interner, TermId};
 pub use model::{Model, Value};
-pub use solver::{AssumptionPrefix, CheckOutcome, RowsOutcome, SolveStats, Solver};
+pub use solver::{CheckOutcome, RowsOutcome, SolveStats, Solver};
 pub use theory::TheoryState;
 pub use term::{LinExpr, Sort, Term, VarId, VarPool};
 

@@ -17,11 +17,16 @@
 //!
 //! The solver consumes the *tree* representation; callers that work in
 //! interned ids ([`crate::intern`]) extract trees only for the checks
-//! their verdict caches miss. [`Solver::check_rows`] decides a whole
-//! truth table of literal combinations (MinFix's rows) on one theory
-//! stack: it pushes the context's units once and walks the rows
-//! depth-first, so rows sharing a prefix share its pushes, and each leaf
-//! runs the same skeleton search a from-scratch check of that row runs.
+//! their verdict caches miss. It has two entry points, which share the
+//! root-unit loop and the skeleton search:
+//!
+//! * [`Solver::check_parts`] decides one conjunction from scratch (the
+//!   `check*`, `is_*`, `implies`, `equiv` helpers all reduce to it);
+//! * [`Solver::check_rows`] decides a whole truth table of literal
+//!   combinations (MinFix's rows) on one theory stack: it pushes the
+//!   context's units once and walks the rows depth-first, so rows sharing
+//!   a prefix share its pushes, and each leaf runs the same skeleton
+//!   search a from-scratch check of that row runs.
 
 use crate::conj::Lit;
 use crate::formula::{Atom, Formula};
@@ -67,15 +72,6 @@ pub struct SolveStats {
     pub leaves: u64,
 }
 
-impl SolveStats {
-    pub fn add(&mut self, other: &SolveStats) {
-        self.theory_lits_translated += other.theory_lits_translated;
-        self.theory_full_checks += other.theory_full_checks;
-        self.quick_conflicts += other.quick_conflicts;
-        self.leaves += other.leaves;
-    }
-}
-
 /// Outcome of a `check` call: verdict plus a validated model on `Sat`.
 #[derive(Debug, Clone)]
 pub struct CheckOutcome {
@@ -98,20 +94,6 @@ pub struct RowsOutcome {
     pub verdicts: Vec<Option<SatResult>>,
     /// Theory work of the whole walk.
     pub stats: SolveStats,
-}
-
-/// A context digested once by [`Solver::prepare_prefix`] and shared by a
-/// batch of [`Solver::check_assuming`] calls: the parts themselves (for
-/// defensive model validation), their canonical atoms, and their
-/// abstracted skeletons. Per-candidate work is then limited to the one
-/// formula pushed on top of the prefix.
-#[derive(Debug, Clone)]
-pub struct AssumptionPrefix {
-    parts: Vec<Formula>,
-    atoms: Vec<Atom>,
-    /// Empty when the context is `False` or already over the atom budget.
-    iforms: Vec<IForm>,
-    has_false: bool,
 }
 
 /// Formula abstracted over canonical atom indices: the hot structure the
@@ -212,10 +194,10 @@ struct Stack<'p> {
 }
 
 impl<'p> Stack<'p> {
-    fn new(atoms: Vec<Atom>, pool: &'p mut VarPool) -> Self {
+    fn new(pool: &'p mut VarPool) -> Self {
         Stack {
-            assign: vec![None; atoms.len()],
-            atoms,
+            assign: Vec::new(),
+            atoms: Vec::new(),
             units: Vec::new(),
             theory: TheoryState::new(),
             pool,
@@ -438,38 +420,25 @@ impl Solver {
     /// `check(&Formula::and(parts))` — any `False` part short-circuits to
     /// `Unsat`, atoms are collected across parts in order — but without
     /// cloning the parts into a single tree.
+    ///
+    /// Assigns the root units of `parts`, then (within the atom budget)
+    /// searches their Boolean skeleton. Drops the throwaway linearization
+    /// variables the root units allocated (the branch search unwinds its
+    /// own), so a check leaves `pool` as it found it.
     pub fn check_parts(&self, parts: &[&Formula], pool: &mut VarPool) -> CheckOutcome {
         if parts.iter().any(|p| matches!(p, Formula::False)) {
             return CheckOutcome::without_model(SatResult::Unsat, SolveStats::default());
         }
-        let mut atoms = Vec::new();
-        for p in parts {
-            p.collect_atoms(&mut atoms);
-        }
-        let skeleton = |atoms: &[Atom]| parts.iter().map(|p| abstract_formula(p, atoms)).collect();
-        self.run(parts, atoms, skeleton, pool)
-    }
-
-    /// Assign the root units of `parts`, then (within the atom budget)
-    /// search the Boolean skeleton that `skeleton` builds over `atoms`.
-    /// Drops the throwaway linearization variables the root units
-    /// allocated (the branch search unwinds its own), so a check leaves
-    /// `pool` as it found it.
-    fn run(
-        &self,
-        parts: &[&Formula],
-        atoms: Vec<Atom>,
-        skeleton: impl FnOnce(&[Atom]) -> Vec<IForm>,
-        pool: &mut VarPool,
-    ) -> CheckOutcome {
         let pool_len = pool.len();
-        let mut stack = Stack::new(atoms, pool);
+        let mut stack = Stack::new(pool);
+        parts.iter().for_each(|p| stack.add_atoms(p));
         let (result, model) = if !stack.assign_units(parts) {
             (SatResult::Unsat, None)
         } else if stack.atoms.len() > self.max_atoms {
             (SatResult::Unknown, None)
         } else {
-            let skeleton = skeleton(&stack.atoms);
+            let skeleton: Vec<IForm> =
+                parts.iter().map(|p| abstract_formula(p, &stack.atoms)).collect();
             self.search(&mut stack, parts, &skeleton)
         };
         let stats = stack.stats;
@@ -522,7 +491,7 @@ impl Solver {
             lits,
             parts: ctx.to_vec(),
             skeleton: Vec::new(),
-            stack: Stack::new(Vec::new(), pool),
+            stack: Stack::new(pool),
             verdicts: vec![None; needed.len()],
         };
         if ctx.iter().any(|p| matches!(p, Formula::False)) {
@@ -554,52 +523,6 @@ impl Solver {
         let mut parts: Vec<&Formula> = ctx.iter().collect();
         parts.push(formula);
         self.check_parts(&parts, pool)
-    }
-
-    /// Digest a context once so a batch of [`Solver::check_assuming`]
-    /// calls shares its atom collection and skeleton abstraction instead
-    /// of redoing both per candidate.
-    pub fn prepare_prefix(&self, ctx: Vec<Formula>) -> AssumptionPrefix {
-        let has_false = ctx.iter().any(|p| matches!(p, Formula::False));
-        let mut atoms = Vec::new();
-        if !has_false {
-            for p in &ctx {
-                p.collect_atoms(&mut atoms);
-            }
-        }
-        let iforms = if has_false || atoms.len() > self.max_atoms {
-            Vec::new()
-        } else {
-            ctx.iter().map(|p| abstract_formula(p, &atoms)).collect()
-        };
-        AssumptionPrefix { parts: ctx, atoms, iforms, has_false }
-    }
-
-    /// `check_with_ctx` against a prepared prefix. Returns exactly what
-    /// `check_with_ctx(formula, ctx, pool)` would: the context atoms are
-    /// a stable prefix of the combined atom list, so the prepared
-    /// skeletons' atom indices stay valid in the extended search.
-    pub fn check_assuming(
-        &self,
-        prefix: &AssumptionPrefix,
-        formula: &Formula,
-        pool: &mut VarPool,
-    ) -> CheckOutcome {
-        if prefix.has_false || matches!(formula, Formula::False) {
-            return CheckOutcome::without_model(SatResult::Unsat, SolveStats::default());
-        }
-        let mut atoms = prefix.atoms.clone();
-        formula.collect_atoms(&mut atoms);
-        let mut parts: Vec<&Formula> = prefix.parts.iter().collect();
-        parts.push(formula);
-        // Over the budget `run` stops after the root units, before it
-        // would need the (then empty) prepared skeletons.
-        let skeleton = |atoms: &[Atom]| {
-            let mut iforms = prefix.iforms.clone();
-            iforms.push(abstract_formula(formula, atoms));
-            iforms
-        };
-        self.run(&parts, atoms, skeleton, pool)
     }
 
     /// `IsSatisfiable` with tri-valued result.

@@ -7,12 +7,11 @@
 //! qr-hint grade --schema schema.sql --target solution.sql --submissions dir/
 //!         [--jobs N|auto] [--extended] [--rewrite-subqueries] [--json]
 //! qr-hint serve [--addr HOST:PORT] [--jobs N|auto] [--max-targets N]
-//!         [--max-cache-mb MB] [--max-pending N] [--acceptor auto|event|blocking]
-//!         [--log-format text|json] [--log-level LEVEL]
+//!         [--max-cache-mb MB] [--max-pending N] [--log-format text|json]
+//!         [--log-level LEVEL]
 //! qr-hint route [--addr HOST:PORT] (--spawn N | --backend HOST:PORT ...)
 //!         [--replicas N] [--health-interval-ms MS] [--max-pending N]
-//!         [--acceptor auto|event|blocking] [--log-format text|json]
-//!         [--log-level LEVEL]
+//!         [--log-format text|json] [--log-level LEVEL]
 //! qr-hint fuzz --schema NAME [--count N] [--seed N] [--jobs N|auto]
 //!         [--instances N] [--json]
 //! qr-hint lint --schema schema.sql file.sql... [--extended]
@@ -66,10 +65,9 @@
 //! backend dies or rejoins. The first stdout line is
 //! `qr-hint routing on http://ADDR (N backends)`. `POST /shutdown`
 //! drains the router and its *spawned* children; joined backends stay
-//! up. Both serve and route take `--max-pending` (the bounded dispatch
+//! up. Both serve and route take `--max-pending`, the bounded dispatch
 //! queue behind the `429 Too Many Requests` + `Retry-After` overload
-//! contract) and `--acceptor` (readiness-polled `event`, portable
-//! `blocking`, or `auto`).
+//! contract.
 //!
 //! **advise `--trace-out trace.json`** records hierarchical span
 //! timings (session → stage → oracle → solver) during the advise and
@@ -153,8 +151,6 @@ struct Args {
     max_cache_mb: usize,
     /// serve/route: bounded dispatch queue; beyond it requests shed 429.
     max_pending: usize,
-    /// serve/route: acceptor architecture.
-    acceptor: qr_hint::server::AcceptorMode,
     /// route mode: backend `serve` children to spawn.
     spawn: usize,
     /// route mode: already-running backends to join (repeatable).
@@ -195,13 +191,12 @@ const USAGE: &str = "usage: qr-hint [advise] --schema <schema.sql> --target <sol
                      [--rewrite-subqueries] [--json]\n\
                      \x20      qr-hint serve [--addr <host:port>] [--jobs <N|auto>] \
                      [--max-targets <N>] [--max-cache-mb <MB, 0=unlimited>] \
-                     [--max-pending <N>] [--acceptor <auto|event|blocking>] \
-                     [--log-format <text|json>] [--log-level <error|warn|info|debug|trace>]\n\
+                     [--max-pending <N>] [--log-format <text|json>] \
+                     [--log-level <error|warn|info|debug|trace>]\n\
                      \x20      qr-hint route [--addr <host:port>] (--spawn <N> | \
                      --backend <host:port> ...) [--replicas <N>] \
                      [--health-interval-ms <MS>] [--max-pending <N>] \
-                     [--acceptor <auto|event|blocking>] [--log-format <text|json>] \
-                     [--log-level <error|warn|info|debug|trace>]\n\
+                     [--log-format <text|json>] [--log-level <error|warn|info|debug|trace>]\n\
                      \x20      qr-hint fuzz --schema <beers|beers-course|brass|dblp|students|tpch> \
                      [--count <N>] [--seed <N>] [--jobs <N|auto>] [--instances <N>] \
                      [--emit-corpus <dir>] [--json]\n\
@@ -219,7 +214,6 @@ fn parse_args() -> Result<Args, String> {
     let mut max_targets = 64usize;
     let mut max_cache_mb = 256usize;
     let mut max_pending = 1024usize;
-    let mut acceptor = qr_hint::server::AcceptorMode::Auto;
     let mut spawn = 0usize;
     let mut backends: Vec<String> = Vec::new();
     let mut replicas = 64usize;
@@ -307,11 +301,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok()
                     .filter(|n| *n >= 1)
                     .ok_or_else(|| format!("--max-pending needs a positive integer, got `{n}`"))?;
-            }
-            "--acceptor" => {
-                let v = it.next().ok_or("--acceptor needs auto|event|blocking")?;
-                acceptor = qr_hint::server::AcceptorMode::parse(&v)
-                    .ok_or_else(|| format!("--acceptor needs auto|event|blocking, got `{v}`"))?;
             }
             "--spawn" => {
                 let n = it.next().ok_or("--spawn needs a backend count")?;
@@ -522,7 +511,6 @@ fn parse_args() -> Result<Args, String> {
         max_targets,
         max_cache_mb,
         max_pending,
-        acceptor,
         spawn,
         backends,
         replicas,
@@ -1044,7 +1032,6 @@ fn run_serve(args: &Args) -> Result<(), CliError> {
             },
         },
         max_pending: args.max_pending,
-        acceptor: args.acceptor,
         ..ServerConfig::default()
     };
     let server = Server::bind(cfg)
@@ -1082,7 +1069,6 @@ fn run_route(args: &Args) -> Result<(), CliError> {
         health_interval: std::time::Duration::from_millis(args.health_interval_ms),
         workers: args.jobs,
         max_pending: args.max_pending,
-        acceptor: args.acceptor,
         ..RouterConfig::default()
     };
     let router = Router::start(cfg)

@@ -106,10 +106,10 @@ fn beers_advice_matches_golden() {
 
 #[test]
 fn tpch_advice_matches_golden() {
-    assert_golden("tpch", 3);
+    assert_golden("tpch", 60);
 }
 
 #[test]
 fn dblp_advice_matches_golden() {
-    assert_golden("dblp", 10);
+    assert_golden("dblp", 30);
 }

@@ -130,7 +130,8 @@ proptest! {
         }
         let mut oracle = Oracle::for_preds(&[&p, &p_star]);
         let (lo, hi) = create_bounds(&p, &chosen);
-        if bounds_admit(&mut oracle, &lo, &hi, &p_star, &[]).is_true() {
+        let target = oracle.lower_pred(&p_star);
+        if bounds_admit(&mut oracle, &lo, &hi, target, &[]).is_true() {
             let fixes = derive_fixes(&mut oracle, &[], &p, &chosen, &p_star, &p_star);
             let mut ordered = Vec::new();
             for s in &chosen {

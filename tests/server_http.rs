@@ -10,7 +10,7 @@ use qr_hint::server::{Client, RegistryConfig, Server, ServerConfig, ServiceConfi
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SCHEMA: &str = "CREATE TABLE Serves (\
     bar VARCHAR(20), beer VARCHAR(20), price INT, PRIMARY KEY (bar, beer));";
@@ -31,6 +31,31 @@ const SUBMISSIONS: &[&str] = &[
 /// One-shot request on a fresh connection.
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     qr_hint::server::client::request_once(addr, method, path, body).expect("request")
+}
+
+/// One bodiless request on a fresh connection, giving up after
+/// `within`: the status, or `None` if the server did not answer in time.
+fn status_within(addr: SocketAddr, method: &str, path: &str, within: Duration) -> Option<u16> {
+    let mut stream = TcpStream::connect_timeout(&addr, within).ok()?;
+    stream.set_read_timeout(Some(within)).ok()?;
+    let wire = format!("{method} {path} HTTP/1.1\r\nHost: qrhint\r\nContent-Length: 0\r\n\r\n");
+    stream.write_all(wire.as_bytes()).ok()?;
+    let mut status_line = String::new();
+    BufReader::new(stream).read_line(&mut status_line).ok()?;
+    status_line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// The address a `qr-hint serve` child announces on its first stdout
+/// line.
+fn announced_addr(stdout: &mut impl BufRead) -> SocketAddr {
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("read announce line");
+    first
+        .trim()
+        .strip_prefix("qr-hint serving on http://")
+        .unwrap_or_else(|| panic!("bad announce line: {first:?}"))
+        .parse()
+        .expect("parse announced address")
 }
 
 fn json_get<'v>(v: &'v Value, key: &str) -> &'v Value {
@@ -490,16 +515,9 @@ fn serve_binary_smoke_round_trip() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn qr-hint serve");
-    let stdout = child.stdout.take().unwrap();
-    let mut lines = BufReader::new(stdout);
-    let mut first = String::new();
-    lines.read_line(&mut first).expect("read announce line");
-    let addr: SocketAddr = first
-        .trim()
-        .strip_prefix("qr-hint serving on http://")
-        .unwrap_or_else(|| panic!("bad announce line: {first:?}"))
-        .parse()
-        .expect("parse announced address");
+    // Kept open until the child exits: its drain message goes here.
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let addr = announced_addr(&mut stdout);
 
     let (status, body) = request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200, "{body}");
@@ -522,5 +540,97 @@ fn serve_binary_smoke_round_trip() {
     assert_eq!(status, 200);
 
     let exit = child.wait().expect("wait for serve to drain");
+    assert!(exit.success(), "serve must exit 0 after a graceful drain, got {exit:?}");
+}
+
+#[test]
+fn idle_keep_alive_connections_neither_pin_workers_nor_hold_up_drain() {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        read_timeout: Duration::from_secs(30),
+        ..ServerConfig::default()
+    })
+    .expect("bind test server");
+    let addr = server.addr();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let result = server.run();
+        let _ = done_tx.send(());
+        result
+    });
+
+    // Twice as many idle keep-alive connections as workers.
+    let idle: Vec<Client> = (0..4)
+        .map(|_| {
+            let mut client = Client::connect(addr).expect("connect");
+            let (status, body) = client.request("GET", "/healthz", "").expect("healthz");
+            assert_eq!(status, 200, "{body}");
+            client
+        })
+        .collect();
+    let within = Duration::from_secs(2);
+    assert_eq!(status_within(addr, "GET", "/healthz", within), Some(200), "workers are pinned");
+    assert_eq!(status_within(addr, "POST", "/shutdown", within), Some(200));
+    done_rx.recv_timeout(within).expect("run() must return while idle connections stay open");
+    handle.join().expect("server thread panicked").expect("server run() errored");
+    drop(idle);
+}
+
+#[cfg(unix)]
+#[test]
+fn serve_resumes_accepting_after_file_descriptor_exhaustion() {
+    use std::process::{Command, Stdio};
+
+    // 32 fds hold the daemon's own handful plus about a dozen
+    // connections (each takes two), so 40 clients run `accept` into
+    // EMFILE.
+    let mut child = Command::new("sh")
+        .args(["-c", "ulimit -n 32 && exec \"$0\" serve --addr 127.0.0.1:0 --jobs 1"])
+        .arg(env!("CARGO_BIN_EXE_qr-hint"))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn qr-hint serve");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let addr = announced_addr(&mut stdout);
+    fn fail(child: &mut std::process::Child, what: &str) -> ! {
+        let _ = child.kill();
+        let _ = child.wait();
+        panic!("{what}");
+    }
+    if status_within(addr, "GET", "/healthz", Duration::from_secs(5)) != Some(200) {
+        fail(&mut child, "no /healthz before the clients connect");
+    }
+
+    let clients: Vec<TcpStream> =
+        (0..40).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+    std::thread::sleep(Duration::from_millis(200));
+    drop(clients);
+
+    // The closed connections free their fds; accepting must resume.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut healthy = false;
+    while !healthy && Instant::now() < deadline {
+        let left = deadline.saturating_duration_since(Instant::now());
+        healthy = status_within(addr, "GET", "/healthz", left) == Some(200);
+        if !healthy {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+    if !healthy {
+        fail(&mut child, "/healthz unanswered 5 s after the clients closed");
+    }
+    if status_within(addr, "POST", "/shutdown", Duration::from_secs(5)) != Some(200) {
+        fail(&mut child, "/shutdown unanswered");
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let exit = loop {
+        match child.try_wait().expect("poll serve") {
+            Some(exit) => break exit,
+            None if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            None => fail(&mut child, "serve did not exit after /shutdown"),
+        }
+    };
     assert!(exit.success(), "serve must exit 0 after a graceful drain, got {exit:?}");
 }
