@@ -30,9 +30,9 @@
 //! `BENCH_fuzz.json` (run from the repo root:
 //! `cargo run --release --bin exp_fuzz`).
 
-use crate::parallel_grading::fingerprint;
 use qr_hint::prelude::*;
 use qrhint_core::SessionStats;
+use qrhint_workloads::batches::fingerprint;
 use qrhint_workloads::mutate::Fuzzer;
 use serde::Serialize;
 use std::collections::BTreeMap;

@@ -14,14 +14,13 @@
 //! | `exp_fig4` | Figure 4a/4b — cost-over-time traces |
 //! | `exp_user_study` | Figures 5–6 — simulated-participant replay |
 //! | `exp_dblp_hints` | App. Tables 2–3 — study hints regeneration |
-//! | `exp_session_api` | Session API: cold vs prepared-target grading (`BENCH_session_api.json`) |
-//! | `exp_parallel_grading` | Worker-pool batch grading: sequential vs 2/4/8 threads (`BENCH_parallel_grading.json`) |
-//! | `exp_server_throughput` | `qr-hint serve` daemon: req/s + p50/p99, cold vs hot target, 1/4/8 clients (`BENCH_server_throughput.json`) |
-//! | `exp_oracle_cache` | Interned oracle: cold vs hot advise, shared-verdict hit rates at 1/4/8 threads (`BENCH_oracle_cache.json`) |
 //! | `exp_fuzz` | Mutation-fuzz grading: pairs/sec at 1/4/8 threads + verdict-cache eviction cliff (`BENCH_fuzz.json`) |
 //! | `exp_analyze` | Static analyzer: corpus throughput (`BENCH_analyze.json`) |
-//! | `exp_obs` | Telemetry overhead: batch grading with span tracing off vs on, ≤5% wall-clock + advice parity (`BENCH_obs.json`) |
 //! | `exp_soak` | Scale-out serving soak: router + 2 backends, mixed load, overload shedding, fuzz-corpus ingest, failover recovery (`BENCH_soak.json`) |
+//!
+//! The repository's end-to-end benchmark is `perfbench/`, declared by
+//! `BENCHMARK.json`; the last three binaries measure what it does not
+//! run.
 
 #![forbid(unsafe_code)]
 
@@ -30,12 +29,7 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod fuzz;
-pub mod obs;
-pub mod oracle_cache;
-pub mod parallel_grading;
 pub mod report;
-pub mod server_throughput;
-pub mod session_api;
 pub mod soak;
 pub mod students_exp;
 pub mod userstudy;

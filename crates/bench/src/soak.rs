@@ -154,7 +154,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Cheap structural extraction of a string field from a flat JSON
-/// object — the same trick the throughput bench uses for `"id"`.
+/// object.
 fn json_str_field(body: &str, key: &str) -> Option<String> {
     body.split(&format!("\"{key}\":\""))
         .nth(1)

@@ -2,10 +2,10 @@
 //! keep-alive connection, serial request/response.
 //!
 //! This is the client half of the [`crate::http`] subset, shared by the
-//! integration tests, the throughput benchmark and the
-//! `serve_classroom` example so they exercise the daemon the way a real
-//! grader script would — over actual sockets — without three copies of
-//! response framing. It is deliberately tiny; anything beyond
+//! integration tests, the soak benchmark and the `serve_classroom`
+//! example so they exercise the daemon the way a real grader script
+//! would — over actual sockets — without three copies of response
+//! framing. It is deliberately tiny; anything beyond
 //! JSON-over-`Content-Length` (redirects, TLS, chunked bodies) is out
 //! of scope.
 

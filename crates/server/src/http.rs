@@ -162,12 +162,22 @@ pub fn read_request(
             "chunked transfer encoding is not supported; send Content-Length".into(),
         ));
     }
-    let content_length = match find("content-length") {
-        None => 0,
-        Some(v) => v.trim().parse::<usize>().map_err(|_| {
-            HttpError::Malformed(format!("bad Content-Length `{v}`"))
-        })?,
-    };
+    // RFC 9112 §6.3: each value must be 1*DIGIT (`usize::from_str` alone
+    // takes a leading `+`), and repeated lines must agree — framing by
+    // the first of two lengths would leave the rest of the body in the
+    // stream as the start of the next keep-alive request.
+    let mut content_length = None;
+    for (_, v) in headers.iter().filter(|(n, _)| n == "content-length") {
+        let n = match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(HttpError::Malformed(format!("bad Content-Length `{v}`"))),
+        };
+        if content_length.is_some_and(|m| m != n) {
+            return Err(HttpError::Malformed("conflicting Content-Length values".into()));
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body_bytes {
         return Err(HttpError::TooLarge(format!(
             "request body of {content_length} bytes exceeds the {max_body_bytes}-byte limit"
@@ -332,6 +342,28 @@ mod tests {
             parse("POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
             Err(HttpError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn conflicting_or_signed_content_length_is_malformed() {
+        // Taking the first of two lengths would read `he` as the body
+        // and leave `llo` as the start of the next keep-alive request.
+        assert!(matches!(
+            parse("POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello"),
+            Err(HttpError::Malformed(_))
+        ));
+        for bad in ["+2", "-2", "2 2", ""] {
+            assert!(
+                matches!(
+                    parse(&format!("POST /x HTTP/1.1\r\nContent-Length: {bad}\r\n\r\nhi")),
+                    Err(HttpError::Malformed(_))
+                ),
+                "Content-Length `{bad}` must be rejected"
+            );
+        }
+        let req =
+            parse("POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi").unwrap();
+        assert_eq!(req.body, b"hi", "identical repeats carry one length");
     }
 
     #[test]

@@ -49,8 +49,8 @@
 //!   worker pool, bounded dispatch queue with `429` + `Retry-After`
 //!   overload shedding, graceful drain.
 //! * [`client`] — the matching minimal blocking client, shared by the
-//!   integration tests, the throughput benchmark and the
-//!   `serve_classroom` example.
+//!   integration tests, the soak benchmark and the `serve_classroom`
+//!   example.
 //! * [`pool`] — [`pool::ClientPool`]: keep-alive connection reuse per
 //!   backend address, with checkout/hit/miss statistics.
 //! * [`router`] — the `qr-hint route` scale-out layer: consistent-hash

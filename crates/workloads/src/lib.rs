@@ -22,10 +22,14 @@
 //!   GROUP BY / HAVING / FROM mutations beyond WHERE atoms);
 //! * [`differential`] — the execution-validated differential oracle
 //!   that grades fuzzed pairs, applies repairs and compares repaired
-//!   vs. target under bag semantics on generated databases.
+//!   vs. target under bag semantics on generated databases;
+//! * [`batches`] — one-target classroom grading batches over the
+//!   students and beers corpora, and the advice fingerprint that
+//!   compares two gradings of a batch.
 
 #![forbid(unsafe_code)]
 
+pub mod batches;
 pub mod beers;
 pub mod brass;
 pub mod dblp;

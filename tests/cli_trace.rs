@@ -3,8 +3,11 @@
 //! the expected span hierarchy (advise > stage > oracle/solver), and
 //! the flag is rejected outside advise mode. Stdout must be identical
 //! with and without tracing — profiles ride stderr and the trace file,
-//! never the deterministic output.
+//! never the deterministic output. In-process, batch grading with span
+//! recording on must give the same advice as with it off.
 
+use qr_hint::prelude::*;
+use qrhint_workloads::batches::{beers_batch, fingerprint};
 use serde::Value;
 use std::process::Command;
 
@@ -108,4 +111,33 @@ fn trace_out_is_rejected_outside_advise_mode() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("--trace-out only applies to advise mode"), "{stderr}");
     assert!(!fx.dir.join("trace.json").exists(), "rejected flag must not write a trace");
+}
+
+// The only test in this binary that flips the process-global tracing
+// switch; the others trace inside child processes, so nothing else here
+// can record into (or drain) the shared span sink meanwhile.
+#[test]
+fn span_tracing_records_spans_without_changing_batch_advice() {
+    let (schema, target, subs) = beers_batch(4);
+    let qr = QrHint::new(schema);
+    // A fresh target per pass, so the traced pass cannot be answered
+    // from the first pass's advice cache.
+    let grade = || {
+        let prepared = qr.compile_target(&target).expect("target compiles");
+        fingerprint(&prepared.grade_batch(&subs))
+    };
+
+    let plain = grade();
+    let (events, _) = qrhint_obs::span::take_events();
+    assert_eq!(events.len(), 0, "tracing is off by default");
+
+    qrhint_obs::span::enable_tracing();
+    let traced = grade();
+    qrhint_obs::span::disable_tracing();
+    let (events, dropped) = qrhint_obs::span::take_events();
+
+    assert_eq!(traced, plain, "span tracing must not change the advice");
+    assert!(!events.is_empty(), "tracing on must record spans");
+    assert_eq!(dropped, 0, "a lossy profile would undercount");
+    assert!(!qrhint_obs::span::tracing_enabled());
 }

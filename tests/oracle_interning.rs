@@ -20,11 +20,10 @@
 
 use proptest::prelude::*;
 use qr_hint::prelude::*;
-use qrhint_bench::parallel_grading::fingerprint;
-use qrhint_bench::session_api;
 use qrhint_core::{AdviceReport, Oracle};
 use qrhint_smt::{Formula, Rel, Solver, Sort, Term, TriBool, VarPool};
 use qrhint_sqlast::{ArithOp, CmpOp, ColRef, Pred, Scalar};
+use qrhint_workloads::batches::{self, fingerprint};
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------
@@ -242,14 +241,14 @@ fn assert_corpus_parity(schema: &Schema, target: &str, subs: &[String], label: &
 
 #[test]
 fn students_corpus_reports_are_byte_identical() {
-    let (schema, target, subs) = session_api::students_batch(24);
+    let (schema, target, subs) = batches::students_batch(24);
     assert!(subs.len() >= 8);
     assert_corpus_parity(&schema, &target, &subs, "students-b");
 }
 
 #[test]
 fn beers_corpus_reports_are_byte_identical() {
-    let (schema, target, subs) = session_api::beers_batch(24);
+    let (schema, target, subs) = batches::beers_batch(24);
     assert!(subs.len() >= 8);
     assert_corpus_parity(&schema, &target, &subs, "beers-inject-c");
 }
@@ -265,7 +264,7 @@ fn eight_thread_hammer_shares_verdicts_across_threads() {
     // must hit verdicts the other inserted. Slot growth needs claim
     // contention, which is scheduling-dependent — hence a bounded retry
     // on a fresh target (each round is a full valid parity workload).
-    let (schema, target, subs) = session_api::beers_batch(32);
+    let (schema, target, subs) = batches::beers_batch(32);
     let qr = QrHint::new(schema);
     let sequential = {
         let prepared = qr.compile_target(&target).unwrap();
@@ -295,8 +294,8 @@ fn eight_thread_hammer_shares_verdicts_across_threads() {
     // Cross-thread hits require a FROM group to grow a second slot,
     // which requires claim contention the scheduler may never produce
     // on a <4-core host (an advise that runs to completion unpreempted
-    // keeps the pool at one slot). Mirror exp_oracle_cache's waiver
-    // policy: enforce on real hardware, record-and-waive on small hosts.
+    // keeps the pool at one slot). Enforce on real hardware,
+    // record-and-waive on small hosts.
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     if cores >= 4 {
         assert!(
@@ -318,7 +317,7 @@ fn shed_then_advise_resyncs_scratch_and_regrades_identically() {
     // rebuilt on their next claim, which must also reset the
     // scratch-pool sync mark (a stale mark larger than the fresh pool
     // would misalign every variable index).
-    let (schema, target, subs) = session_api::beers_batch(8);
+    let (schema, target, subs) = batches::beers_batch(8);
     let qr = QrHint::new(schema);
     let prepared = qr.compile_target(&target).unwrap();
     let before = fingerprint(&prepared.grade_batch(&subs));
@@ -345,7 +344,7 @@ fn shed_then_advise_resyncs_scratch_and_regrades_identically() {
 fn shared_cache_under_tiny_budget_still_grades_identically() {
     // A byte budget small enough to force evictions mid-batch: the
     // cache degrades to misses, never to wrong answers.
-    let (schema, target, subs) = session_api::beers_batch(12);
+    let (schema, target, subs) = batches::beers_batch(12);
     let qr = QrHint::new(schema.clone());
     let baseline = {
         let prepared = qr.compile_target(&target).unwrap();

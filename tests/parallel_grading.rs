@@ -9,11 +9,7 @@
 //! tame to surface real interleavings.
 
 use qr_hint::prelude::*;
-// The parity fingerprint and batch builders come from the bench crate
-// (dev-only back-edge) so test and benchmark parity definitions cannot
-// drift apart.
-use qrhint_bench::parallel_grading::fingerprint;
-use qrhint_bench::session_api;
+use qrhint_workloads::batches::{self, fingerprint};
 use qrhint_workloads::{beers, students};
 use std::collections::BTreeMap;
 
@@ -35,11 +31,10 @@ fn students_batches() -> (Schema, Vec<(String, Vec<String>)>) {
 }
 
 /// Beers batch: fault-injected WHERE variants of course question (c)
-/// (the bench crate's builder) — 24 distinct submissions sharing one
-/// FROM binding, so every worker contends on the same memo group (the
-/// slot pool's worst case).
+/// — 24 distinct submissions sharing one FROM binding, so every worker
+/// contends on the same memo group (the slot pool's worst case).
 fn beers_batch() -> (Schema, String, Vec<String>) {
-    session_api::beers_batch(24)
+    batches::beers_batch(24)
 }
 
 fn assert_parallel_matches_sequential(

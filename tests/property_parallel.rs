@@ -7,10 +7,8 @@
 
 use proptest::prelude::*;
 use qr_hint::prelude::*;
-// Shared with the benchmark and hammer tests (dev-only back-edge) so
-// all parity definitions stay literally the same code.
-use qrhint_bench::parallel_grading::fingerprint;
 use qrhint_sqlast::SqlType;
+use qrhint_workloads::batches::fingerprint;
 
 fn beers_schema() -> Schema {
     Schema::new()

@@ -326,6 +326,22 @@ fn malformed_http_and_sql_get_clean_error_responses() {
         assert!(resp.starts_with("HTTP/1.1 400"), "got: {resp:?}");
     }
 
+    // Two Content-Length lines that disagree → 400 and close, not a
+    // 2-byte body with `llo` left as the start of the next request.
+    {
+        let mut stream = TcpStream::connect(server.addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+            .write_all(
+                b"POST /targets HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello",
+            )
+            .unwrap();
+        let mut resp = String::new();
+        stream.read_to_string(&mut resp).unwrap();
+        assert!(resp.starts_with("HTTP/1.1 400"), "got: {resp:?}");
+        assert!(resp.contains("Connection: close\r\n"), "got: {resp:?}");
+    }
+
     // Bad JSON body → 400 with a reason.
     let (status, body) = request(server.addr, "POST", "/targets", "{this is not json");
     assert_eq!(status, 400, "{body}");
