@@ -71,6 +71,7 @@ use qrhint_sqlast::{
     AggArg, AggCall, AggFunc, ArithOp, CmpOp, ColRef, Pred, Query, Scalar, Schema, SqlType,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -398,34 +399,12 @@ impl SolverContext {
         st.interner.approx_bytes() + st.pool.len() * VAR_ENTRY_BYTES + self.verdicts.bytes()
     }
 
-    /// Point-in-time interner counters.
-    pub fn interner_stats(&self) -> InternerStats {
-        let st = self.lower.read().unwrap();
-        InternerStats {
-            terms: st.interner.num_terms() as u64,
-            formulas: st.interner.num_formulas() as u64,
-            dedup_hits: st.interner.dedup_hits(),
-            bytes: st.interner.approx_bytes() as u64,
-        }
-    }
-
-    /// Resident shared-verdict entries (point in time).
-    pub fn verdict_entries(&self) -> usize {
-        self.verdicts.entries()
-    }
-
-    /// Approximate shared-verdict bytes (point in time).
-    pub fn verdict_bytes(&self) -> usize {
-        self.verdicts.bytes()
-    }
-
     /// One coherent snapshot of every point-in-time counter in this
     /// context. The interner fields are read under a single `lower`
-    /// lock acquisition and the verdict fields back-to-back, so a
-    /// snapshot never mixes numbers from before and after a concurrent
-    /// shed swap the way four independent getter calls can — callers
+    /// lock acquisition and the verdict fields back-to-back, so callers
     /// that clone the context `Arc` once and snapshot it see one
-    /// context's state throughout.
+    /// context's state throughout, never a mix of numbers from before
+    /// and after a concurrent shed swap.
     pub fn stats_snapshot(&self) -> ContextStats {
         let interner = {
             let st = self.lower.read().unwrap();
@@ -457,10 +436,57 @@ pub struct ContextStats {
 
 impl std::fmt::Debug for SolverContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let snap = self.stats_snapshot();
         f.debug_struct("SolverContext")
-            .field("interner", &self.interner_stats())
-            .field("verdict_entries", &self.verdict_entries())
+            .field("interner", &snap.interner)
+            .field("verdict_entries", &snap.verdict_entries)
             .finish()
+    }
+}
+
+/// The work counters of one [`Oracle`], kept as one record so a session
+/// can move them into its totals in one step (`std::mem::take` on
+/// [`Oracle::counters`], then `+=`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OracleCounters {
+    /// Number of solver checks issued (includes verdict-cache hits).
+    pub solver_calls: u64,
+    /// Shared-verdict-cache hits.
+    pub verdict_hits: u64,
+    /// Hits on entries inserted by a *different* oracle — the cross-slot
+    /// sharing the interned representation exists to enable.
+    pub verdict_cross_hits: u64,
+    /// Shared-verdict-cache misses (each one paid a real solver check).
+    pub verdict_misses: u64,
+    /// Entries this oracle's inserts evicted from the shared cache.
+    pub verdict_evictions: u64,
+    /// Literals pushed onto the solver's theory stack (root units and
+    /// branch assignments) across solver misses.
+    pub theory_pushes: u64,
+    /// Full theory checks (leaves + pruning strides) across misses.
+    pub theory_full_checks: u64,
+    /// Branches (or whole checks) cut by the quick-conflict detector.
+    pub quick_conflicts: u64,
+    /// Candidate lists checked against one context (SELECT positional
+    /// equivalence, GROUP BY Δ− pruning, WHERE-repair site sets); each
+    /// candidate is an ordinary [`Oracle::sat_f`]-based check.
+    pub equiv_batches: u64,
+    /// Candidates in those lists.
+    pub equiv_batch_candidates: u64,
+}
+
+impl AddAssign for OracleCounters {
+    fn add_assign(&mut self, o: OracleCounters) {
+        self.solver_calls += o.solver_calls;
+        self.verdict_hits += o.verdict_hits;
+        self.verdict_cross_hits += o.verdict_cross_hits;
+        self.verdict_misses += o.verdict_misses;
+        self.verdict_evictions += o.verdict_evictions;
+        self.theory_pushes += o.theory_pushes;
+        self.theory_full_checks += o.theory_full_checks;
+        self.quick_conflicts += o.quick_conflicts;
+        self.equiv_batches += o.equiv_batches;
+        self.equiv_batch_candidates += o.equiv_batch_candidates;
     }
 }
 
@@ -481,31 +507,8 @@ pub struct Oracle {
     /// iterates this private record, not the shared table, so the axiom
     /// set for a check never depends on what other slots lowered.
     agg_vars: BTreeMap<AggKey, VarId>,
-    /// Number of solver checks issued (diagnostics / experiments;
-    /// includes verdict-cache hits, as it always did).
-    pub solver_calls: u64,
-    /// Shared-verdict-cache hits by this oracle.
-    pub verdict_hits: u64,
-    /// Hits on entries inserted by a *different* oracle — the cross-slot
-    /// sharing the interned representation exists to enable.
-    pub verdict_cross_hits: u64,
-    /// Shared-verdict-cache misses (each one paid a real solver check).
-    pub verdict_misses: u64,
-    /// Entries this oracle's inserts evicted from the shared cache.
-    pub verdict_evictions: u64,
-    /// Literals pushed onto the solver's theory stack (root units and
-    /// branch assignments) across this oracle's solver misses.
-    pub theory_pushes: u64,
-    /// Full theory checks (leaves + pruning strides) across misses.
-    pub theory_full_checks: u64,
-    /// Branches (or whole checks) cut by the quick-conflict detector.
-    pub quick_conflicts: u64,
-    /// Candidate lists checked against one context (SELECT positional
-    /// equivalence, GROUP BY Δ− pruning, WHERE-repair site sets); each
-    /// candidate is an ordinary [`Oracle::sat_f`]-based check.
-    pub equiv_batches: u64,
-    /// Candidates in those lists.
-    pub equiv_batch_candidates: u64,
+    /// Work done since the counters were last taken.
+    pub counters: OracleCounters,
     /// Ambient lowering environment used by the `*_pred` convenience
     /// methods (set by the HAVING/SELECT stages to the grouped
     /// environment, so the generic repair machinery reasons with
@@ -542,16 +545,7 @@ impl Oracle {
             id: ORACLE_IDS.fetch_add(1, Ordering::Relaxed),
             types,
             agg_vars: BTreeMap::new(),
-            solver_calls: 0,
-            verdict_hits: 0,
-            verdict_cross_hits: 0,
-            verdict_misses: 0,
-            verdict_evictions: 0,
-            theory_pushes: 0,
-            theory_full_checks: 0,
-            quick_conflicts: 0,
-            equiv_batches: 0,
-            equiv_batch_candidates: 0,
+            counters: OracleCounters::default(),
             ambient_env: LowerEnv::plain(),
             ambient_ctx: Vec::new(),
             scratch_pool: VarPool::new(),
@@ -631,11 +625,6 @@ impl Oracle {
     }
 
     // ---------------- lowering ----------------
-
-    /// Lower a scalar with the default (plain) environment.
-    pub fn lower_scalar(&mut self, e: &Scalar) -> TermId {
-        self.lower_scalar_env(e, &LowerEnv::plain())
-    }
 
     /// Lower a scalar expression to an interned term.
     pub fn lower_scalar_env(&mut self, e: &Scalar, env: &LowerEnv) -> TermId {
@@ -990,11 +979,6 @@ impl Oracle {
         self.ctx.lower.write().unwrap().interner.and(children)
     }
 
-    /// Smart interned disjunction (mirrors `Formula::or`).
-    pub fn or_f(&self, children: Vec<FormulaId>) -> FormulaId {
-        self.ctx.lower.write().unwrap().interner.or(children)
-    }
-
     /// Memoized smart interned negation (mirrors `Formula::not`).
     pub fn not_f(&self, f: FormulaId) -> FormulaId {
         self.ctx.lower.write().unwrap().interner.not(f)
@@ -1129,7 +1113,7 @@ impl Oracle {
     /// definitive results are cached — `Unknown` may become definitive
     /// under different budgets.
     pub fn sat_f(&mut self, f: FormulaId, ctx: &[FormulaId]) -> TriBool {
-        self.solver_calls += 1;
+        self.counters.solver_calls += 1;
         let key = VerdictKey { f, ctx: self.full_ctx(ctx) };
         if let Some(verdict) = self.probe(&key) {
             return verdict;
@@ -1171,7 +1155,7 @@ impl Oracle {
         let mut verdicts = Vec::with_capacity(rows.len());
         let mut needed = Vec::with_capacity(rows.len());
         for &f in &rows {
-            self.solver_calls += 1;
+            self.counters.solver_calls += 1;
             key.f = f;
             let hit = self.probe(&key);
             verdicts.push(hit.unwrap_or(TriBool::Unknown));
@@ -1207,12 +1191,12 @@ impl Oracle {
     /// Probe the shared verdict cache, counting one hit or one miss.
     fn probe(&mut self, key: &VerdictKey) -> Option<TriBool> {
         let Some((verdict, owner)) = self.ctx.verdicts.get(key) else {
-            self.verdict_misses += 1;
+            self.counters.verdict_misses += 1;
             return None;
         };
-        self.verdict_hits += 1;
+        self.counters.verdict_hits += 1;
         if owner != self.id {
-            self.verdict_cross_hits += 1;
+            self.counters.verdict_cross_hits += 1;
         }
         Some(verdict)
     }
@@ -1220,7 +1204,7 @@ impl Oracle {
     /// Cache a decided verdict; `Unknown` is never cached.
     fn cache(&mut self, key: VerdictKey, verdict: TriBool) {
         if verdict != TriBool::Unknown {
-            self.verdict_evictions += self.ctx.verdicts.insert(key, verdict, self.id);
+            self.counters.verdict_evictions += self.ctx.verdicts.insert(key, verdict, self.id);
         }
     }
 
@@ -1248,9 +1232,9 @@ impl Oracle {
     }
 
     fn record_stats(&mut self, s: &SolveStats) {
-        self.theory_pushes += s.theory_lits_translated;
-        self.theory_full_checks += s.theory_full_checks;
-        self.quick_conflicts += s.quick_conflicts;
+        self.counters.theory_pushes += s.theory_lits_translated;
+        self.counters.theory_full_checks += s.theory_full_checks;
+        self.counters.quick_conflicts += s.quick_conflicts;
     }
 
     /// Formula-level unsatisfiability.
@@ -1411,16 +1395,16 @@ mod tests {
         let verdicts: Vec<TriBool> = [fq, fr].iter().map(|&f| o.equiv_f(f, fp, &[fc])).collect();
         assert_eq!(verdicts, [TriBool::True, TriBool::False]);
         // Identical ids short-circuit without a solver call.
-        let calls_before = o.solver_calls;
+        let before = o.counters;
         assert_eq!(o.equiv_f(fp, fp, &[fc]), TriBool::True, "identical ids short-circuit");
-        assert_eq!(o.solver_calls, calls_before);
+        assert_eq!(o.counters.solver_calls, before.solver_calls);
         // A repeated check is answered by the verdict cache alone.
-        let hits_before = o.verdict_hits;
         assert_eq!(o.equiv_f(fq, fp, &[fc]), TriBool::True);
-        let calls = o.solver_calls - calls_before;
+        let calls = o.counters.solver_calls - before.solver_calls;
         assert!(calls > 0);
-        assert_eq!(o.verdict_hits - hits_before, calls);
-        assert_eq!(o.verdict_hits + o.verdict_misses, o.solver_calls);
+        assert_eq!(o.counters.verdict_hits - before.verdict_hits, calls);
+        let c = o.counters;
+        assert_eq!(c.verdict_hits + c.verdict_misses, c.solver_calls);
     }
 
     #[test]
@@ -1633,9 +1617,9 @@ mod tests {
         let f1 = o.lower_pred(&p);
         let f2 = o.lower_pred(&p);
         assert_eq!(f1, f2);
-        let calls_before = o.solver_calls;
+        let calls_before = o.counters.solver_calls;
         assert_eq!(o.equiv_f(f1, f2, &[]), TriBool::True);
-        assert_eq!(o.solver_calls, calls_before, "id equality short-circuits");
+        assert_eq!(o.counters.solver_calls, calls_before, "id equality short-circuits");
     }
 
     #[test]
@@ -1648,12 +1632,12 @@ mod tests {
         let mut o1 = Oracle::with_context(types.clone(), Arc::clone(&shared));
         let mut o2 = Oracle::with_context(types, Arc::clone(&shared));
         assert_eq!(o1.sat_pred(&p, &[]), TriBool::False);
-        assert_eq!(o1.verdict_misses, 1);
+        assert_eq!(o1.counters.verdict_misses, 1);
         assert_eq!(o2.sat_pred(&p, &[]), TriBool::False);
-        assert_eq!(o2.verdict_hits, 1, "{:?}", shared);
-        assert_eq!(o2.verdict_cross_hits, 1);
-        assert_eq!(o2.verdict_misses, 0);
-        assert_eq!(shared.verdict_entries(), 1);
+        assert_eq!(o2.counters.verdict_hits, 1, "{:?}", shared);
+        assert_eq!(o2.counters.verdict_cross_hits, 1);
+        assert_eq!(o2.counters.verdict_misses, 0);
+        assert_eq!(shared.stats_snapshot().verdict_entries, 1);
         assert!(shared.approx_bytes() > 0);
     }
 

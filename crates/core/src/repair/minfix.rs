@@ -277,26 +277,6 @@ mod tests {
         Oracle::for_preds(preds)
     }
 
-    /// Solver work visible on an oracle's counters.
-    #[derive(Debug, Default, PartialEq, Eq)]
-    struct Work {
-        solver_calls: u64,
-        verdict_hits: u64,
-        verdict_misses: u64,
-        theory_full_checks: u64,
-        theory_pushes: u64,
-    }
-
-    fn work_since(o: &Oracle, before: &Work) -> Work {
-        Work {
-            solver_calls: o.solver_calls - before.solver_calls,
-            verdict_hits: o.verdict_hits - before.verdict_hits,
-            verdict_misses: o.verdict_misses - before.verdict_misses,
-            theory_full_checks: o.theory_full_checks - before.theory_full_checks,
-            theory_pushes: o.theory_pushes - before.theory_pushes,
-        }
-    }
-
     /// Build the same table on two fresh oracles from `fresh`: through
     /// `build_truth_table`, and with one `sat_f` per row. Both give every
     /// row the same verdict for the same solver work, except that the
@@ -319,13 +299,13 @@ mod tests {
         let map = atom_map(&mut table_oracle);
         assert!(map.len() >= 3, "atoms: {:?}", map.atoms);
         let rows = 1u32 << map.len();
-        let before = work_since(&table_oracle, &Work::default());
+        table_oracle.counters = Default::default();
         build_truth_table(&map, &mut table_oracle, &[ctx], lower, upper);
-        let table_work = work_since(&table_oracle, &before);
+        let table_work = std::mem::take(&mut table_oracle.counters);
 
         let mut row_oracle = fresh();
         assert_eq!(atom_map(&mut row_oracle).atoms, map.atoms);
-        let before = work_since(&row_oracle, &Work::default());
+        row_oracle.counters = Default::default();
         let (lits, ctx_ids) = lower_literals(&map, &mut row_oracle, &[ctx]);
         let per_row: Vec<TriBool> = (0..rows)
             .map(|row| {
@@ -334,7 +314,7 @@ mod tests {
                 row_oracle.sat_f(f, &ctx_ids)
             })
             .collect();
-        let row_work = work_since(&row_oracle, &before);
+        let row_work = std::mem::take(&mut row_oracle.counters);
         assert!(per_row.contains(&TriBool::False), "some rows must be infeasible");
         assert!(per_row.contains(&TriBool::True));
 
@@ -350,13 +330,13 @@ mod tests {
         );
 
         let ctx_id = table_oracle.lower_pred(ctx);
-        let before = work_since(&table_oracle, &Work::default());
+        table_oracle.counters = Default::default();
         for row in 0..rows {
             let f = table_oracle.lower_pred(&map.row_conjunction(row));
             let verdict = table_oracle.sat_f(f, &[ctx_id]);
             assert_eq!(verdict, per_row[row as usize], "row {row:b}");
         }
-        let sweep = work_since(&table_oracle, &before);
+        let sweep = std::mem::take(&mut table_oracle.counters);
         assert_eq!(sweep.verdict_hits, u64::from(rows), "{sweep:?}");
     }
 

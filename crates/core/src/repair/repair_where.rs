@@ -139,7 +139,7 @@ pub fn repair_where(
     let ctx_ids: Vec<qrhint_smt::FormulaId> =
         ctx.iter().map(|c| oracle.lower_pred(c)).collect();
     let p_star_id = oracle.lower_pred(p_star);
-    oracle.equiv_batches += 1;
+    oracle.counters.equiv_batches += 1;
 
     'outer: for k in 1..=cfg.max_sites {
         // Early stop on site count alone (Line 4 of Algorithm 1).
@@ -159,7 +159,7 @@ pub fn repair_where(
                 break;
             }
             let (lo, hi) = create_bounds(p, &sites);
-            oracle.equiv_batch_candidates += 1;
+            oracle.counters.equiv_batch_candidates += 1;
             if !bounds_admit(oracle, &lo, &hi, p_star_id, &ctx_ids).is_true() {
                 continue;
             }

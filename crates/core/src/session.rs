@@ -45,11 +45,15 @@
 //!   typing outside the write lock; a racing creator for the same key
 //!   simply drops its copy and reuses the winner's.
 //! * Each group's solver state — a persistent [`Oracle`] plus the stage
-//!   memos — lives in a pool of **lock-striped slots** (`Mutex` each).
-//!   An advise takes one free slot; when every slot of a hot group is
-//!   busy, the pool grows a fresh oracle (bounded by
-//!   `MAX_GROUP_SLOTS`) instead of queueing, so a classroom batch whose
-//!   submissions all share one FROM clause still grades in parallel.
+//!   memos — lives in **owned slots**. An advise pops an idle slot bound
+//!   to the current context, or builds a fresh one when none is idle,
+//!   and owns it by value while it grades, with no lock held; so a
+//!   classroom batch whose submissions all share one FROM clause still
+//!   grades in parallel, one slot per worker. On return the slot goes
+//!   back on the group's idle list if its context is still current and
+//!   fewer than 8 slots are idle, and is dropped otherwise. A panic
+//!   while grading drops its slot as the stack unwinds, so one bad
+//!   submission costs its group one slot, never a poisoned lock.
 //! * All slots of all groups intern formulas into — and **share solver
 //!   verdicts through** — one target-wide
 //!   [`SolverContext`]: a sharded,
@@ -67,8 +71,10 @@
 //!   hit check, so duplicate submissions stay near-free under
 //!   contention; LRU recency is refreshed with an atomic stamp, so even
 //!   a hit never takes the write lock.
-//! * [`SessionStats`] counters are atomics: concurrent advises never
-//!   lose updates, and [`PreparedTarget::stats`] never blocks grading.
+//! * [`SessionStats`] counters never lose updates: the advise-level
+//!   ones are atomics, and each advise adds its oracle's work counters
+//!   to the totals as one record, under one short lock taken after
+//!   grading, so [`PreparedTarget::stats`] never waits on a grading run.
 //!
 //! The practical upshot: use [`PreparedTarget::grade_batch_parallel`]
 //! (or the CLI's `grade --jobs N`) when batches are large and mostly
@@ -104,7 +110,7 @@
 use crate::error::{QrHintError, QrResult};
 use crate::hint::Stage;
 use crate::mapping::{table_mapping, unify_target, TableMapping};
-use crate::oracle::{Oracle, SolverContext, TypeEnv};
+use crate::oracle::{Oracle, OracleCounters, SolverContext, TypeEnv};
 use crate::pipeline::{Advice, QrHintConfig};
 use crate::runner::{run_stages, StageInputs, StageMemos};
 use crate::stages::from_stage;
@@ -112,7 +118,7 @@ use qrhint_sqlast::{resolve::resolve_query, Pred, Query, Schema};
 use qrhint_sqlparse::{parse_query, parse_query_extended, FlattenOptions};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Cumulative counters for one [`PreparedTarget`] (diagnostics and the
@@ -191,10 +197,11 @@ pub struct SessionStats {
     pub equiv_batch_candidates: u64,
 }
 
-/// The atomic backing store for [`SessionStats`]: plain counters would
-/// lose updates under [`PreparedTarget::grade_batch_parallel`], and a
-/// stats mutex would re-serialize the advise path the sharding just
-/// unlocked.
+/// The backing store for [`SessionStats`]: plain counters would lose
+/// updates under [`PreparedTarget::grade_batch_parallel`]. Advise-level
+/// counters are atomics; the oracle's work counters arrive as one
+/// [`OracleCounters`] record per advise, added under one lock taken
+/// after grading, so the lock is never held while a solver runs.
 #[derive(Default)]
 struct AtomicStats {
     advise_calls: AtomicU64,
@@ -207,17 +214,10 @@ struct AtomicStats {
     advice_cache_bytes: AtomicU64,
     from_groups: AtomicU64,
     mapping_reuses: AtomicU64,
-    solver_calls: AtomicU64,
     diagnostics_emitted: AtomicU64,
-    verdict_cache_hits: AtomicU64,
-    verdict_cache_cross_thread_hits: AtomicU64,
-    verdict_cache_misses: AtomicU64,
-    verdict_cache_evictions: AtomicU64,
-    theory_pushes: AtomicU64,
-    theory_full_checks: AtomicU64,
-    quick_conflicts: AtomicU64,
-    equiv_batches: AtomicU64,
-    equiv_batch_candidates: AtomicU64,
+    /// Work of every finished advise's oracle. Held only for one `+=`
+    /// or copy, neither of which can panic, so it is never poisoned.
+    oracle: Mutex<OracleCounters>,
 }
 
 impl AtomicStats {
@@ -225,6 +225,7 @@ impl AtomicStats {
     /// fields (verdict entries/bytes, interner occupancy) are filled in
     /// by [`PreparedTarget::stats`].
     fn snapshot(&self) -> SessionStats {
+        let o = *self.oracle.lock().expect("oracle totals never poisoned");
         SessionStats {
             advise_calls: self.advise_calls.load(Ordering::Relaxed),
             advice_cache_hits: self.advice_cache_hits.load(Ordering::Relaxed),
@@ -234,38 +235,35 @@ impl AtomicStats {
             advice_cache_bytes: self.advice_cache_bytes.load(Ordering::Relaxed),
             from_groups: self.from_groups.load(Ordering::Relaxed),
             mapping_reuses: self.mapping_reuses.load(Ordering::Relaxed),
-            solver_calls: self.solver_calls.load(Ordering::Relaxed),
+            solver_calls: o.solver_calls,
             diagnostics_emitted: self.diagnostics_emitted.load(Ordering::Relaxed),
-            verdict_cache_hits: self.verdict_cache_hits.load(Ordering::Relaxed),
-            verdict_cache_cross_thread_hits: self
-                .verdict_cache_cross_thread_hits
-                .load(Ordering::Relaxed),
-            verdict_cache_misses: self.verdict_cache_misses.load(Ordering::Relaxed),
-            verdict_cache_evictions: self.verdict_cache_evictions.load(Ordering::Relaxed),
+            verdict_cache_hits: o.verdict_hits,
+            verdict_cache_cross_thread_hits: o.verdict_cross_hits,
+            verdict_cache_misses: o.verdict_misses,
+            verdict_cache_evictions: o.verdict_evictions,
             verdict_cache_entries: 0,
             verdict_cache_bytes: 0,
             interned_terms: 0,
             interned_formulas: 0,
             interner_dedup_hits: 0,
             interner_bytes: 0,
-            theory_pushes: self.theory_pushes.load(Ordering::Relaxed),
-            theory_full_checks: self.theory_full_checks.load(Ordering::Relaxed),
-            quick_conflicts: self.quick_conflicts.load(Ordering::Relaxed),
-            equiv_batches: self.equiv_batches.load(Ordering::Relaxed),
-            equiv_batch_candidates: self.equiv_batch_candidates.load(Ordering::Relaxed),
+            theory_pushes: o.theory_pushes,
+            theory_full_checks: o.theory_full_checks,
+            quick_conflicts: o.quick_conflicts,
+            equiv_batches: o.equiv_batches,
+            equiv_batch_candidates: o.equiv_batch_candidates,
         }
     }
 }
 
-/// Upper bound on the per-group slot pool: enough for the `--jobs 8`
-/// sweet spot with headroom, small enough that a pathological hammer
-/// can't allocate unbounded oracles.
-const MAX_GROUP_SLOTS: usize = 8;
+/// Most idle slots a group keeps: enough for the `--jobs 8` sweet spot,
+/// few enough that a burst of concurrent advises cannot leave unbounded
+/// oracles resident. Slots checked out beyond it are dropped on return.
+const MAX_IDLE_SLOTS: usize = 8;
 
-/// One lock stripe of a group's mutable solver state: a persistent
-/// oracle (interning into — and sharing verdicts through — the
-/// target-wide [`SolverContext`]) and the per-stage memos. Everything
-/// here is only ever touched under the slot's `Mutex`.
+/// A group's mutable solver state, owned by one advise at a time: a
+/// persistent oracle (interning into — and sharing verdicts through —
+/// the target-wide [`SolverContext`]) and the per-stage memos.
 struct GroupSlot {
     oracle: Oracle,
     memos: StageMemos,
@@ -290,78 +288,48 @@ struct FromGroup {
     domain_ctx: Vec<Pred>,
     /// Column typing fixed by the binding; seeds each new slot's oracle.
     types: TypeEnv,
-    /// Lock-striped solver state. Starts empty; grows on demand up to
-    /// [`MAX_GROUP_SLOTS`], so the sequential path pays for exactly one
-    /// oracle, as before.
-    slots: RwLock<Vec<Arc<Mutex<GroupSlot>>>>,
-    /// Round-robin cursor for the all-slots-busy fallback.
-    next_slot: AtomicUsize,
+    /// Slots not checked out, at most [`MAX_IDLE_SLOTS`]. Starts empty,
+    /// so the sequential path pays for exactly one oracle. Held only to
+    /// pop, push, count or take, none of which can panic, so it is never
+    /// poisoned.
+    idle: Mutex<Vec<GroupSlot>>,
 }
 
 impl FromGroup {
-    fn new_slot(&self, ctx: &Arc<SolverContext>) -> Arc<Mutex<GroupSlot>> {
-        let oracle = Oracle::with_context(self.types.clone(), Arc::clone(ctx));
-        Arc::new(Mutex::new(GroupSlot { oracle, memos: StageMemos::default() }))
-    }
-
-    /// Run `f` with exclusive access to one of the group's slots:
-    /// prefer a currently-free slot, grow the pool when all are busy,
-    /// and only block (round-robin) once the pool is at its cap.
+    /// Run `f` with one of the group's slots, owned for the whole call:
+    /// pop an idle slot, or build one when none is idle, and lock
+    /// nothing while `f` runs. If `f` panics the slot is dropped.
     ///
-    /// `shared` is the target's current-context cell: the context is
-    /// re-read at every claim and grow point, so a slot whose oracle is
+    /// `shared` is the target's current-context cell. A popped slot
     /// bound to a context that has since been shed
-    /// ([`PreparedTarget::shed_caches`] swaps in a fresh one) is rebuilt
-    /// on the spot, and stale slots cannot pin a retired interner
-    /// alive. The grow path reads the cell *inside* the slots write
-    /// lock: shed swaps the context before it drains the pool (also
-    /// under the slots write lock), so a grower either sees the fresh
-    /// context or its old-bound slot is in the pool in time to be
-    /// drained — never both missed.
+    /// ([`PreparedTarget::shed_caches`] swaps in a fresh one) is dropped
+    /// and replaced. On return the slot is pushed back only if its
+    /// context is still current, read under the idle lock: shed swaps
+    /// the context before it empties each idle list (under the same
+    /// lock), so a stale slot is either refused here or emptied by the
+    /// shed, and no idle slot pins a retired interner alive.
     fn with_slot<R>(
         &self,
         shared: &RwLock<Arc<SolverContext>>,
         f: impl FnOnce(&mut GroupSlot) -> R,
     ) -> R {
-        let refresh = |slot: &mut GroupSlot| {
-            let current = Arc::clone(&shared.read().unwrap());
-            if !Arc::ptr_eq(slot.oracle.context(), &current) {
-                let oracle = Oracle::with_context(self.types.clone(), current);
-                *slot = GroupSlot { oracle, memos: StageMemos::default() };
-            }
+        let current = Arc::clone(&shared.read().unwrap());
+        let popped = self.idle.lock().expect("idle list never poisoned").pop();
+        let mut slot = match popped.filter(|slot| Arc::ptr_eq(slot.oracle.context(), &current)) {
+            Some(slot) => slot,
+            None => GroupSlot {
+                oracle: Oracle::with_context(self.types.clone(), current),
+                memos: StageMemos::default(),
+            },
         };
-        // Fast path: claim a free slot. The probe *keeps* the guard it
-        // acquired (the Arcs are cloned out of the map first, so the
-        // guard can outlive the read lock) — a drop-and-relock probe
-        // would let two workers pick the same "free" slot, convoying
-        // one behind the other's whole advise while other slots idle.
-        let candidates: Vec<Arc<Mutex<GroupSlot>>> =
-            self.slots.read().unwrap().iter().map(Arc::clone).collect();
-        for slot in &candidates {
-            if let Ok(mut guard) = slot.try_lock() {
-                refresh(&mut guard);
-                return f(&mut guard);
-            }
+        let out = f(&mut slot);
+        let mut idle = self.idle.lock().expect("idle list never poisoned");
+        if idle.len() < MAX_IDLE_SLOTS
+            && Arc::ptr_eq(slot.oracle.context(), &shared.read().unwrap())
+        {
+            idle.push(slot);
         }
-        // All busy: grow (bounded), else block round-robin. A scanner
-        // may try_lock a freshly pushed slot before its creator locks
-        // it — at worst one advise of waiting, and only at the cap
-        // boundary.
-        let arc = {
-            let mut slots = self.slots.write().unwrap();
-            if slots.len() < MAX_GROUP_SLOTS {
-                let current = Arc::clone(&shared.read().unwrap());
-                let s = self.new_slot(&current);
-                slots.push(Arc::clone(&s));
-                s
-            } else {
-                let i = self.next_slot.fetch_add(1, Ordering::Relaxed) % slots.len();
-                Arc::clone(&slots[i])
-            }
-        };
-        let mut guard = arc.lock().unwrap();
-        refresh(&mut guard);
-        f(&mut guard)
+        out
     }
 }
 
@@ -487,11 +455,12 @@ impl PreparedTarget {
         &self.cfg
     }
 
-    /// Snapshot of the cumulative session counters. Never blocks an
-    /// in-flight advise (the counters are atomics); a snapshot taken
-    /// *during* a concurrent batch may straddle advises, but once the
-    /// batch has joined, `advise_calls` equals the number of
-    /// submissions and `solver_calls` covers all completed work.
+    /// Snapshot of the cumulative session counters. Never waits on a
+    /// grading run (the oracle totals' lock is only held to add or copy
+    /// one record); a snapshot taken *during* a concurrent batch may
+    /// straddle advises, but once the batch has joined, `advise_calls`
+    /// equals the number of submissions and `solver_calls` covers all
+    /// completed work.
     ///
     /// The interner and verdict-cache occupancy fields are point-in-time
     /// reads of the current shared context (they reset when
@@ -621,8 +590,7 @@ impl PreparedTarget {
             unified,
             domain_ctx,
             types,
-            slots: RwLock::new(Vec::new()),
-            next_slot: AtomicUsize::new(0),
+            idle: Mutex::new(Vec::new()),
         });
         match self.groups.write().unwrap().entry(key) {
             std::collections::hash_map::Entry::Occupied(o) => {
@@ -679,16 +647,6 @@ impl PreparedTarget {
                 .collect();
             let group = self.group_for((binding, mapping), q);
             group.with_slot(&self.shared, |slot| {
-                let calls = slot.oracle.solver_calls;
-                let hits = slot.oracle.verdict_hits;
-                let cross = slot.oracle.verdict_cross_hits;
-                let misses = slot.oracle.verdict_misses;
-                let evictions = slot.oracle.verdict_evictions;
-                let pushes = slot.oracle.theory_pushes;
-                let fulls = slot.oracle.theory_full_checks;
-                let quicks = slot.oracle.quick_conflicts;
-                let batches = slot.oracle.equiv_batches;
-                let batch_cands = slot.oracle.equiv_batch_candidates;
                 let advice = run_stages(StageInputs {
                     oracle: &mut slot.oracle,
                     unified: &group.unified,
@@ -698,37 +656,8 @@ impl PreparedTarget {
                     mapping: &group.mapping,
                     memos: &mut slot.memos,
                 });
-                let o = &slot.oracle;
-                self.stats
-                    .solver_calls
-                    .fetch_add(o.solver_calls - calls, Ordering::Relaxed);
-                self.stats
-                    .verdict_cache_hits
-                    .fetch_add(o.verdict_hits - hits, Ordering::Relaxed);
-                self.stats
-                    .verdict_cache_cross_thread_hits
-                    .fetch_add(o.verdict_cross_hits - cross, Ordering::Relaxed);
-                self.stats
-                    .verdict_cache_misses
-                    .fetch_add(o.verdict_misses - misses, Ordering::Relaxed);
-                self.stats
-                    .verdict_cache_evictions
-                    .fetch_add(o.verdict_evictions - evictions, Ordering::Relaxed);
-                self.stats
-                    .theory_pushes
-                    .fetch_add(o.theory_pushes - pushes, Ordering::Relaxed);
-                self.stats
-                    .theory_full_checks
-                    .fetch_add(o.theory_full_checks - fulls, Ordering::Relaxed);
-                self.stats
-                    .quick_conflicts
-                    .fetch_add(o.quick_conflicts - quicks, Ordering::Relaxed);
-                self.stats
-                    .equiv_batches
-                    .fetch_add(o.equiv_batches - batches, Ordering::Relaxed);
-                self.stats
-                    .equiv_batch_candidates
-                    .fetch_add(o.equiv_batch_candidates - batch_cands, Ordering::Relaxed);
+                let work = std::mem::take(&mut slot.oracle.counters);
+                *self.stats.oracle.lock().expect("oracle totals never poisoned") += work;
                 advice
             })?
         };
@@ -779,23 +708,18 @@ impl PreparedTarget {
     /// Approximate bytes held by this target's rebuildable caches: the
     /// advice cache (exact per-entry estimates), the shared solver
     /// context (interner tables + shared verdict cache, self-accounted),
-    /// and every FROM group's solver slots (stage memos, estimated per
-    /// entry; a slot busy grading right now is counted at a flat base
-    /// cost rather than blocking on its lock). The `qr-hint serve`
-    /// registry steers its byte-budget eviction with this number.
+    /// and every FROM group's idle solver slots (stage memos, estimated
+    /// per entry). A slot checked out by an advise right now is not
+    /// counted; it rejoins the count when it goes back idle, unless its
+    /// context was shed meanwhile, in which case it is dropped on return.
+    /// The `qr-hint serve` registry steers its byte-budget eviction with
+    /// this number.
     pub fn approx_cache_bytes(&self) -> usize {
         let mut total = self.stats.advice_cache_bytes.load(Ordering::Relaxed) as usize;
         total += self.solver_context().approx_bytes();
         for group in self.groups.read().unwrap().values() {
-            total += GROUP_BASE_BYTES;
-            let slots: Vec<Arc<Mutex<GroupSlot>>> =
-                group.slots.read().unwrap().iter().map(Arc::clone).collect();
-            for slot in &slots {
-                total += SLOT_BASE_BYTES;
-                if let Ok(guard) = slot.try_lock() {
-                    total += guard.memos.len() * STAGE_MEMO_ENTRY_BYTES;
-                }
-            }
+            let idle = group.idle.lock().expect("idle list never poisoned");
+            total += GROUP_BASE_BYTES + slots_bytes(&idle);
         }
         total
     }
@@ -812,10 +736,11 @@ impl PreparedTarget {
     /// ground: a shed target re-pays solver time on its next request
     /// but no target-compilation time, while a dropped target pays
     /// both. Safe under concurrent grading: the context is *swapped*,
-    /// not drained — an advise holding a slot keeps its `Arc`s (slot and
-    /// old context) alive until it finishes, its interned ids stay
-    /// valid, and the next claim of a stale slot rebinds it to the
-    /// fresh context (`FromGroup::with_slot`).
+    /// not drained — an advise holding a slot keeps it and the old
+    /// context alive until it finishes, its interned ids stay valid, and
+    /// the stale slot is dropped when it is returned
+    /// (`FromGroup::with_slot`). Only idle slots are counted in the
+    /// freed bytes; checked-out ones are freed as they come back.
     pub fn shed_caches(&self) -> usize {
         let mut freed = {
             let mut cache = self.advice_cache.write().unwrap();
@@ -832,17 +757,16 @@ impl PreparedTarget {
         let old = std::mem::replace(&mut *self.shared.write().unwrap(), fresh);
         freed += old.approx_bytes();
         for group in self.groups.read().unwrap().values() {
-            let slots: Vec<Arc<Mutex<GroupSlot>>> =
-                std::mem::take(&mut *group.slots.write().unwrap());
-            for slot in &slots {
-                freed += SLOT_BASE_BYTES;
-                if let Ok(guard) = slot.try_lock() {
-                    freed += guard.memos.len() * STAGE_MEMO_ENTRY_BYTES;
-                }
-            }
+            let idle = std::mem::take(&mut *group.idle.lock().expect("idle list never poisoned"));
+            freed += slots_bytes(&idle);
         }
         freed
     }
+}
+
+/// Estimated bytes of `slots` (see [`STAGE_MEMO_ENTRY_BYTES`]).
+fn slots_bytes(slots: &[GroupSlot]) -> usize {
+    slots.iter().map(|slot| SLOT_BASE_BYTES + slot.memos.len() * STAGE_MEMO_ENTRY_BYTES).sum()
 }
 
 /// A stateful tutoring session against one [`PreparedTarget`]: the
@@ -1011,10 +935,52 @@ mod tests {
         assert_eq!(groups.len(), 1);
         let group = groups.values().next().unwrap();
         assert_eq!(
-            group.slots.read().unwrap().len(),
+            group.idle.lock().unwrap().len(),
             1,
-            "uncontended grading must not grow the slot pool"
+            "uncontended grading must not build a second slot"
         );
+    }
+
+    /// The one FROM group of `prepared`, after one advise created it.
+    fn only_group(prepared: &PreparedTarget) -> Arc<FromGroup> {
+        prepared.advise_sql("SELECT s.bar FROM Serves s WHERE s.price > 3").unwrap();
+        let groups = prepared.groups.read().unwrap();
+        assert_eq!(groups.len(), 1);
+        Arc::clone(groups.values().next().unwrap())
+    }
+
+    #[test]
+    fn idle_list_keeps_at_most_eight_slots() {
+        // Ten slots checked out at once on one thread: each level owns
+        // its own, and only eight go back idle.
+        fn nest(group: &FromGroup, shared: &RwLock<Arc<SolverContext>>, depth: usize) -> usize {
+            if depth == 0 {
+                return 0;
+            }
+            group.with_slot(shared, |_| 1 + nest(group, shared, depth - 1))
+        }
+        let qr = QrHint::new(beers_schema());
+        let prepared = qr.compile_target(TARGET).unwrap();
+        let group = only_group(&prepared);
+        assert_eq!(nest(&group, &prepared.shared, 10), 10, "every level runs");
+        assert_eq!(group.idle.lock().unwrap().len(), 8);
+    }
+
+    #[test]
+    fn a_panic_while_grading_drops_its_slot_instead_of_poisoning_the_group() {
+        let qr = QrHint::new(beers_schema());
+        let prepared = qr.compile_target(TARGET).unwrap();
+        let group = only_group(&prepared);
+        for _ in 0..8 {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                group.with_slot(&prepared.shared, |_| panic!("injected grading panic"))
+            }));
+            assert!(caught.is_err());
+        }
+        // A different submission in the same group still grades.
+        let sub = "SELECT s.bar FROM Serves s WHERE s.price >= 2";
+        assert_eq!(prepared.advise_sql(sub).unwrap(), qr.advise_sql(TARGET, sub).unwrap());
+        assert_eq!(prepared.stats().from_groups, 1);
     }
 
     #[test]

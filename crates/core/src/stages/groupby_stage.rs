@@ -76,8 +76,8 @@ pub fn fix_grouping(
     // by o_i: every candidate `ne` is checked under the one context
     // `P[t1] ∧ P[t2] ∧ G★`.
     let mut remove = Vec::new();
-    oracle.equiv_batches += 1;
-    oracle.equiv_batch_candidates += o_pairs.len() as u64;
+    oracle.counters.equiv_batches += 1;
+    oracle.counters.equiv_batch_candidates += o_pairs.len() as u64;
     for (i, (_, ne)) in o_pairs.iter().enumerate() {
         if oracle.sat_f(*ne, &[both, g_star]) == TriBool::True {
             remove.push(i);

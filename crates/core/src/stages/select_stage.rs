@@ -62,8 +62,8 @@ pub fn fix_select(
             oracle.cmp_f(t1, Rel::Ne, t2)
         })
         .collect();
-    oracle.equiv_batches += 1;
-    oracle.equiv_batch_candidates += n as u64;
+    oracle.counters.equiv_batches += 1;
+    oracle.counters.equiv_batch_candidates += n as u64;
     for (i, &ne) in nes.iter().enumerate() {
         if !oracle.unsat_f(ne, &[]).is_true() {
             remove.push(i);

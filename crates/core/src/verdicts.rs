@@ -3,7 +3,7 @@
 //! [`crate::session::PreparedTarget`], shared by every oracle slot in
 //! every FROM group.
 //!
-//! PR 3's lock-striped slots deliberately kept verdict caches private —
+//! Session slots once kept their verdict caches private —
 //! with tree-keyed entries, sharing would have meant deep structural
 //! compares under a shared lock. With interned formulas
 //! ([`qrhint_smt::FormulaId`]) the key is a handful of `u32`s, so one

@@ -64,7 +64,7 @@ impl Client {
             .nth(1)
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| bad(&format!("bad status line: {status_line:?}")))?;
-        let mut content_length = 0usize;
+        let mut lengths = Vec::new();
         loop {
             let mut line = String::new();
             self.reader.read_line(&mut line)?;
@@ -74,12 +74,14 @@ impl Client {
             }
             let lower = line.to_ascii_lowercase();
             if let Some(v) = lower.strip_prefix("content-length:") {
-                content_length =
-                    v.trim().parse().map_err(|_| bad(&format!("bad Content-Length: {v}")))?;
+                lengths.push(v.trim().to_string());
             } else if let Some(v) = lower.strip_prefix("connection:") {
                 self.reusable = !v.trim().eq_ignore_ascii_case("close");
             }
         }
+        let content_length = crate::http::content_length(lengths.iter().map(String::as_str))
+            .map_err(|e| bad(&e))?
+            .unwrap_or(0);
         let mut body = vec![0u8; content_length];
         self.reader.read_exact(&mut body)?;
         String::from_utf8(body)
@@ -96,4 +98,47 @@ pub fn request_once(
     body: &str,
 ) -> io::Result<(u16, String)> {
     Client::connect(addr)?.request(method, path, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// One `GET /healthz` against a listener that reads the request head
+    /// and answers `response` verbatim.
+    fn scripted(response: &'static str) -> io::Result<(u16, String)> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+                line.clear();
+            }
+            stream.write_all(response.as_bytes()).unwrap();
+        });
+        let out = request_once(addr, "GET", "/healthz", "");
+        server.join().unwrap();
+        out
+    }
+
+    #[test]
+    fn conflicting_response_content_lengths_are_rejected() {
+        // Framing by the last length would read `hello` as the body.
+        let err =
+            scripted("HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello")
+                .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let agreeing =
+            scripted("HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello");
+        assert_eq!(agreeing.unwrap(), (200, "hello".to_string()), "identical repeats agree");
+    }
+
+    #[test]
+    fn signed_response_content_length_is_rejected() {
+        let err = scripted("HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\nhi").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
 }

@@ -106,6 +106,30 @@ fn read_line(r: &mut impl BufRead, head_budget: &mut usize) -> Result<String, Ht
     }
 }
 
+/// The body length declared by a message's `Content-Length` values, one
+/// per header line (`None` if there are none). RFC 9112 §6.3: each value
+/// must be 1*DIGIT (`usize::from_str` alone takes a leading `+`), and
+/// repeated lines must agree — framing by the first or the last of two
+/// lengths would leave the rest of the body in the stream as the start
+/// of the next keep-alive message. Both [`read_request`] and the
+/// [`crate::client::Client`] frame by this rule.
+pub fn content_length<'a>(
+    values: impl IntoIterator<Item = &'a str>,
+) -> Result<Option<usize>, String> {
+    let mut length = None;
+    for v in values {
+        let n = match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(format!("bad Content-Length `{v}`")),
+        };
+        if length.is_some_and(|m| m != n) {
+            return Err("conflicting Content-Length values".into());
+        }
+        length = Some(n);
+    }
+    Ok(length)
+}
+
 /// Read one request from `reader`. `writer` is needed for the
 /// `Expect: 100-continue` interim response, which must be sent between
 /// the head and the body.
@@ -162,22 +186,10 @@ pub fn read_request(
             "chunked transfer encoding is not supported; send Content-Length".into(),
         ));
     }
-    // RFC 9112 §6.3: each value must be 1*DIGIT (`usize::from_str` alone
-    // takes a leading `+`), and repeated lines must agree — framing by
-    // the first of two lengths would leave the rest of the body in the
-    // stream as the start of the next keep-alive request.
-    let mut content_length = None;
-    for (_, v) in headers.iter().filter(|(n, _)| n == "content-length") {
-        let n = match v.parse::<usize>() {
-            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
-            _ => return Err(HttpError::Malformed(format!("bad Content-Length `{v}`"))),
-        };
-        if content_length.is_some_and(|m| m != n) {
-            return Err(HttpError::Malformed("conflicting Content-Length values".into()));
-        }
-        content_length = Some(n);
-    }
-    let content_length = content_length.unwrap_or(0);
+    let lengths = headers.iter().filter(|(n, _)| n == "content-length");
+    let content_length = content_length(lengths.map(|(_, v)| v.as_str()))
+        .map_err(HttpError::Malformed)?
+        .unwrap_or(0);
     if content_length > max_body_bytes {
         return Err(HttpError::TooLarge(format!(
             "request body of {content_length} bytes exceeds the {max_body_bytes}-byte limit"

@@ -36,68 +36,52 @@ impl Default for ServerMetrics {
     }
 }
 
-/// The aggregated-session gauge catalogue: one row per
-/// [`SessionStats`] field, summed over resident targets. Kept as a
-/// table so `render` and the README catalogue can't drift silently —
-/// the e2e test asserts every name here appears in a scrape.
+/// The aggregated-session gauge catalogue: one row per [`SessionStats`]
+/// field, by field name, with its HELP text. Gauge `qrhint_session_<field>`
+/// sums that field over resident targets; `render` reads each value by
+/// name from the stats' serialized form, and a test checks that the rows
+/// name exactly the fields of [`SessionStats`], in order.
 pub const SESSION_GAUGES: &[(&str, &str)] = &[
-    ("qrhint_session_advise_calls", "Advise calls answered, summed over resident targets."),
-    ("qrhint_session_advice_cache_hits", "Whole-advice cache hits, summed over resident targets."),
-    ("qrhint_session_advice_cache_misses", "Whole-advice cache misses, summed over resident targets."),
-    ("qrhint_session_advice_cache_evictions", "Advice-cache LRU evictions, summed over resident targets."),
-    ("qrhint_session_advice_cache_entries", "Resident advice-cache entries, summed over resident targets."),
-    ("qrhint_session_advice_cache_bytes", "Approximate advice-cache bytes, summed over resident targets."),
-    ("qrhint_session_from_groups", "Distinct FROM groups, summed over resident targets."),
-    ("qrhint_session_mapping_reuses", "Advises reusing an existing FROM group, summed over resident targets."),
-    ("qrhint_session_solver_calls", "Solver checks issued, summed over resident targets."),
-    ("qrhint_session_diagnostics_emitted", "Analyzer diagnostics emitted, summed over resident targets."),
-    ("qrhint_session_verdict_cache_hits", "Shared verdict-cache hits, summed over resident targets."),
-    ("qrhint_session_verdict_cache_cross_thread_hits", "Verdict hits paid for by another oracle slot, summed over resident targets."),
-    ("qrhint_session_verdict_cache_misses", "Shared verdict-cache misses, summed over resident targets."),
-    ("qrhint_session_verdict_cache_evictions", "Verdict-cache byte-budget evictions, summed over resident targets."),
-    ("qrhint_session_verdict_cache_entries", "Resident shared-verdict entries, summed over resident targets."),
-    ("qrhint_session_verdict_cache_bytes", "Approximate shared-verdict bytes, summed over resident targets."),
-    ("qrhint_session_interned_terms", "Distinct interned term nodes, summed over resident targets."),
-    ("qrhint_session_interned_formulas", "Distinct interned formula nodes, summed over resident targets."),
-    ("qrhint_session_interner_dedup_hits", "Interner hash-consing hits, summed over resident targets."),
-    ("qrhint_session_interner_bytes", "Approximate interner bytes, summed over resident targets."),
-    ("qrhint_session_theory_pushes", "Theory-stack literal pushes, summed over resident targets."),
-    ("qrhint_session_theory_full_checks", "Full theory checks, summed over resident targets."),
-    ("qrhint_session_quick_conflicts", "Branches cut by the quick-conflict detector, summed over resident targets."),
-    ("qrhint_session_equiv_batches", "Candidate lists checked against one context, summed over resident targets."),
-    ("qrhint_session_equiv_batch_candidates", "Candidates in those lists, summed over resident targets."),
+    ("advise_calls", "Advise calls answered, summed over resident targets."),
+    ("advice_cache_hits", "Whole-advice cache hits, summed over resident targets."),
+    ("advice_cache_misses", "Whole-advice cache misses, summed over resident targets."),
+    ("advice_cache_evictions", "Advice-cache LRU evictions, summed over resident targets."),
+    ("advice_cache_entries", "Resident advice-cache entries, summed over resident targets."),
+    ("advice_cache_bytes", "Approximate advice-cache bytes, summed over resident targets."),
+    ("from_groups", "Distinct FROM groups, summed over resident targets."),
+    ("mapping_reuses", "Advises reusing an existing FROM group, summed over resident targets."),
+    ("solver_calls", "Solver checks issued, summed over resident targets."),
+    ("diagnostics_emitted", "Analyzer diagnostics emitted, summed over resident targets."),
+    ("verdict_cache_hits", "Shared verdict-cache hits, summed over resident targets."),
+    ("verdict_cache_cross_thread_hits", "Verdict hits paid for by another oracle slot, summed over resident targets."),
+    ("verdict_cache_misses", "Shared verdict-cache misses, summed over resident targets."),
+    ("verdict_cache_evictions", "Verdict-cache byte-budget evictions, summed over resident targets."),
+    ("verdict_cache_entries", "Resident shared-verdict entries, summed over resident targets."),
+    ("verdict_cache_bytes", "Approximate shared-verdict bytes, summed over resident targets."),
+    ("interned_terms", "Distinct interned term nodes, summed over resident targets."),
+    ("interned_formulas", "Distinct interned formula nodes, summed over resident targets."),
+    ("interner_dedup_hits", "Interner hash-consing hits, summed over resident targets."),
+    ("interner_bytes", "Approximate interner bytes, summed over resident targets."),
+    ("theory_pushes", "Theory-stack literal pushes, summed over resident targets."),
+    ("theory_full_checks", "Full theory checks, summed over resident targets."),
+    ("quick_conflicts", "Branches cut by the quick-conflict detector, summed over resident targets."),
+    ("equiv_batches", "Candidate lists checked against one context, summed over resident targets."),
+    ("equiv_batch_candidates", "Candidates in those lists, summed over resident targets."),
 ];
 
-/// Field-order projection of [`SessionStats`] matching
-/// [`SESSION_GAUGES`] row for row.
-fn session_values(s: &SessionStats) -> [u64; 25] {
-    [
-        s.advise_calls,
-        s.advice_cache_hits,
-        s.advice_cache_misses,
-        s.advice_cache_evictions,
-        s.advice_cache_entries,
-        s.advice_cache_bytes,
-        s.from_groups,
-        s.mapping_reuses,
-        s.solver_calls,
-        s.diagnostics_emitted,
-        s.verdict_cache_hits,
-        s.verdict_cache_cross_thread_hits,
-        s.verdict_cache_misses,
-        s.verdict_cache_evictions,
-        s.verdict_cache_entries,
-        s.verdict_cache_bytes,
-        s.interned_terms,
-        s.interned_formulas,
-        s.interner_dedup_hits,
-        s.interner_bytes,
-        s.theory_pushes,
-        s.theory_full_checks,
-        s.quick_conflicts,
-        s.equiv_batches,
-        s.equiv_batch_candidates,
-    ]
+/// `stats` as serialized, one `(field name, value)` pair per field in
+/// declaration order.
+fn session_fields(stats: &SessionStats) -> Vec<(String, u64)> {
+    let Ok(serde_json::Value::Map(fields)) = serde_json::to_value(stats) else {
+        return Vec::new();
+    };
+    fields
+        .into_iter()
+        .map(|(name, v)| match v {
+            serde_json::Value::Int(n) => (name, n as u64),
+            _ => (name, 0),
+        })
+        .collect()
 }
 
 impl ServerMetrics {
@@ -223,11 +207,12 @@ impl ServerMetrics {
         // Sum per-target session stats outside any registry lock (each
         // `stats()` takes per-target locks of its own), then mirror.
         let mut bytes = 0u64;
-        let mut sums = [0u64; 25];
+        let mut sums = [0u64; SESSION_GAUGES.len()];
         for target in &resident {
             bytes += target.prepared.approx_cache_bytes() as u64;
-            for (acc, v) in sums.iter_mut().zip(session_values(&target.prepared.stats())) {
-                *acc += v;
+            let fields = session_fields(&target.prepared.stats());
+            for (acc, (field, _)) in sums.iter_mut().zip(SESSION_GAUGES) {
+                *acc += fields.iter().find(|(name, _)| name == field).map_or(0, |&(_, v)| v);
             }
         }
         self.registry
@@ -237,8 +222,9 @@ impl ServerMetrics {
                 &[],
             )
             .set(bytes.min(i64::MAX as u64) as i64);
-        for ((name, help), value) in SESSION_GAUGES.iter().zip(sums) {
-            self.registry.gauge(name, help, &[]).set(value.min(i64::MAX as u64) as i64);
+        for ((field, help), value) in SESSION_GAUGES.iter().zip(sums) {
+            let name = format!("qrhint_session_{field}");
+            self.registry.gauge(&name, help, &[]).set(value.min(i64::MAX as u64) as i64);
         }
         self.registry.render()
     }
@@ -250,8 +236,11 @@ mod tests {
     use crate::registry::RegistryConfig;
 
     #[test]
-    fn session_gauge_catalogue_matches_projection_len() {
-        assert_eq!(SESSION_GAUGES.len(), session_values(&SessionStats::default()).len());
+    fn session_gauge_catalogue_matches_session_stats_fields() {
+        let rows: Vec<&str> = SESSION_GAUGES.iter().map(|&(field, _)| field).collect();
+        let fields = session_fields(&SessionStats::default());
+        let fields: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(rows, fields, "one catalogue row per SessionStats field, in field order");
     }
 
     #[test]

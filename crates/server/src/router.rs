@@ -21,7 +21,7 @@
 //!
 //! Each registration gets a router-global id (`t1`, `t2`, …). Its home
 //! backend is chosen on a consistent-hash ring: every backend
-//! contributes [`RouterConfig::replicas`] virtual points
+//! contributes [`REPLICAS`] virtual points
 //! (`hash(label#replica)`), and a target lands on the first point at or
 //! after `hash(id)` whose backend is currently healthy. The walk makes
 //! failover **deterministic**: when a backend dies, each of its targets
@@ -92,8 +92,11 @@ pub fn ring_position(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The ring: each backend contributes `replicas` virtual points so load
-/// splits evenly even with few backends.
+/// Virtual points each backend contributes to the [`Ring`].
+pub const REPLICAS: usize = 64;
+
+/// The ring: each backend contributes [`REPLICAS`] virtual points so
+/// load splits evenly even with few backends.
 #[derive(Debug, Clone)]
 pub struct Ring {
     /// `(point, backend index)`, sorted by point.
@@ -104,11 +107,10 @@ impl Ring {
     /// Build from backend labels (their address strings). Labels — not
     /// indices — are hashed, so joining or losing one backend moves
     /// only that backend's share of targets.
-    pub fn new(labels: &[String], replicas: usize) -> Ring {
-        let replicas = replicas.max(1);
-        let mut points = Vec::with_capacity(labels.len() * replicas);
+    pub fn new(labels: &[String]) -> Ring {
+        let mut points = Vec::with_capacity(labels.len() * REPLICAS);
         for (idx, label) in labels.iter().enumerate() {
-            for r in 0..replicas {
+            for r in 0..REPLICAS {
                 points.push((ring_position(format!("{label}#{r}").as_bytes()), idx));
             }
         }
@@ -152,8 +154,6 @@ pub struct RouterConfig {
     /// (`current_exe`). Tests point it elsewhere or use joined
     /// backends.
     pub spawn_exe: Option<PathBuf>,
-    /// Virtual points per backend on the hash ring.
-    pub replicas: usize,
     /// `/healthz` probe period (also the failover-recovery bound).
     pub health_interval: Duration,
     /// Router request workers (`0` = available parallelism).
@@ -172,7 +172,6 @@ impl Default for RouterConfig {
             backends: Vec::new(),
             spawn: 0,
             spawn_exe: None,
-            replicas: 64,
             health_interval: Duration::from_millis(250),
             workers: 0,
             max_pending: shell.max_pending,
@@ -348,14 +347,14 @@ pub struct RouterService {
 }
 
 impl RouterService {
-    fn new(backends: Vec<BackendState>, replicas: usize, health_interval: Duration) -> RouterService {
+    fn new(backends: Vec<BackendState>, health_interval: Duration) -> RouterService {
         let labels: Vec<String> = backends.iter().map(|b| b.label.clone()).collect();
         let metrics = RouterMetrics::new();
         for b in &backends {
             metrics.set_backend_up(&b.label, b.healthy.load(Ordering::SeqCst));
         }
         RouterService {
-            ring: Ring::new(&labels, replicas),
+            ring: Ring::new(&labels),
             backends,
             pool: ClientPool::new(),
             targets: Mutex::new(HashMap::new()),
@@ -763,7 +762,7 @@ impl Router {
                 ));
             }
         }
-        let service = Arc::new(RouterService::new(backends, cfg.replicas, cfg.health_interval));
+        let service = Arc::new(RouterService::new(backends, cfg.health_interval));
         let shell = ShellConfig {
             addr: cfg.addr,
             workers: cfg.workers,
@@ -884,7 +883,7 @@ mod tests {
 
     #[test]
     fn placement_is_deterministic_and_total() {
-        let ring = Ring::new(&labels(3), 64);
+        let ring = Ring::new(&labels(3));
         for i in 0..100 {
             let id = format!("t{i}");
             let a = ring.place(&id, |_| true).unwrap();
@@ -896,7 +895,7 @@ mod tests {
 
     #[test]
     fn placement_spreads_across_backends() {
-        let ring = Ring::new(&labels(3), 64);
+        let ring = Ring::new(&labels(3));
         let mut counts = [0usize; 3];
         for i in 0..300 {
             counts[ring.place(&format!("t{i}"), |_| true).unwrap()] += 1;
@@ -908,7 +907,7 @@ mod tests {
 
     #[test]
     fn failover_moves_only_the_dead_backends_targets() {
-        let ring = Ring::new(&labels(3), 64);
+        let ring = Ring::new(&labels(3));
         let ids: Vec<String> = (0..200).map(|i| format!("t{i}")).collect();
         let before: Vec<usize> =
             ids.iter().map(|id| ring.place(id, |_| true).unwrap()).collect();
@@ -930,9 +929,9 @@ mod tests {
 
     #[test]
     fn empty_ring_places_nothing() {
-        let ring = Ring::new(&[], 64);
+        let ring = Ring::new(&[]);
         assert_eq!(ring.place("t1", |_| true), None);
-        let ring = Ring::new(&labels(2), 64);
+        let ring = Ring::new(&labels(2));
         assert_eq!(ring.place("t1", |_| false), None, "no healthy backend");
     }
 

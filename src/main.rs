@@ -10,7 +10,7 @@
 //!         [--max-cache-mb MB] [--max-pending N] [--log-format text|json]
 //!         [--log-level LEVEL]
 //! qr-hint route [--addr HOST:PORT] (--spawn N | --backend HOST:PORT ...)
-//!         [--replicas N] [--health-interval-ms MS] [--max-pending N]
+//!         [--health-interval-ms MS] [--max-pending N]
 //!         [--log-format text|json] [--log-level LEVEL]
 //! qr-hint fuzz --schema NAME [--count N] [--seed N] [--jobs N|auto]
 //!         [--instances N] [--json]
@@ -155,8 +155,6 @@ struct Args {
     spawn: usize,
     /// route mode: already-running backends to join (repeatable).
     backends: Vec<String>,
-    /// route mode: virtual points per backend on the hash ring.
-    replicas: usize,
     /// route mode: `/healthz` probe period in milliseconds.
     health_interval_ms: u64,
     /// fuzz mode: corpus size.
@@ -194,7 +192,7 @@ const USAGE: &str = "usage: qr-hint [advise] --schema <schema.sql> --target <sol
                      [--max-pending <N>] [--log-format <text|json>] \
                      [--log-level <error|warn|info|debug|trace>]\n\
                      \x20      qr-hint route [--addr <host:port>] (--spawn <N> | \
-                     --backend <host:port> ...) [--replicas <N>] \
+                     --backend <host:port> ...) \
                      [--health-interval-ms <MS>] [--max-pending <N>] \
                      [--log-format <text|json>] [--log-level <error|warn|info|debug|trace>]\n\
                      \x20      qr-hint fuzz --schema <beers|beers-course|brass|dblp|students|tpch> \
@@ -216,7 +214,6 @@ fn parse_args() -> Result<Args, String> {
     let mut max_pending = 1024usize;
     let mut spawn = 0usize;
     let mut backends: Vec<String> = Vec::new();
-    let mut replicas = 64usize;
     let mut health_interval_ms = 250u64;
     let mut count = 1000usize;
     let mut seed = 42u64;
@@ -311,14 +308,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| format!("--spawn needs a positive integer, got `{n}`"))?;
             }
             "--backend" => backends.push(it.next().ok_or("--backend needs host:port")?),
-            "--replicas" => {
-                let n = it.next().ok_or("--replicas needs a count")?;
-                replicas = n
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("--replicas needs a positive integer, got `{n}`"))?;
-            }
             "--health-interval-ms" => {
                 let n = it.next().ok_or("--health-interval-ms needs milliseconds")?;
                 health_interval_ms = n
@@ -475,11 +464,11 @@ fn parse_args() -> Result<Args, String> {
             "--log-format/--log-level only apply to serve and route modes\n{USAGE}"
         ));
     }
-    if (spawn > 0 || !backends.is_empty() || replicas != 64 || health_interval_ms != 250)
+    if (spawn > 0 || !backends.is_empty() || health_interval_ms != 250)
         && !matches!(mode, Mode::Route)
     {
         return Err(format!(
-            "--spawn/--backend/--replicas/--health-interval-ms only apply to route mode\n{USAGE}"
+            "--spawn/--backend/--health-interval-ms only apply to route mode\n{USAGE}"
         ));
     }
     match mode {
@@ -513,7 +502,6 @@ fn parse_args() -> Result<Args, String> {
         max_pending,
         spawn,
         backends,
-        replicas,
         health_interval_ms,
         count,
         seed,
@@ -1065,7 +1053,6 @@ fn run_route(args: &Args) -> Result<(), CliError> {
         addr: args.addr.clone(),
         backends,
         spawn: args.spawn,
-        replicas: args.replicas,
         health_interval: std::time::Duration::from_millis(args.health_interval_ms),
         workers: args.jobs,
         max_pending: args.max_pending,

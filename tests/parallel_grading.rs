@@ -32,7 +32,7 @@ fn students_batches() -> (Schema, Vec<(String, Vec<String>)>) {
 
 /// Beers batch: fault-injected WHERE variants of course question (c)
 /// — 24 distinct submissions sharing one FROM binding, so every worker
-/// contends on the same memo group (the slot pool's worst case).
+/// works in the same memo group, each on its own slot of it.
 fn beers_batch() -> (Schema, String, Vec<String>) {
     batches::beers_batch(24)
 }

@@ -139,7 +139,7 @@ impl Topology {
 // Consistent-hash placement
 // ---------------------------------------------------------------------------
 
-/// The ring is a pure function of (labels, replicas): the same inputs
+/// The ring is a pure function of its labels: the same labels
 /// place every id identically across rebuilds, and removing one
 /// backend moves only the ids it owned — the property routed failover
 /// relies on.
@@ -147,8 +147,8 @@ impl Topology {
 fn ring_placement_is_deterministic_and_only_moves_dead_shares() {
     let labels: Vec<String> =
         ["10.0.0.1:7878", "10.0.0.2:7878", "10.0.0.3:7878"].map(String::from).to_vec();
-    let ring_a = Ring::new(&labels, 64);
-    let ring_b = Ring::new(&labels, 64);
+    let ring_a = Ring::new(&labels);
+    let ring_b = Ring::new(&labels);
     let ids: Vec<String> = (0..200).map(|i| format!("t{i}")).collect();
     let all_up = |_: usize| true;
     let before: Vec<usize> =
