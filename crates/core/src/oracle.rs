@@ -467,12 +467,19 @@ pub struct OracleCounters {
     pub theory_full_checks: u64,
     /// Branches (or whole checks) cut by the quick-conflict detector.
     pub quick_conflicts: u64,
+    /// String or integer decisions of full checks answered by the
+    /// solver's per-call theory memo instead of a decider run.
+    pub theory_memo_hits: u64,
     /// Candidate lists checked against one context (SELECT positional
     /// equivalence, GROUP BY Δ− pruning, WHERE-repair site sets); each
     /// candidate is an ordinary [`Oracle::sat_f`]-based check.
     pub equiv_batches: u64,
     /// Candidates in those lists.
     pub equiv_batch_candidates: u64,
+    /// Checks [`Oracle::sat_f`] or [`Oracle::sat_rows`] answered
+    /// `Unknown` (one per table row); callers act only on definitive
+    /// answers, so each is a place the advice may be less than optimal.
+    pub unknown_verdicts: u64,
 }
 
 impl AddAssign for OracleCounters {
@@ -485,8 +492,10 @@ impl AddAssign for OracleCounters {
         self.theory_pushes += o.theory_pushes;
         self.theory_full_checks += o.theory_full_checks;
         self.quick_conflicts += o.quick_conflicts;
+        self.theory_memo_hits += o.theory_memo_hits;
         self.equiv_batches += o.equiv_batches;
         self.equiv_batch_candidates += o.equiv_batch_candidates;
+        self.unknown_verdicts += o.unknown_verdicts;
     }
 }
 
@@ -1201,9 +1210,12 @@ impl Oracle {
         Some(verdict)
     }
 
-    /// Cache a decided verdict; `Unknown` is never cached.
+    /// Cache a verdict the solver just returned, or count it when it is
+    /// `Unknown`, which is never cached.
     fn cache(&mut self, key: VerdictKey, verdict: TriBool) {
-        if verdict != TriBool::Unknown {
+        if verdict == TriBool::Unknown {
+            self.counters.unknown_verdicts += 1;
+        } else {
             self.counters.verdict_evictions += self.ctx.verdicts.insert(key, verdict, self.id);
         }
     }
@@ -1235,6 +1247,7 @@ impl Oracle {
         self.counters.theory_pushes += s.theory_lits_translated;
         self.counters.theory_full_checks += s.theory_full_checks;
         self.counters.quick_conflicts += s.quick_conflicts;
+        self.counters.theory_memo_hits += s.theory_memo_hits;
     }
 
     /// Formula-level unsatisfiability.

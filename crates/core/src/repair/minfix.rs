@@ -76,6 +76,21 @@ impl AtomMap {
         self.atoms.is_empty()
     }
 
+    /// The atom index of `atom` and the polarity it has there. Panics if
+    /// neither `atom` nor its negation is registered.
+    fn literal(&self, atom: &Pred) -> (usize, bool) {
+        if let Some(&entry) = self.phi.get(atom) {
+            return entry;
+        }
+        // Negated forms of registered atoms appear when bounds are
+        // complemented (CNF mode, NOT nodes); invert the polarity.
+        let (i, pol) = *self
+            .phi
+            .get(&atom.negated_nnf())
+            .unwrap_or_else(|| panic!("unregistered atom {atom} in AtomMap::eval"));
+        (i, !pol)
+    }
+
     /// Evaluate `p` under a row of the truth table (bit i of `row` is the
     /// value of atom i). Panics if `p` contains unregistered atoms.
     pub fn eval(&self, p: &Pred, row: u32) -> bool {
@@ -86,23 +101,37 @@ impl AtomMap {
             Pred::Or(cs) => cs.iter().any(|c| self.eval(c, row)),
             Pred::Not(c) => !self.eval(c, row),
             atom => {
-                if let Some(&(i, pol)) = self.phi.get(atom) {
-                    let v = row & (1 << i) != 0;
-                    return if pol { v } else { !v };
+                let (i, pol) = self.literal(atom);
+                (row >> i & 1 == 1) == pol
+            }
+        }
+    }
+
+    /// [`AtomMap::eval`] on every row of the table at once: bit `r % 64`
+    /// of word `r / 64` is `p`'s value in row `r` (a table of fewer than
+    /// 64 rows uses the low bits of one word). Each node of `p` is
+    /// evaluated once, word by word; the same atoms panic.
+    pub fn eval_words(&self, p: &Pred) -> Vec<u64> {
+        let words = (1usize << self.len()).div_ceil(64);
+        let fold = |cs: &[Pred], init: u64, op: fn(u64, u64) -> u64| {
+            let mut acc = vec![init; words];
+            for c in cs {
+                for (a, w) in acc.iter_mut().zip(self.eval_words(c)) {
+                    *a = op(*a, w);
                 }
-                // Negated forms of registered atoms appear when bounds are
-                // complemented (CNF mode, NOT nodes); invert the polarity.
-                let neg = atom.negated_nnf();
-                let (i, pol) = *self
-                    .phi
-                    .get(&neg)
-                    .unwrap_or_else(|| panic!("unregistered atom {atom} in AtomMap::eval"));
-                let v = row & (1 << i) != 0;
-                if pol {
-                    !v
-                } else {
-                    v
-                }
+            }
+            acc
+        };
+        match p {
+            Pred::True => vec![!0; words],
+            Pred::False => vec![0; words],
+            Pred::And(cs) => fold(cs, !0, |a, b| a & b),
+            Pred::Or(cs) => fold(cs, 0, |a, b| a | b),
+            Pred::Not(c) => self.eval_words(c).into_iter().map(|w| !w).collect(),
+            atom => {
+                let (i, pol) = self.literal(atom);
+                let flip = if pol { 0 } else { !0 };
+                (0..words).map(|w| column(i, w) ^ flip).collect()
             }
         }
     }
@@ -186,6 +215,25 @@ impl AtomMap {
     }
 }
 
+/// Word `w` of atom `i`'s column: bit `b` is set when atom `i` is true in
+/// row `64·w + b`. The low six atoms repeat one pattern in every word;
+/// each higher atom fills whole words.
+fn column(i: usize, w: usize) -> u64 {
+    const LOW: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    match LOW.get(i) {
+        Some(&pattern) => pattern,
+        None if w >> (i - 6) & 1 == 1 => !0,
+        None => 0,
+    }
+}
+
 /// Lower every atom's `[negative, positive]` literal pair and the context
 /// once per table. The negative literals are lowered first, then the
 /// context, then the positive literals: lowering each row's conjunction
@@ -205,7 +253,9 @@ fn lower_literals(
 }
 
 /// Build the truth table for the target bound `[lower, upper]` over the
-/// atom map: infeasible rows and slack rows become don't-cares.
+/// atom map: infeasible rows and slack rows become don't-cares. The rows'
+/// feasibility is one [`Oracle::sat_rows`] call, and each bound is
+/// evaluated on all rows at once ([`AtomMap::eval_words`]).
 pub fn build_truth_table(
     map: &AtomMap,
     oracle: &mut Oracle,
@@ -215,15 +265,15 @@ pub fn build_truth_table(
 ) -> TruthTable {
     let (lits, ctx) = lower_literals(map, oracle, ctx);
     let feasible = oracle.sat_rows(&lits, &ctx);
+    let (lower, upper) = (map.eval_words(lower), map.eval_words(upper));
+    let bit = |words: &[u64], row: u32| words[row as usize / 64] >> (row % 64) & 1 == 1;
     TruthTable::from_fn(map.len(), |row| {
         // Infeasible combination of atoms → don't-care. Only a definitive
         // UNSAT may mark the row (paper's soundness discipline).
         if feasible[row as usize] == TriBool::False {
             return Out::DontCare;
         }
-        let lv = map.eval(lower, row);
-        let uv = map.eval(upper, row);
-        match (lv, uv) {
+        match (bit(&lower, row), bit(&upper, row)) {
             (true, true) => Out::One,
             (false, false) => Out::Zero,
             (false, true) => Out::DontCare,
@@ -270,6 +320,7 @@ pub fn min_fix(
 mod tests {
     use super::*;
     use crate::oracle::LowerEnv;
+    use proptest::prelude::*;
     use qrhint_sqlast::ColRef;
     use qrhint_sqlparse::parse_pred;
 
@@ -369,6 +420,78 @@ mod tests {
             o
         };
         assert_table_matches_per_row_checks(fresh, &ctx, &lower, &upper);
+    }
+
+    /// An atom map over `n` atoms `t.c{i} > i`, registered as `absorb`
+    /// can register them: atom `i % 3 == 0` as written, `1` both as
+    /// written and negated (polarity `false`), `2` only negated — so
+    /// `eval` meets each polarity both directly and through the
+    /// negated-form lookup.
+    fn column_atoms(n: usize) -> AtomMap {
+        let mut map = AtomMap::default();
+        for i in 0..n {
+            let atom = parse_pred(&format!("t.c{i} > {i}")).unwrap();
+            if i % 3 != 2 {
+                map.phi.insert(atom.clone(), (i, true));
+            }
+            if i % 3 != 0 {
+                map.phi.insert(atom.negated_nnf(), (i, false));
+            }
+            map.atoms.push(atom);
+        }
+        map
+    }
+
+    /// Random bounds over atoms `0..n`: each leaf an atom as written or
+    /// complemented, or a constant, under And/Or/Not.
+    fn arb_bound(n: usize) -> impl Strategy<Value = Pred> {
+        let leaf = prop_oneof![
+            ((0..n), any::<bool>()).prop_map(|(i, complement)| {
+                let atom = parse_pred(&format!("t.c{i} > {i}")).unwrap();
+                if complement {
+                    atom.negated_nnf()
+                } else {
+                    atom
+                }
+            }),
+            Just(Pred::True),
+            Just(Pred::False),
+        ];
+        leaf.prop_recursive(4, 24, 4, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 1..5).prop_map(Pred::And),
+                proptest::collection::vec(inner.clone(), 1..5).prop_map(Pred::Or),
+                inner.prop_map(|p| Pred::Not(Box::new(p))),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `eval_words` gives every row the value per-row `eval` gives
+        /// it, for a bound and for its complement (MinFix's CNF mode),
+        /// over 1–12 atoms: tables of one partial word up to 64 words.
+        #[test]
+        fn word_parallel_bounds_match_per_row_eval(
+            (n, bound) in (1usize..=12).prop_flat_map(|n| (Just(n), arb_bound(n))),
+        ) {
+            let map = column_atoms(n);
+            for p in [bound.clone(), bound.negated_nnf()] {
+                let words = map.eval_words(&p);
+                prop_assert_eq!(words.len(), (1usize << n).div_ceil(64));
+                for row in 0..1u32 << n {
+                    let bit = words[row as usize / 64] >> (row % 64) & 1 == 1;
+                    prop_assert_eq!(bit, map.eval(&p, row), "row {:b} of {}", row, p);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unregistered atom")]
+    fn word_parallel_eval_rejects_unregistered_atoms() {
+        column_atoms(7).eval_words(&parse_pred("t.c9 > 9").unwrap());
     }
 
     #[test]

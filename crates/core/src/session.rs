@@ -190,11 +190,20 @@ pub struct SessionStats {
     /// Branches cut by the quick-conflict detector, plus checks its root
     /// units refuted outright.
     pub quick_conflicts: u64,
+    /// String or integer decisions of full theory checks answered by the
+    /// solver's per-call memo (an earlier check of the same call had
+    /// decided the same input) instead of a decider run.
+    pub theory_memo_hits: u64,
     /// Candidate lists checked against one context (SELECT positional
     /// equivalence, GROUP BY Δ− pruning, WHERE-repair site sets).
     pub equiv_batches: u64,
     /// Candidates in those lists.
     pub equiv_batch_candidates: u64,
+    /// Solver checks answered `Unknown` (a table row counts one): the
+    /// atom or leaf budget ran out, or a theory could not decide. The
+    /// advice acts only on definitive answers, so each one is a place it
+    /// may be less than optimal.
+    pub unknown_verdicts: u64,
 }
 
 /// The backing store for [`SessionStats`]: plain counters would lose
@@ -250,8 +259,10 @@ impl AtomicStats {
             theory_pushes: o.theory_pushes,
             theory_full_checks: o.theory_full_checks,
             quick_conflicts: o.quick_conflicts,
+            theory_memo_hits: o.theory_memo_hits,
             equiv_batches: o.equiv_batches,
             equiv_batch_candidates: o.equiv_batch_candidates,
+            unknown_verdicts: o.unknown_verdicts,
         }
     }
 }
@@ -1044,6 +1055,36 @@ mod tests {
         assert_eq!(advice.fixed, stateless.fixed);
         let fixed = advice.fixed.expect("WHERE advice carries a fix");
         assert!(prepared.advise(&fixed).unwrap().is_equivalent());
+    }
+
+    #[test]
+    fn checks_over_the_atom_budget_count_as_unknown_verdicts() {
+        // 21 distinct atoms on each side, so the WHERE equivalence checks
+        // exceed the solver's 20-atom budget and answer Unknown.
+        let disjuncts = |from: i64| {
+            (from..from + 21).map(|k| format!("s.price = {k}")).collect::<Vec<_>>().join(" OR ")
+        };
+        let qr = QrHint::new(beers_schema());
+        let target = format!("SELECT s.bar FROM Serves s WHERE {}", disjuncts(1));
+        let prepared = qr.compile_target(&target).unwrap();
+        let advice = prepared
+            .advise_sql(&format!("SELECT s.bar FROM Serves s WHERE {}", disjuncts(2)))
+            .unwrap();
+        let stats = prepared.stats();
+        assert!(stats.unknown_verdicts > 0, "{stats:?}");
+        assert!(stats.unknown_verdicts <= stats.verdict_cache_misses, "{stats:?}");
+        // The advice Unknown answers lead to: the whole clause flagged,
+        // with the target's clause as its fix.
+        assert_eq!(advice.stage, Stage::Where);
+        let hints: Vec<String> = advice.hints.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            hints,
+            [format!("In WHERE: `{}` has a problem — try fixing it.", disjuncts(2))]
+        );
+        assert_eq!(
+            advice.fixed.map(|q| q.to_string()),
+            Some(format!("SELECT s.bar FROM serves s WHERE {}", disjuncts(1)))
+        );
     }
 
     #[test]

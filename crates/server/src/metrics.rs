@@ -65,8 +65,10 @@ pub const SESSION_GAUGES: &[(&str, &str)] = &[
     ("theory_pushes", "Theory-stack literal pushes, summed over resident targets."),
     ("theory_full_checks", "Full theory checks, summed over resident targets."),
     ("quick_conflicts", "Branches cut by the quick-conflict detector, summed over resident targets."),
+    ("theory_memo_hits", "Theory decisions answered by the solver's per-call memo, summed over resident targets."),
     ("equiv_batches", "Candidate lists checked against one context, summed over resident targets."),
     ("equiv_batch_candidates", "Candidates in those lists, summed over resident targets."),
+    ("unknown_verdicts", "Solver checks answered Unknown, summed over resident targets."),
 ];
 
 /// `stats` as serialized, one `(field name, value)` pair per field in

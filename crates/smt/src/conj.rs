@@ -6,6 +6,16 @@
 //! after the candidate model has been validated against the *original*
 //! literal semantics (including non-linear arithmetic that was abstracted
 //! during solving).
+//!
+//! A check is two pure deciders and one assembly step:
+//! [`strings::check`] over the translation's string constraints,
+//! [`decide_ints`] over its integer section (`ineqs`, `eqs`, `nes`), and
+//! `Translation::assemble`, which maps their models back onto the
+//! check's own variables and validates them against its own literals.
+//! The deciders see only their inputs, so equal inputs give equal answers
+//! — which is what lets [`crate::theory::TheoryState`] memoize them across
+//! the leaves of one search, while [`check_conjunction`] (the reference
+//! the tests compare against) runs both every time.
 
 use crate::formula::{Atom, Rel};
 use crate::lia::{self, LiaResult};
@@ -151,77 +161,53 @@ impl Translation {
     /// validated against the original literals in `lits` (the exact
     /// literal sequence that was pushed).
     pub fn solve(&self, lits: &[Lit]) -> (SatResult, Option<Model>) {
-        // ---- String theory ----
-        let num_str_vars = self.str_var_index.len();
-        let str_model = match strings::check(num_str_vars, &self.str_constraints) {
-            StrResult::Unsat => return (SatResult::Unsat, None),
-            StrResult::Unknown => None,
-            StrResult::Sat(m) => Some(m),
-        };
-
-        // ---- Integer theory with Ne case splits ----
-        if self.nes.len() > MAX_NE_SPLIT {
-            return (SatResult::Unknown, None);
-        }
-        let mut int_model: Option<BTreeMap<VarId, i128>> = None;
-        let mut all_branches_unsat = true;
-        let nbranches: u64 = 1u64 << self.nes.len();
-        for mask in 0..nbranches {
-            let mut branch = self.ineqs.clone();
-            let one = LinExpr::constant(1);
-            for (i, ne) in self.nes.iter().enumerate() {
-                // A side that leaves i128 is skipped: the branch only
-                // grows, so its Unsat stays sound.
-                if mask & (1 << i) != 0 {
-                    // d ≥ 1, i.e. -d + 1 ≤ 0
-                    branch.extend(ne.negate().and_then(|e| e.add(&one)));
-                } else {
-                    // d ≤ -1, i.e. d + 1 ≤ 0
-                    branch.extend(ne.add(&one));
-                }
-            }
-            match lia::solve(&branch, &self.eqs) {
-                LiaResult::Sat(m) => {
-                    int_model = Some(m);
-                    all_branches_unsat = false;
-                    break;
-                }
-                LiaResult::Unsat => {}
-                LiaResult::Unknown => {
-                    // This branch is undecided, so Unsat is off the table —
-                    // but a sibling branch may still produce a model.
-                    all_branches_unsat = false;
-                }
-            }
-        }
-        if all_branches_unsat && nbranches > 0 {
+        let strs = strings::check(self.str_var_index.len(), &self.str_constraints);
+        if strs == StrResult::Unsat {
             return (SatResult::Unsat, None);
         }
+        let ints = decide_ints(&self.ineqs, &self.eqs, &self.nes);
+        self.assemble(lits, &strs, &ints)
+    }
 
-        // ---- Assemble and validate a candidate model ----
+    /// Combine the two deciders' answers for this translation — `strs`
+    /// from [`strings::check`] (never `Unsat`: that verdict is final
+    /// before the integers are decided) and `ints` from [`decide_ints`]
+    /// — into a verdict, and on `Sat` a model validated against `lits`.
+    pub(crate) fn assemble(
+        &self,
+        lits: &[Lit],
+        strs: &StrResult,
+        ints: &LiaResult,
+    ) -> (SatResult, Option<Model>) {
         // A model found in one disequality branch is usable even when other
         // branches (or skipped literals) were undecided: the validation loop
         // below re-checks every original literal, which is what makes Sat
         // sound. Only a missing theory model forces Unknown outright.
-        if int_model.is_none() || (num_str_vars > 0 && str_model.is_none()) {
+        let int_model = match ints {
+            LiaResult::Sat(m) => m,
+            LiaResult::Unsat => return (SatResult::Unsat, None),
+            LiaResult::Unknown => return (SatResult::Unknown, None),
+        };
+        let str_model = match strs {
+            StrResult::Sat(m) => Some(m),
+            StrResult::Unsat | StrResult::Unknown => None,
+        };
+        if !self.str_var_index.is_empty() && str_model.is_none() {
             return (SatResult::Unknown, None);
         }
         let mut model = Model::new();
-        if let Some(sm) = &str_model {
+        if let Some(sm) = str_model {
             let rev: BTreeMap<usize, VarId> =
                 self.str_var_index.iter().map(|(v, i)| (*i, *v)).collect();
             for (idx, val) in sm {
                 model.set(rev[idx], Value::Str(val.clone()));
             }
         }
-        if let Some(im) = &int_model {
-            for (v, val) in im {
-                // Values outside i64 range would be a resource anomaly; clamp
-                // conservatively (validation below will reject if wrong).
-                let as64 =
-                    i64::try_from(*val).unwrap_or(if *val > 0 { i64::MAX } else { i64::MIN });
-                model.set(*v, Value::Int(as64));
-            }
+        for (v, val) in int_model {
+            // Values outside i64 range would be a resource anomaly; clamp
+            // conservatively (validation below will reject if wrong).
+            let as64 = i64::try_from(*val).unwrap_or(if *val > 0 { i64::MAX } else { i64::MIN });
+            model.set(*v, Value::Int(as64));
         }
         // Validate against the original literal semantics.
         for (atom, polarity) in lits {
@@ -231,6 +217,47 @@ impl Translation {
             }
         }
         (SatResult::Sat, Some(model))
+    }
+}
+
+/// Decide the integer section of a translation: `ineqs` (`e ≤ 0`) ∧
+/// `eqs` (`e = 0`) ∧ `nes` (`e ≠ 0`), case-splitting each disequality
+/// into its two strict sides. `Sat` carries the model of the first
+/// satisfiable branch; `Unsat` means every branch is refuted; `Unknown`
+/// covers more than `MAX_NE_SPLIT` (10) disequalities and an undecided
+/// branch with no satisfiable sibling. A pure function of its inputs, as
+/// [`strings::check`] is of its own.
+pub fn decide_ints(ineqs: &[LinExpr], eqs: &[LinExpr], nes: &[LinExpr]) -> LiaResult {
+    if nes.len() > MAX_NE_SPLIT {
+        return LiaResult::Unknown;
+    }
+    let one = LinExpr::constant(1);
+    let mut undecided = false;
+    for mask in 0..1u64 << nes.len() {
+        let mut branch = ineqs.to_vec();
+        for (i, ne) in nes.iter().enumerate() {
+            // A side that leaves i128 is skipped: the branch only
+            // grows, so its Unsat stays sound.
+            if mask & (1 << i) != 0 {
+                // d ≥ 1, i.e. -d + 1 ≤ 0
+                branch.extend(ne.negate().and_then(|e| e.add(&one)));
+            } else {
+                // d ≤ -1, i.e. d + 1 ≤ 0
+                branch.extend(ne.add(&one));
+            }
+        }
+        match lia::solve(&branch, eqs) {
+            LiaResult::Sat(m) => return LiaResult::Sat(m),
+            LiaResult::Unsat => {}
+            // This branch is undecided, so Unsat is off the table — but a
+            // sibling branch may still produce a model.
+            LiaResult::Unknown => undecided = true,
+        }
+    }
+    if undecided {
+        LiaResult::Unknown
+    } else {
+        LiaResult::Unsat
     }
 }
 

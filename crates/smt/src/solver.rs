@@ -27,6 +27,14 @@
 //!   context's units once and walks the rows depth-first, so rows sharing
 //!   a prefix share its pushes, and each leaf runs the same skeleton
 //!   search a from-scratch check of that row runs.
+//!
+//! Either way one call owns one [`TheoryState`], whose memo answers a
+//! full check's string or integer decision when an earlier check of the
+//! same call decided the same input — in a table, rows that differ only
+//! in a string literal share their integer system, and the other way
+//! round — so a table pays one decider run per distinct subproblem, not
+//! per row. [`SolveStats::theory_memo_hits`] counts the reuse; every
+//! other count is what the memo-free search would report.
 
 use crate::conj::Lit;
 use crate::formula::{Atom, Formula};
@@ -70,6 +78,10 @@ pub struct SolveStats {
     pub quick_conflicts: u64,
     /// Theory-checked leaves.
     pub leaves: u64,
+    /// Decider runs of full checks answered by the theory stack's memo
+    /// ([`TheoryState::memo_hits`]): a full check counts up to two, its
+    /// string and its integer decision.
+    pub theory_memo_hits: u64,
 }
 
 /// Outcome of a `check` call: verdict plus a validated model on `Sat`.
@@ -237,6 +249,11 @@ impl<'p> Stack<'p> {
             }
         }
         true
+    }
+
+    /// The work counters so far, memo hits included.
+    fn stats(&self) -> SolveStats {
+        SolveStats { theory_memo_hits: self.theory.memo_hits(), ..self.stats }
     }
 
     /// Undo every unit pushed after the first `units` and forget the
@@ -431,19 +448,25 @@ impl Solver {
         }
         let pool_len = pool.len();
         let mut stack = Stack::new(pool);
+        let (result, model) = self.decide_parts(&mut stack, parts);
+        let stats = stack.stats();
+        pool.truncate(pool_len);
+        CheckOutcome { result, model, stats }
+    }
+
+    /// The body of [`Solver::check_parts`] on a fresh `stack`: assign the
+    /// root units of `parts`, then search within the atom budget.
+    fn decide_parts(&self, stack: &mut Stack, parts: &[&Formula]) -> (SatResult, Option<Model>) {
         parts.iter().for_each(|p| stack.add_atoms(p));
-        let (result, model) = if !stack.assign_units(parts) {
+        if !stack.assign_units(parts) {
             (SatResult::Unsat, None)
         } else if stack.atoms.len() > self.max_atoms {
             (SatResult::Unknown, None)
         } else {
             let skeleton: Vec<IForm> =
                 parts.iter().map(|p| abstract_formula(p, &stack.atoms)).collect();
-            self.search(&mut stack, parts, &skeleton)
-        };
-        let stats = stack.stats;
-        pool.truncate(pool_len);
-        CheckOutcome { result, model, stats }
+            self.search(stack, parts, &skeleton)
+        }
     }
 
     /// Search the Boolean skeleton of `parts` on top of the units already
@@ -475,7 +498,9 @@ impl Solver {
     /// row's from-scratch root units would push, in the same order. A
     /// quick conflict refutes every row below it; each surviving leaf
     /// applies the atom budget and runs the same skeleton search as
-    /// [`Solver::check_parts`]. `pool` ends as it started.
+    /// [`Solver::check_parts`], its full checks drawing on the one
+    /// stack's decider memo, so a string or integer subproblem that
+    /// several rows share is decided once. `pool` ends as it started.
     pub fn check_rows(
         &self,
         ctx: &[&Formula],
@@ -507,7 +532,7 @@ impl Solver {
             }
         }
         let RowWalk { verdicts, stack, .. } = walk;
-        let stats = stack.stats;
+        let stats = stack.stats();
         pool.truncate(pool_len);
         RowsOutcome { verdicts, stats }
     }
@@ -833,6 +858,42 @@ mod tests {
         ]);
         assert_ne!(s.check(&f, &mut p).result, SatResult::Unsat);
         assert_eq!(p.len(), before);
+    }
+
+    #[test]
+    fn a_search_past_the_memo_cap_keeps_the_memo_at_the_cap() {
+        use crate::theory::THEORY_MEMO_CAP;
+        // y ≥ 1 ∧ y + z = 0 ∧ (z ≥ 1 ∨ z ≥ 2) is refuted by Fourier–Motzkin
+        // alone (the quick detector does not read `y + z`), so every leaf
+        // is a full check. Eleven independent pairs (x ≥ 0 ∨ x ≤ −5)
+        // before it give every leaf its own integer system.
+        let mut p = VarPool::new();
+        let mut var = |name: &str| Term::var(p.fresh(name, Sort::Int));
+        let (y, z) = (var("y"), var("z"));
+        let mut parts = vec![
+            Formula::cmp(y.clone(), Rel::Ge, Term::IntConst(1)),
+            Formula::cmp(Term::add(y, z.clone()), Rel::Eq, Term::IntConst(0)),
+        ];
+        for i in 0..11 {
+            let x = var(&format!("x{i}"));
+            parts.push(Formula::or(vec![
+                Formula::cmp(x.clone(), Rel::Ge, Term::IntConst(0)),
+                Formula::cmp(x, Rel::Le, Term::IntConst(-5)),
+            ]));
+        }
+        parts.push(Formula::or(vec![
+            Formula::cmp(z.clone(), Rel::Ge, Term::IntConst(1)),
+            Formula::cmp(z, Rel::Ge, Term::IntConst(2)),
+        ]));
+        let refs: Vec<&Formula> = parts.iter().collect();
+        let s = Solver { max_atoms: 64, ..Solver::default() };
+        let mut stack = Stack::new(&mut p);
+        let (verdict, _) = s.decide_parts(&mut stack, &refs);
+        assert_eq!(verdict, SatResult::Unsat);
+        let stats = stack.stats();
+        assert!(stats.leaves > THEORY_MEMO_CAP as u64, "{stats:?}");
+        assert_eq!(stack.theory.memo_len(), (1, THEORY_MEMO_CAP), "{stats:?}");
+        assert!(stats.theory_memo_hits > 0, "{stats:?}");
     }
 
     #[test]

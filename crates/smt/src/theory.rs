@@ -12,23 +12,161 @@
 //! check.
 //!
 //! Parity with the from-scratch path is by construction:
-//! [`TheoryState::check_full`] runs the identical [`Translation::solve`]
-//! on the identically-ordered translation state that
-//! [`crate::conj::check_conjunction`] would build for the same literal
-//! stack, and [`TheoryState::pop`] unwinds the translation (including
+//! [`TheoryState::check_full`] decides the identically-ordered
+//! translation state that [`crate::conj::check_conjunction`] would build
+//! for the same literal stack, with the same two deciders and the same
+//! assembly, and [`TheoryState::pop`] unwinds the translation (including
 //! [`crate::term::OpaqueMap`] interning and pool allocation) to exactly
 //! the state a from-scratch translation of the remaining stack would
 //! produce.
+//!
+//! The stack also memoizes those two deciders, [`strings::check`] and
+//! [`decide_ints`], by their exact inputs. Leaves of one search often
+//! differ only in a string literal, which leaves the integer system as
+//! it was, or only in an integer literal, which leaves the string
+//! constraints as they were; a full check reuses whichever answer it has
+//! seen. The memo lives as long as the state (one solver call), is not
+//! unwound by `pop` (an answer depends on its input alone, not on the
+//! stack it came from), holds at most [`THEORY_MEMO_CAP`] answers per
+//! decider, and stores a check's answer only when a later check asks, so
+//! a call with one leaf neither hashes nor fills a table. Model
+//! assembly and validation against the leaf's own literals always run.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use crate::conj::{Lit, Translation};
+use crate::conj::{decide_ints, Lit, Translation};
 use crate::formula::Atom;
+use crate::lia::LiaResult;
 use crate::model::Model;
 use crate::pattern;
-use crate::strings::{StrConstraint, StrOperand};
+use crate::strings::{self, StrConstraint, StrOperand, StrResult};
 use crate::term::{LinExpr, VarId, VarPool};
 use crate::SatResult;
+
+/// Most answers each of a [`TheoryState`]'s two decider memos holds, the
+/// latest included. A search reaching more distinct inputs decides the
+/// rest without storing them.
+pub const THEORY_MEMO_CAP: usize = 1024;
+
+/// Answers of one pure decider, keyed by a compact encoding of its exact
+/// input ([`strings_key`], [`ints_key`]). A lookup hashes the key and
+/// then compares it in full, so two inputs share an answer only when
+/// they are equal.
+#[derive(Debug)]
+struct Memo<R> {
+    map: HashMap<Box<[u8]>, R>,
+    /// The latest miss, moved into `map` when the next decision is asked
+    /// for: a call that decides once hashes nothing and allocates no
+    /// table.
+    last: Option<(Box<[u8]>, R)>,
+    /// Reused buffer the key of each decision is encoded into.
+    key: Vec<u8>,
+    hits: u64,
+}
+
+impl<R> Default for Memo<R> {
+    fn default() -> Self {
+        Memo { map: HashMap::new(), last: None, key: Vec::new(), hits: 0 }
+    }
+}
+
+impl<R> Memo<R> {
+    /// The answer for the input `encode` writes: a stored one, or
+    /// `decide()`'s.
+    fn get_or_decide(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>),
+        decide: impl FnOnce() -> R,
+    ) -> &R {
+        if let Some((key, answer)) = self.last.take() {
+            if self.map.len() + 1 < THEORY_MEMO_CAP {
+                self.map.insert(key, answer);
+            }
+        }
+        self.key.clear();
+        encode(&mut self.key);
+        if let Some(answer) = self.map.get(&self.key[..]) {
+            self.hits += 1;
+            return answer;
+        }
+        &self.last.insert((Box::from(&self.key[..]), decide())).1
+    }
+
+    /// Answers held.
+    fn len(&self) -> usize {
+        self.map.len() + usize::from(self.last.is_some())
+    }
+}
+
+/// Append `n` as a LEB128 varint.
+fn put_uint(key: &mut Vec<u8>, mut n: u128) {
+    while n >= 0x80 {
+        key.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    key.push(n as u8);
+}
+
+/// Append `k` zigzag-encoded, so small magnitudes of either sign take
+/// one byte.
+fn put_int(key: &mut Vec<u8>, k: i128) {
+    put_uint(key, ((k << 1) ^ (k >> 127)) as u128);
+}
+
+fn put_str(key: &mut Vec<u8>, s: &str) {
+    put_uint(key, s.len() as u128);
+    key.extend_from_slice(s.as_bytes());
+}
+
+fn put_operand(key: &mut Vec<u8>, op: &StrOperand) {
+    match op {
+        StrOperand::Var(i) => {
+            key.push(0);
+            put_uint(key, *i as u128);
+        }
+        StrOperand::Const(s) => {
+            key.push(1);
+            put_str(key, s);
+        }
+    }
+}
+
+/// Encode the input of [`strings::check`] for `tr`: the variable count,
+/// then each constraint (every item is self-delimiting, so equal
+/// encodings mean equal inputs).
+fn strings_key(tr: &Translation, key: &mut Vec<u8>) {
+    put_uint(key, tr.str_var_index.len() as u128);
+    for c in &tr.str_constraints {
+        match c {
+            StrConstraint::Eq(a, b) | StrConstraint::Ne(a, b) => {
+                key.push(u8::from(matches!(c, StrConstraint::Ne(..))));
+                put_operand(key, a);
+                put_operand(key, b);
+            }
+            StrConstraint::Like { operand, pattern, positive } => {
+                key.push(2 + u8::from(*positive));
+                put_operand(key, operand);
+                put_str(key, pattern);
+            }
+        }
+    }
+}
+
+/// Encode the input of [`decide_ints`] for `tr`: `ineqs`, `eqs` and
+/// `nes`, each as a length and its expressions.
+fn ints_key(tr: &Translation, key: &mut Vec<u8>) {
+    for section in [&tr.ineqs, &tr.eqs, &tr.nes] {
+        put_uint(key, section.len() as u128);
+        for e in section {
+            put_uint(key, e.coeffs.len() as u128);
+            put_int(key, e.k);
+            for (v, c) in &e.coeffs {
+                put_uint(key, u128::from(v.0));
+                put_int(key, *c);
+            }
+        }
+    }
+}
 
 /// Shape of a linear expression the quick detector can reason about.
 enum LinClass {
@@ -563,6 +701,8 @@ pub struct TheoryState {
     /// incremental counterpart of [`crate::conj::check_conjunction`]'s
     /// early `Unsat` return.
     const_conflicts: u32,
+    str_memo: Memo<StrResult>,
+    int_memo: Memo<LiaResult>,
 }
 
 impl TheoryState {
@@ -665,12 +805,37 @@ impl TheoryState {
 
     /// Decide the current stack exactly, mirroring what
     /// [`crate::conj::check_conjunction`] returns for the same literal
-    /// sequence.
-    pub fn check_full(&self) -> (SatResult, Option<Model>) {
+    /// sequence; each decider's answer comes from the memo when this
+    /// state has already decided the same input.
+    pub fn check_full(&mut self) -> (SatResult, Option<Model>) {
         if self.const_conflicts > 0 {
             return (SatResult::Unsat, None);
         }
-        self.tr.solve(&self.lits)
+        let tr = &self.tr;
+        let strs = self.str_memo.get_or_decide(
+            |key| strings_key(tr, key),
+            || strings::check(tr.str_var_index.len(), &tr.str_constraints),
+        );
+        if *strs == StrResult::Unsat {
+            return (SatResult::Unsat, None);
+        }
+        let ints = self.int_memo.get_or_decide(
+            |key| ints_key(tr, key),
+            || decide_ints(&tr.ineqs, &tr.eqs, &tr.nes),
+        );
+        tr.assemble(&self.lits, strs, ints)
+    }
+
+    /// Decider runs [`TheoryState::check_full`] answered from the memo
+    /// (a full check counts up to two: its string and its integer
+    /// decision).
+    pub fn memo_hits(&self) -> u64 {
+        self.str_memo.hits + self.int_memo.hits
+    }
+
+    /// Answers the memo holds: `(string, integer)`.
+    pub fn memo_len(&self) -> (usize, usize) {
+        (self.str_memo.len(), self.int_memo.len())
     }
 }
 

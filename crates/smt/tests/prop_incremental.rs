@@ -1,5 +1,6 @@
 //! Parity of the incremental assumption-stack theory with the
-//! from-scratch conjunction check, parity of the shared-stack truth-table
+//! from-scratch conjunction check (also when its decider memo answers a
+//! revisited or sibling stack), parity of the shared-stack truth-table
 //! walk (`Solver::check_rows`) with per-row checks, agreement of the
 //! solver's definitive verdicts with a truth-table reference, and the
 //! regression guard that the assumption stack keeps per-branch theory
@@ -320,6 +321,78 @@ proptest! {
                 prop_assert_eq!(out.model.unwrap().eval_formula(&f), Some(true));
             }
         }
+    }
+}
+
+/// Pop `th` down to the longest common prefix of its stack and
+/// `target`, then push the rest of `target`.
+fn move_to(th: &mut TheoryState, pool: &mut VarPool, target: &[Lit]) {
+    let keep = th.lits().iter().zip(target).take_while(|(x, y)| x == y).count();
+    while th.depth() > keep {
+        th.pop(pool);
+    }
+    for (a, p) in &target[keep..] {
+        th.push(a.clone(), *p, pool);
+    }
+}
+
+/// Siblings that differ only in a string literal share their integer
+/// system, siblings that differ only in an integer literal share their
+/// string constraints, and a revisited stack shares both: the memo
+/// answers each of those decisions, and every check gives the verdict
+/// and model of the memo-free `check_conjunction`.
+#[test]
+fn sibling_and_revisited_stacks_reuse_decisions() {
+    let lit = |l: Term, r: Term| (Atom::Cmp(l, Rel::Eq, r).canonical().0, true);
+    let ne = (Atom::Cmp(int_var(1), Rel::Ne, int_var(0)).canonical().0, true);
+    let le = |k: i64| (Atom::Cmp(int_var(0), Rel::Le, Term::IntConst(k)).canonical().0, true);
+    let name = |c: &str| lit(str_var(0), Term::StrConst(c.into()));
+    let steps = [
+        (vec![ne.clone(), le(3), name("Amy")], 0),
+        // A string sibling: the integer decision is reused.
+        (vec![ne.clone(), le(3), name("Bob")], 1),
+        // An integer sibling: the string decision is reused.
+        (vec![ne.clone(), le(7), name("Bob")], 2),
+        // The first stack again: both decisions are reused.
+        (vec![ne, le(3), name("Amy")], 4),
+    ];
+    let mut pool = base_pool();
+    let mut th = TheoryState::new();
+    for (stack, hits) in steps {
+        move_to(&mut th, &mut pool, &stack);
+        let got = th.check_full();
+        assert_eq!(got.0, SatResult::Sat, "{stack:?}");
+        assert_eq!(got, check_conjunction(&stack, &mut base_pool()), "{stack:?}");
+        assert_eq!(th.memo_hits(), hits, "{stack:?}");
+    }
+    assert_eq!(th.memo_len(), (2, 2), "two distinct inputs per decider");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A random stack is checked with a last literal `a`, then with a
+    /// sibling `b` in its place, then with `a` again: every check equals
+    /// the memo-free one, and the revisit is answered from the memo
+    /// unless the translation alone refuted it.
+    #[test]
+    fn revisited_stacks_match_from_scratch(
+        base in proptest::collection::vec(arb_lit(), 0..6),
+        a in arb_lit(),
+        b in arb_lit(),
+    ) {
+        let mut pool = base_pool();
+        let mut th = TheoryState::new();
+        let mut hits = Vec::new();
+        for last in [&a, &b, &a] {
+            let mut stack = base.clone();
+            stack.push(last.clone());
+            move_to(&mut th, &mut pool, &stack);
+            let got = th.check_full();
+            prop_assert_eq!(&got, &check_conjunction(&stack, &mut base_pool()));
+            hits.push((th.memo_hits(), got.0));
+        }
+        prop_assert!(hits[2].0 > hits[1].0 || hits[2].1 == SatResult::Unsat, "{:?}", hits);
     }
 }
 

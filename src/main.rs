@@ -92,7 +92,9 @@
 //! `1` if any submission hit a tool-internal error (or a file was
 //! unreadable), else `3` if any submission was malformed/unsupported,
 //! else `0` — individual failures are still reported in place and never
-//! abort the batch.
+//! abort the batch. A reader that closes the output pipe early
+//! (`qr-hint --help | head -1`) ends the output, not the command: the
+//! exit code stays the one above.
 
 use qr_hint::exitcode;
 use qr_hint::prelude::*;
@@ -100,6 +102,51 @@ use qrhint_core::QrHintError;
 use qrhint_sqlparse::parse_schema;
 use serde::Serialize;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// `println!` through [`emit`]: never panics on a closed stdout.
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(Stream::Out, format_args!($($arg)*)) };
+}
+
+/// `eprintln!` through [`emit`]: never panics on a closed stderr.
+macro_rules! errln {
+    ($($arg:tt)*) => { emit(Stream::Err, format_args!($($arg)*)) };
+}
+
+#[derive(Clone, Copy)]
+enum Stream {
+    Out = 0,
+    Err = 1,
+}
+
+/// Per stream: a write has failed, so later lines are dropped.
+static CLOSED: [AtomicBool; 2] = [AtomicBool::new(false), AtomicBool::new(false)];
+/// A write failed for a reason other than a reader closing its pipe.
+static WRITE_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// Write one line of CLI output. `println!` panics (exit 101) when the
+/// reader has gone, as in `qr-hint --help | head -1`; here the first
+/// failed write stops all later output to that stream instead. A closed
+/// pipe keeps the exit status the command computes; any other write
+/// error turns a success into `1` (see `main`), since output was lost.
+fn emit(stream: Stream, line: std::fmt::Arguments) {
+    use std::io::Write as _;
+    let closed = &CLOSED[stream as usize];
+    if closed.load(Ordering::Relaxed) {
+        return;
+    }
+    let written = match stream {
+        Stream::Out => writeln!(std::io::stdout(), "{line}"),
+        Stream::Err => writeln!(std::io::stderr(), "{line}"),
+    };
+    if let Err(e) = written {
+        closed.store(true, Ordering::Relaxed);
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            WRITE_FAILED.store(true, Ordering::Relaxed);
+        }
+    }
+}
 
 // The full contract (including `4` = lint findings) lives in
 // [`qr_hint::exitcode`]; these aliases keep the match arms short.
@@ -621,7 +668,7 @@ fn prepare_working(
 fn emit_json<T: Serialize>(value: &T) -> Result<(), CliError> {
     let json = serde_json::to_string_pretty(value)
         .map_err(|e| CliError::internal(format!("JSON serialization failed: {e}")))?;
-    println!("{json}");
+    outln!("{json}");
     Ok(())
 }
 
@@ -639,12 +686,12 @@ fn run_advise(args: &Args) -> Result<(), CliError> {
     qrhint_obs::span::disable_tracing();
     let (events, dropped) = qrhint_obs::span::take_events();
     if dropped > 0 {
-        eprintln!("trace: {dropped} span(s) dropped (buffer full)");
+        errln!("trace: {dropped} span(s) dropped (buffer full)");
     }
     let json = qrhint_obs::span::chrome_trace_json(&events);
     match std::fs::write(path, json) {
         Ok(()) => {
-            eprintln!("trace: {} span(s) written to {path}", events.len());
+            errln!("trace: {} span(s) written to {path}", events.len());
             result
         }
         // An advise failure outranks the write failure as the reported
@@ -665,17 +712,17 @@ fn run_advise_inner(args: &Args) -> Result<(), CliError> {
             return emit_json(&AdviceReport::with_diagnostics(advice, diagnostics));
         }
         if advice.is_equivalent() {
-            println!("✓ The working query is already equivalent to the target.");
+            outln!("✓ The working query is already equivalent to the target.");
         } else {
-            println!("[1] stage {}:", advice.stage);
+            outln!("[1] stage {}:", advice.stage);
             for hint in &advice.hints {
-                println!("  {hint}");
+                outln!("  {hint}");
             }
         }
         if !diagnostics.is_empty() {
-            println!("analyzer:");
+            outln!("analyzer:");
             for d in &diagnostics {
-                println!("  {d}");
+                outln!("  {d}");
             }
         }
         return Ok(());
@@ -700,15 +747,15 @@ fn run_advise_inner(args: &Args) -> Result<(), CliError> {
         }
         if advice.is_equivalent() {
             if round == 1 {
-                println!("✓ The working query is already equivalent to the target.");
+                outln!("✓ The working query is already equivalent to the target.");
             } else {
-                println!("✓ Equivalent after {} stage(s).", round - 1);
-                println!("Final query:\n  {}", session.working());
+                outln!("✓ Equivalent after {} stage(s).", round - 1);
+                outln!("Final query:\n  {}", session.working());
             }
         } else {
-            println!("[{}] stage {}:", round, advice.stage);
+            outln!("[{}] stage {}:", round, advice.stage);
             for hint in &advice.hints {
-                println!("  {hint}");
+                outln!("  {hint}");
             }
         }
     }
@@ -794,18 +841,18 @@ fn run_grade(args: &Args) -> Result<u8, CliError> {
     let summary = summarize(&entries);
     for e in &entries {
         match (&e.report, &e.error) {
-            (Some(r), _) if r.equivalent => println!("✓ {}", e.file),
+            (Some(r), _) if r.equivalent => outln!("✓ {}", e.file),
             (Some(r), _) => {
-                println!("✗ {} — stage {}:", e.file, r.stage);
+                outln!("✗ {} — stage {}:", e.file, r.stage);
                 for hint in &r.rendered_hints {
-                    println!("    {hint}");
+                    outln!("    {hint}");
                 }
             }
-            (None, Some(err)) => println!("! {} — {err}", e.file),
+            (None, Some(err)) => outln!("! {} — {err}", e.file),
             (None, None) => unreachable!("entry without report or error"),
         }
     }
-    println!(
+    outln!(
         "\n{} submission(s): {} equivalent, {} hinted, {} malformed, {} diagnostic(s)",
         summary.submissions, summary.equivalent, summary.hinted, summary.malformed,
         summary.diagnostics
@@ -894,17 +941,17 @@ fn run_lint(args: &Args) -> Result<u8, CliError> {
         let mut total = 0usize;
         for e in &entries {
             match &e.error {
-                Some(err) => println!("! {} — {err}", e.file),
-                None if e.clean => println!("✓ {}", e.file),
+                Some(err) => outln!("! {} — {err}", e.file),
+                None if e.clean => outln!("✓ {}", e.file),
                 None => {
                     total += e.diagnostics.len();
                     for d in &e.diagnostics {
-                        println!("{}: {d}", e.file);
+                        outln!("{}: {d}", e.file);
                     }
                 }
             }
         }
-        println!(
+        outln!(
             "\n{} file(s): {} diagnostic(s), {} with errors",
             entries.len(),
             total,
@@ -936,7 +983,7 @@ fn run_fuzz(args: &Args) -> Result<u8, CliError> {
         code: EXIT_USAGE,
     })?;
     let elapsed = started.elapsed().as_secs_f64();
-    eprintln!(
+    errln!(
         "fuzzed {} pairs in {:.2}s ({:.0} pairs/s)",
         report.total,
         elapsed,
@@ -945,20 +992,20 @@ fn run_fuzz(args: &Args) -> Result<u8, CliError> {
     if args.json {
         emit_json(&report)?;
     } else {
-        println!(
+        outln!(
             "schema {} · {} pairs · seed {} · {} instance(s) per pair",
             report.schema, report.total, report.seed, report.exec_instances
         );
         for (class, n) in &report.classes {
-            println!("  {class:<22} {n}");
+            outln!("  {class:<22} {n}");
         }
         for d in &report.divergent {
-            println!("divergent {} [{}]: {}", d.id, d.class, d.detail);
-            println!("  target:  {}", d.target_sql);
-            println!("  working: {}", d.working_sql);
+            outln!("divergent {} [{}]: {}", d.id, d.class, d.detail);
+            outln!("  target:  {}", d.target_sql);
+            outln!("  working: {}", d.working_sql);
         }
         if report.divergent_truncated {
-            println!("(divergent list truncated at {})", report.divergent.len());
+            outln!("(divergent list truncated at {})", report.divergent.len());
         }
     }
     Ok(if report.unclassified > 0 { EXIT_INTERNAL } else { 0 })
@@ -992,7 +1039,7 @@ fn emit_fuzz_corpus(schema: &str, count: usize, seed: u64, dir: &str) -> Result<
     for case in &cases {
         write(base.join("cases").join(format!("{}.sql", case.id)), format!("{}\n", case.working))?;
     }
-    eprintln!(
+    errln!(
         "emitted {} corpus to {dir}: schema.sql, {} target(s), {} case(s)",
         schema,
         fuzzer.bases().len(),
@@ -1024,13 +1071,13 @@ fn run_serve(args: &Args) -> Result<(), CliError> {
     };
     let server = Server::bind(cfg)
         .map_err(|e| CliError::internal(format!("cannot bind {}: {e}", args.addr)))?;
-    println!("qr-hint serving on http://{}", server.addr());
+    outln!("qr-hint serving on http://{}", server.addr());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server
         .run()
         .map_err(|e| CliError::internal(format!("server error: {e}")))?;
-    println!("qr-hint drained; bye");
+    outln!("qr-hint drained; bye");
     Ok(())
 }
 
@@ -1060,7 +1107,7 @@ fn run_route(args: &Args) -> Result<(), CliError> {
     };
     let router = Router::start(cfg)
         .map_err(|e| CliError::internal(format!("cannot start router on {}: {e}", args.addr)))?;
-    println!(
+    outln!(
         "qr-hint routing on http://{} ({} backends)",
         router.addr(),
         router.backend_addrs().len()
@@ -1070,42 +1117,48 @@ fn run_route(args: &Args) -> Result<(), CliError> {
     router
         .run()
         .map_err(|e| CliError::internal(format!("router error: {e}")))?;
-    println!("qr-hint router drained; bye");
+    outln!("qr-hint router drained; bye");
     Ok(())
 }
 
 fn main() -> ExitCode {
+    let code = run();
+    if code == exitcode::SUCCESS && WRITE_FAILED.load(Ordering::Relaxed) {
+        errln!("error: output could not be written");
+        return ExitCode::from(EXIT_INTERNAL);
+    }
+    ExitCode::from(code)
+}
+
+/// Parse the command line and run its mode; returns the exit code.
+fn run() -> u8 {
     // `--version`/`--help` anywhere on the line: print to stdout, exit 0.
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--version" || a == "-V") {
-        println!("qr-hint {}", env!("CARGO_PKG_VERSION"));
-        return ExitCode::SUCCESS;
+        outln!("qr-hint {}", env!("CARGO_PKG_VERSION"));
+        return exitcode::SUCCESS;
     }
     if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
+        outln!("{USAGE}");
+        return exitcode::SUCCESS;
     }
-    match parse_args() {
+    let args = match parse_args() {
+        Ok(args) => args,
         Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::from(EXIT_USAGE)
+            errln!("{msg}");
+            return EXIT_USAGE;
         }
-        Ok(args) => {
-            let result = match args.mode {
-                Mode::Advise => run_advise(&args).map(|()| 0),
-                Mode::Grade => run_grade(&args),
-                Mode::Serve => run_serve(&args).map(|()| 0),
-                Mode::Route => run_route(&args).map(|()| 0),
-                Mode::Fuzz => run_fuzz(&args),
-                Mode::Lint => run_lint(&args),
-            };
-            match result {
-                Ok(code) => ExitCode::from(code),
-                Err(e) => {
-                    eprintln!("error: {}", e.msg);
-                    ExitCode::from(e.code)
-                }
-            }
-        }
-    }
+    };
+    let result = match args.mode {
+        Mode::Advise => run_advise(&args).map(|()| 0),
+        Mode::Grade => run_grade(&args),
+        Mode::Serve => run_serve(&args).map(|()| 0),
+        Mode::Route => run_route(&args).map(|()| 0),
+        Mode::Fuzz => run_fuzz(&args),
+        Mode::Lint => run_lint(&args),
+    };
+    result.unwrap_or_else(|e| {
+        errln!("error: {}", e.msg);
+        e.code
+    })
 }
