@@ -14,9 +14,10 @@
 //!   context's sharded `VerdictCache` keyed by
 //!   `(FormulaId, [FormulaId])` — integer compares, no tree walk, no
 //!   hash-collision bucket scan. Every oracle created from the same
-//!   `SolverContext` (all slots of all FROM groups of one
+//!   `SolverContext` (one per advise on one
 //!   [`crate::session::PreparedTarget`]) shares the table, so a verdict
-//!   decided on one thread is a read-path hit on every other.
+//!   one advise decided is a read-path hit for every later or concurrent
+//!   advise.
 //! * **Cheap construction.** Structurally equal subformulas intern to one
 //!   node; negation is memoized per node; conjunction/disjunction flatten
 //!   without cloning children.
@@ -28,12 +29,15 @@
 //!
 //! Variable allocation (columns, aggregates) also lives in the shared
 //! context, keyed by `(column, tuple-tag, sort)` / `(aggregate key,
-//! sort)`, so the same reference lowers to the same [`VarId`] on every
-//! slot — which is what makes ids (and therefore cached verdicts)
-//! comparable across threads. Each oracle still keeps a *private* record
-//! of the aggregate keys it interned: [`Oracle::aggregate_axioms`] emits
-//! axioms only over those, exactly as the pre-interning per-slot oracle
-//! did, so axiom sets never depend on other threads' history.
+//! sort)`, so the same reference lowers to the same [`VarId`] in every
+//! oracle — which is what makes ids (and therefore cached verdicts)
+//! comparable across advises and threads. Each oracle still keeps a
+//! *private* record of the aggregate keys it interned since its ambient
+//! state was last cleared ([`Oracle::clear_ambient`], which the HAVING
+//! and SELECT stages call before they build their contexts):
+//! [`Oracle::aggregate_axioms`] emits axioms only over those, so a
+//! stage's axiom set is a function of that stage's own inputs, never of
+//! what was lowered before it or on another thread.
 //!
 //! The oracle shares the variable space, so the same column reference
 //! always lowers to the same solver variable — transitivity of equality
@@ -368,12 +372,12 @@ pub struct InternerStats {
 }
 
 /// Per-variable byte estimate for [`SolverContext::approx_bytes`] (pool
-/// name + sort + the col/agg map entry pointing at it).
+/// sort + the col/agg map entry pointing at it).
 const VAR_ENTRY_BYTES: usize = 160;
 
 /// The interning + verdict state shared by every [`Oracle`] of one
 /// [`crate::session::PreparedTarget`]: the hash-consing arena, the
-/// variable tables, and the sharded cross-slot verdict cache. All of it
+/// variable tables, and the sharded cross-advise verdict cache. All of it
 /// is rebuildable — [`crate::session::PreparedTarget::shed_caches`]
 /// swaps in a fresh context and reports these bytes as freed.
 pub struct SolverContext {
@@ -453,8 +457,9 @@ pub struct OracleCounters {
     pub solver_calls: u64,
     /// Shared-verdict-cache hits.
     pub verdict_hits: u64,
-    /// Hits on entries inserted by a *different* oracle — the cross-slot
-    /// sharing the interned representation exists to enable.
+    /// Hits on entries inserted by a *different* oracle (another advise,
+    /// earlier or concurrent) — the sharing the interned representation
+    /// exists to enable.
     pub verdict_cross_hits: u64,
     /// Shared-verdict-cache misses (each one paid a real solver check).
     pub verdict_misses: u64,
@@ -509,12 +514,13 @@ pub struct Oracle {
     pub solver: Solver,
     ctx: Arc<SolverContext>,
     /// Unique per-oracle id; stored with inserted verdicts so hits can
-    /// be attributed as same-oracle or cross-thread.
+    /// be attributed as same-oracle or cross-advise.
     id: u64,
-    types: TypeEnv,
-    /// Aggregate keys **this oracle** interned. Axiom generation
-    /// iterates this private record, not the shared table, so the axiom
-    /// set for a check never depends on what other slots lowered.
+    types: Arc<TypeEnv>,
+    /// Aggregate keys **this oracle** interned since its ambient state
+    /// was last cleared. Axiom generation iterates this private record,
+    /// not the shared table, so a stage's axiom set never depends on
+    /// what earlier stages, advises or threads lowered.
     agg_vars: BTreeMap<AggKey, VarId>,
     /// Work done since the counters were last taken.
     pub counters: OracleCounters,
@@ -537,17 +543,17 @@ pub struct Oracle {
 
 impl Oracle {
     /// Standalone oracle with a private context (one-shot checks and
-    /// tests). Session slots share one context via
+    /// tests). A session's advises share one context via
     /// [`Oracle::with_context`].
     pub fn new(types: TypeEnv) -> Oracle {
         Oracle::with_context(
-            types,
+            Arc::new(types),
             Arc::new(SolverContext::new(crate::pipeline::DEFAULT_VERDICT_CACHE_BYTES)),
         )
     }
 
     /// Oracle bound to a shared interning/verdict context.
-    pub fn with_context(types: TypeEnv, ctx: Arc<SolverContext>) -> Oracle {
+    pub fn with_context(types: Arc<TypeEnv>, ctx: Arc<SolverContext>) -> Oracle {
         Oracle {
             solver: Solver::default(),
             ctx,
@@ -562,11 +568,6 @@ impl Oracle {
         }
     }
 
-    /// The shared context this oracle interns into.
-    pub fn context(&self) -> &Arc<SolverContext> {
-        &self.ctx
-    }
-
     /// Install an ambient lowering environment and formula context; used
     /// by the HAVING and SELECT stages.
     pub fn set_ambient(&mut self, env: LowerEnv, ctx: Vec<FormulaId>) {
@@ -574,10 +575,13 @@ impl Oracle {
         self.ambient_ctx = ctx;
     }
 
-    /// Reset the ambient environment to plain/empty.
+    /// Reset the ambient environment to plain/empty and forget the
+    /// aggregate record, so the next [`Oracle::aggregate_axioms`] covers
+    /// only aggregates lowered from here on.
     pub fn clear_ambient(&mut self) {
         self.ambient_env = LowerEnv::plain();
         self.ambient_ctx.clear();
+        self.agg_vars.clear();
     }
 
     /// Oracle typed from a schema and resolved queries.
@@ -602,8 +606,7 @@ impl Oracle {
         if let Some(v) = st.col_vars.get(&(c.clone(), tag, sort)) {
             return *v;
         }
-        let name = if tag == 0 { c.to_string() } else { format!("{c}@t{tag}") };
-        let v = st.pool.fresh(&name, sort);
+        let v = st.pool.fresh(sort);
         st.col_vars.insert((c.clone(), tag, sort), v);
         v
     }
@@ -615,8 +618,7 @@ impl Oracle {
         let v = match st.agg_vars.get(&(key.clone(), sort)) {
             Some(v) => *v,
             None => {
-                let name = format!("{:?}", key);
-                let v = st.pool.fresh(&name, sort);
+                let v = st.pool.fresh(sort);
                 st.agg_vars.insert((key.clone(), sort), v);
                 v
             }
@@ -958,7 +960,7 @@ impl Oracle {
     /// its `(e[t1] = e[t2], e[t1] ≠ e[t2])` formula pair — the GROUP BY
     /// stage's two-tuple encoding builds `O(|o| + |o★|)` of these, and
     /// doing the whole list under **one** shared-lock acquisition keeps
-    /// parallel slots from serializing on per-node lock round-trips.
+    /// parallel advises from serializing on per-node lock round-trips.
     /// Expressions are lowered left to right, exactly as per-expression
     /// calls would, so variable allocation order is unchanged.
     pub fn tuple_eq_formulas(
@@ -1228,11 +1230,11 @@ impl Oracle {
         let ctx = Arc::clone(&self.ctx);
         let st = ctx.lower.read().unwrap();
         if st.pool.len() < self.scratch_synced {
-            // Defensive: the shared pool can only be *shorter* than the
-            // sync mark if this oracle was rebound across a context swap
-            // without resetting it (the session rebind path rebuilds the
-            // oracle, but a stale mark here would silently misalign every
-            // variable index below). Resync from scratch.
+            // Defensive: the shared pool is append-only and an oracle is
+            // never rebound to another context, so the pool can only be
+            // *shorter* than the sync mark if that ever changed — and a
+            // stale mark here would silently misalign every variable
+            // index below. Resync from scratch.
             self.scratch_pool = VarPool::new();
             self.scratch_synced = 0;
         }
@@ -1641,8 +1643,8 @@ mod tests {
         // check is a cross-oracle read-path hit, not a solver call.
         let p = parse_pred("t.a > 1 AND t.a < 0").unwrap();
         let shared = Arc::new(SolverContext::new(0));
-        let types = TypeEnv::infer_from_preds(&[&p]);
-        let mut o1 = Oracle::with_context(types.clone(), Arc::clone(&shared));
+        let types = Arc::new(TypeEnv::infer_from_preds(&[&p]));
+        let mut o1 = Oracle::with_context(Arc::clone(&types), Arc::clone(&shared));
         let mut o2 = Oracle::with_context(types, Arc::clone(&shared));
         assert_eq!(o1.sat_pred(&p, &[]), TriBool::False);
         assert_eq!(o1.counters.verdict_misses, 1);
@@ -1663,11 +1665,28 @@ mod tests {
         let where_pred = parse_pred("r.a > 100").unwrap();
         let having = parse_pred("MAX(r.a) >= 101").unwrap();
         let shared = Arc::new(SolverContext::new(0));
-        let types = TypeEnv::infer_from_preds(&[&where_pred, &having]);
-        let mut o1 = Oracle::with_context(types.clone(), Arc::clone(&shared));
+        let types = Arc::new(TypeEnv::infer_from_preds(&[&where_pred, &having]));
+        let mut o1 = Oracle::with_context(Arc::clone(&types), Arc::clone(&shared));
         let mut o2 = Oracle::with_context(types, Arc::clone(&shared));
         let _ = o1.lower_pred_env(&having, &LowerEnv::plain());
         assert!(!o1.aggregate_axioms(&where_pred).is_empty());
         assert!(o2.aggregate_axioms(&where_pred).is_empty());
+    }
+
+    #[test]
+    fn clearing_the_ambient_state_forgets_lowered_aggregates() {
+        // A stage's axioms cover the aggregates lowered since the last
+        // clear: MAX(r.a), lowered before it, is no longer covered, and
+        // lowering it again brings its bound axioms back.
+        let where_pred = parse_pred("r.a > 100").unwrap();
+        let having = parse_pred("MAX(r.a) >= 101").unwrap();
+        let mut o = oracle_for(&[&where_pred, &having]);
+        let _ = o.lower_pred_env(&having, &LowerEnv::plain());
+        let before = o.aggregate_axioms(&where_pred);
+        assert!(!before.is_empty());
+        o.clear_ambient();
+        assert!(o.aggregate_axioms(&where_pred).is_empty());
+        let _ = o.lower_pred_env(&having, &LowerEnv::plain());
+        assert_eq!(o.aggregate_axioms(&where_pred), before);
     }
 }

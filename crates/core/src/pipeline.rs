@@ -37,7 +37,7 @@ pub struct QrHintConfig {
     pub advice_cache_capacity: usize,
     /// Byte budget of a [`PreparedTarget`]'s **shared solver-verdict
     /// cache** — the sharded `(formula, context) → verdict` table every
-    /// oracle slot of the target reads and writes (see
+    /// advise on the target reads and writes (see
     /// [`crate::oracle::SolverContext`]). Each shard LRU-evicts its
     /// stalest entries beyond its slice of the budget. `0` = unbounded
     /// (the registry-level shed still reclaims it wholesale).
@@ -125,9 +125,9 @@ impl QrHint {
     }
 
     /// Compile a target query for advise-many grading: parse, resolve,
-    /// and set up the per-target memo layers (table mappings, persistent
-    /// oracle, advice cache). The result grades any number of
-    /// submissions via [`PreparedTarget::advise`] /
+    /// and set up the per-target memo layers (FROM groups with their
+    /// stage memos, shared solver verdicts, advice cache). The result
+    /// grades any number of submissions via [`PreparedTarget::advise`] /
     /// [`PreparedTarget::grade_batch`], and drives incremental tutoring
     /// via [`PreparedTarget::tutor`].
     pub fn compile_target(&self, target_sql: &str) -> QrResult<PreparedTarget> {
@@ -176,7 +176,7 @@ impl QrHint {
     /// failing stage's hints. Stateless wrapper over a one-shot
     /// [`PreparedTarget`].
     pub fn advise(&self, q_star: &Query, q: &Query) -> QrResult<Advice> {
-        self.prepare_target(q_star.clone()).advise_uncached(q)
+        self.prepare_target(q_star.clone()).advise(q)
     }
 
     /// Simulate a user who applies every suggested repair: iterate

@@ -1,7 +1,7 @@
 //! The stage runner: the WHERE → GROUP BY → HAVING → SELECT walk of
 //! §3.1, factored out of the old monolithic pipeline so the session layer
-//! ([`crate::session`]) can drive it with a persistent oracle and
-//! per-stage memoization.
+//! ([`crate::session`]) can drive it with a fresh oracle per advise and
+//! its FROM group's stage memos.
 //!
 //! Each solver-backed stage is memoized by **every input its outcome
 //! depends on** (given the FROM group's fixed unified target and domain
@@ -11,6 +11,11 @@
 //! verdict is sound by construction: no monotonicity trust is involved,
 //! and a repair that *does* change an earlier stage's inputs (e.g. the
 //! structure fix rewriting HAVING) forces that stage to be re-checked.
+//! Nothing else reaches a stage's outcome: the oracle starts each advise
+//! empty, and the HAVING and SELECT stages clear its aggregate record
+//! before they emit axioms. So one memo serves every advise of the
+//! group, concurrent ones included; it is locked only to look up or
+//! insert an outcome, never while a stage runs.
 //!
 //! The FROM stage and table-mapping derivation stay in the session layer:
 //! the oracle and the unified target both depend on their result, and the
@@ -33,6 +38,8 @@ use crate::stages::where_stage::WhereOutcome;
 use crate::stages::{groupby_stage, having_stage, select_stage, where_stage};
 use qrhint_sqlast::{Pred, Query, Scalar};
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::Mutex;
 
 /// Memo key for the WHERE stage: every part of the working query its
 /// outcome depends on. `group_by` feeds the movable-conjunct
@@ -97,9 +104,29 @@ impl StageMemos {
     }
 }
 
-/// Everything the WHERE→SELECT walk needs. The oracle must be typed for
-/// the working query's FROM binding (and therefore also covers `unified`,
-/// whose aliases live in the same space).
+/// Look `key` up in the stage table `table` selects from `memos`; on a
+/// miss, `run` the stage and insert its outcome for later advises. The
+/// lock is held only to look up and to insert, neither of which can
+/// panic, so it is never poisoned; two advises that miss the same key at
+/// once both run the stage and insert equal outcomes.
+fn memoized<K: Eq + Hash, V: Clone>(
+    memos: &Mutex<StageMemos>,
+    table: fn(&mut StageMemos) -> &mut HashMap<K, V>,
+    key: K,
+    run: impl FnOnce() -> V,
+) -> V {
+    let lock = || memos.lock().expect("stage memos never poisoned");
+    if let Some(hit) = table(&mut lock()).get(&key) {
+        return hit.clone();
+    }
+    let out = run();
+    table(&mut lock()).insert(key, out.clone());
+    out
+}
+
+/// Everything the WHERE→SELECT walk needs. The oracle must be fresh and
+/// typed for the working query's FROM binding (and therefore also covers
+/// `unified`, whose aliases live in the same space).
 pub(crate) struct StageInputs<'a> {
     pub oracle: &'a mut Oracle,
     /// The target query unified into the working query's alias space.
@@ -113,31 +140,21 @@ pub(crate) struct StageInputs<'a> {
     /// The table mapping the unification came from (reported in advice).
     pub mapping: &'a TableMapping,
     /// Cross-submission stage memos for this FROM group.
-    pub memos: &'a mut StageMemos,
+    pub memos: &'a Mutex<StageMemos>,
 }
 
 /// Run the checked stages on a working query whose FROM stage already
 /// passed, returning the first failing stage's advice.
 pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
     let StageInputs { oracle, unified, q, cfg, domain_ctx, mapping, memos } = inp;
-    // The oracle is long-lived in a session; never inherit ambient state
-    // from a previous call that returned early.
-    oracle.clear_ambient();
     let work_is_spja = q.is_spja();
 
     // ---- Stage 2: WHERE (with SPJA look-ahead) ----
     let where_out = {
         let _span = qrhint_obs::span("stage:where");
-        let key = WhereKey::of(q);
-        match memos.where_memo.get(&key) {
-            Some(hit) => hit.clone(),
-            None => {
-                let out =
-                    where_stage::check_where(oracle, unified, q, &cfg.repair, domain_ctx);
-                memos.where_memo.insert(key, out.clone());
-                out
-            }
-        }
+        memoized(memos, |m| &mut m.where_memo, WhereKey::of(q), || {
+            where_stage::check_where(oracle, unified, q, &cfg.repair, domain_ctx)
+        })
     };
     if !where_out.viable {
         let mut fixed = q.clone();
@@ -248,19 +265,14 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
         {
             let _span = qrhint_obs::span("stage:groupby");
             let key = GroupByKey { group_by: q.group_by.clone(), work_is_spja };
-            let gb_out = match memos.groupby_memo.get(&key) {
-                Some(hit) => hit.clone(),
-                None => {
-                    let out = groupby_stage::fix_grouping(
-                        oracle,
-                        &reasoning_where,
-                        &q.group_by,
-                        &unified.group_by,
-                    );
-                    memos.groupby_memo.insert(key, out.clone());
-                    out
-                }
-            };
+            let gb_out = memoized(memos, |m| &mut m.groupby_memo, key, || {
+                groupby_stage::fix_grouping(
+                    oracle,
+                    &reasoning_where,
+                    &q.group_by,
+                    &unified.group_by,
+                )
+            });
             if !gb_out.viable {
                 let fixed = groupby_stage::apply_grouping_fix(q, &unified.group_by, &gb_out);
                 return Ok(Advice {
@@ -276,21 +288,16 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
             let _span = qrhint_obs::span("stage:having");
             let working_having = where_out.working_having.clone().unwrap_or(Pred::True);
             let key = HavingKey { working_having: working_having.clone(), work_is_spja };
-            let hv_out = match memos.having_memo.get(&key) {
-                Some(hit) => hit.clone(),
-                None => {
-                    let out = having_stage::check_having(
-                        oracle,
-                        unified,
-                        &working_having,
-                        &reasoning_where,
-                        &target_having,
-                        &cfg.repair,
-                    );
-                    memos.having_memo.insert(key, out.clone());
-                    out
-                }
-            };
+            let hv_out = memoized(memos, |m| &mut m.having_memo, key, || {
+                having_stage::check_having(
+                    oracle,
+                    unified,
+                    &working_having,
+                    &reasoning_where,
+                    &target_having,
+                    &cfg.repair,
+                )
+            });
             if !hv_out.viable {
                 let mut normalized = q.clone();
                 normalized.where_pred = where_out.working_where.clone();
@@ -328,6 +335,9 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
 
     // ---- Stage 5 (or 3 for SPJ): SELECT ----
     let _select_span = qrhint_obs::span("stage:select");
+    let working_exprs: Vec<Scalar> = q.select.iter().map(|s| s.expr.clone()).collect();
+    let target_exprs: Vec<Scalar> =
+        unified.select.iter().map(|s| s.expr.clone()).collect();
     let env = if star_spja {
         let grouped = having_stage::group_constant_cols(unified, &reasoning_where);
         let env = having_stage::install_having_context(
@@ -340,6 +350,11 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
         // Rows reaching SELECT also satisfy HAVING.
         let hf = oracle.lower_pred_env(&target_having, &env);
         let mut full = vec![hf];
+        // Both lists' aggregates need their axioms too (`MAX(r.a)` under
+        // `r.a = 101` is 101).
+        for e in working_exprs.iter().chain(&target_exprs) {
+            oracle.lower_scalar_env(e, &env);
+        }
         full.extend(oracle.aggregate_axioms(&reasoning_where));
         // Keep the WHERE facts over group-constant columns too.
         let wf_conjuncts: Vec<Pred> = match &reasoning_where {
@@ -362,12 +377,8 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
         oracle.set_ambient(LowerEnv::plain(), vec![wf]);
         LowerEnv::plain()
     };
-    let working_exprs: Vec<Scalar> = q.select.iter().map(|s| s.expr.clone()).collect();
-    let target_exprs: Vec<Scalar> =
-        unified.select.iter().map(|s| s.expr.clone()).collect();
     let sel_out = select_stage::fix_select(oracle, &env, &working_exprs, &target_exprs);
     let distinct_ok = q.distinct == unified.distinct;
-    oracle.clear_ambient();
     if !sel_out.viable || !distinct_ok {
         let mut fixed = select_stage::apply_select_fix(q, &target_exprs, &sel_out);
         fixed.distinct = unified.distinct;

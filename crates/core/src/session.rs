@@ -13,10 +13,11 @@
 //!      typing are derived once per (working FROM binding, table
 //!      mapping) pair and shared by every submission that matches.
 //!   2. **Stage memos**: each solver-backed stage (WHERE, GROUP BY,
-//!      HAVING) is memoized by its exact inputs, so a [`TutorSession`]
-//!      step that repairs a later stage pays no solver work for the
-//!      unchanged earlier stages. A memo hit requires identical stage
-//!      inputs, so cached verdicts are sound by construction.
+//!      HAVING) is memoized per FROM group by its exact inputs, so a
+//!      [`TutorSession`] step that repairs a later stage pays no solver
+//!      work for the unchanged earlier stages. A memo hit requires
+//!      identical stage inputs, so cached verdicts are sound by
+//!      construction.
 //!   3. **Advice cache**: identical resolved submissions (classrooms
 //!      produce many duplicate answers) are graded once. The cache is a
 //!      bounded LRU ([`QrHintConfig::advice_cache_capacity`]) so a
@@ -44,29 +45,29 @@
 //!   Group *creation* derives the unified target, domain context and
 //!   typing outside the write lock; a racing creator for the same key
 //!   simply drops its copy and reuses the winner's.
-//! * Each group's solver state — a persistent [`Oracle`] plus the stage
-//!   memos — lives in **owned slots**. An advise pops an idle slot bound
-//!   to the current context, or builds a fresh one when none is idle,
-//!   and owns it by value while it grades, with no lock held; so a
-//!   classroom batch whose submissions all share one FROM clause still
-//!   grades in parallel, one slot per worker. On return the slot goes
-//!   back on the group's idle list if its context is still current and
-//!   fewer than 8 slots are idle, and is dropped otherwise. A panic
-//!   while grading drops its slot as the stack unwinds, so one bad
-//!   submission costs its group one slot, never a poisoned lock.
-//! * All slots of all groups intern formulas into — and **share solver
-//!   verdicts through** — one target-wide
-//!   [`SolverContext`]: a sharded,
+//! * **One oracle per advise.** Each advise builds its own [`Oracle`]
+//!   from the group's column typing and the target's current
+//!   [`SolverContext`], owns it while it grades, and drops it on return,
+//!   so a classroom batch whose submissions all share one FROM clause
+//!   still grades in parallel, and no advise inherits another's oracle
+//!   state. A panic while grading drops the oracle with the unwinding
+//!   stack and leaves nothing behind to poison.
+//! * Each group keeps **one stage memo** behind a `Mutex` that is held
+//!   only to look up or insert an outcome, never while a stage runs.
+//!   Every advise of the group reads and fills it: a stage outcome is a
+//!   function of its memo key alone (the oracle starts each advise
+//!   empty, and the HAVING and SELECT stages clear its aggregate record
+//!   before they emit axioms), so a hit returns exactly what the advise
+//!   would have computed itself.
+//! * Every advise interns formulas into — and **shares solver verdicts
+//!   through** — one target-wide [`SolverContext`]: a sharded,
 //!   byte-budgeted `(formula, context) → verdict` table keyed by
-//!   interned ids, so a verdict decided on one thread is a read-path
-//!   hit on every other (PR 3 kept these caches slot-private because
-//!   tree keys made sharing cost more than it saved). Sharing stays
-//!   deterministic: equal ids mean structurally identical inputs, the
-//!   solver is a deterministic function of those inputs, and only
-//!   definitive verdicts are cached — so a cross-thread hit returns
-//!   exactly what the probing slot would have computed itself. Stage
-//!   memos remain slot-private; a memo miss re-pays lookup time but
-//!   can never change an answer.
+//!   interned ids, so a verdict decided by one advise is a read-path hit
+//!   for every other, on any thread. Sharing stays deterministic: equal
+//!   ids mean structurally identical inputs, the solver is a
+//!   deterministic function of those inputs, and only definitive
+//!   verdicts are cached — so a hit returns exactly what the probing
+//!   advise would have computed itself.
 //! * The **whole-advice cache** is an `RwLock` map with a read-path
 //!   hit check, so duplicate submissions stay near-free under
 //!   contention; LRU recency is refreshed with an atomic stamp, so even
@@ -122,8 +123,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Cumulative counters for one [`PreparedTarget`] (diagnostics and the
-/// session-API benchmarks). Snapshot of the internal atomic counters;
-/// see [`PreparedTarget::stats`] for the cross-thread guarantees.
+/// benchmark). Snapshot of the internal atomic counters; see
+/// [`PreparedTarget::stats`] for the cross-thread guarantees.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct SessionStats {
     /// Total advise calls answered (including cache hits).
@@ -133,8 +134,8 @@ pub struct SessionStats {
     pub advice_cache_hits: u64,
     /// Cache-enabled lookups that missed and had to grade for real.
     /// `advice_cache_hits + advice_cache_misses` counts every advise
-    /// that consulted the cache (the stateless one-shot wrappers and a
-    /// `advice_cache_capacity = 0` config bypass it).
+    /// that consulted the cache (an `advice_cache_capacity = 0` config
+    /// bypasses it).
     pub advice_cache_misses: u64,
     /// Entries LRU-evicted from the advice cache at its capacity bound.
     pub advice_cache_evictions: u64,
@@ -149,18 +150,18 @@ pub struct SessionStats {
     pub from_groups: u64,
     /// Calls that reused an existing FROM group's memoized derivations.
     pub mapping_reuses: u64,
-    /// Solver checks issued across all group oracles, accumulated as
+    /// Solver checks issued across all advises' oracles, accumulated as
     /// each advise completes.
     pub solver_calls: u64,
     /// Analyzer diagnostics emitted by [`PreparedTarget`] lint runs.
     pub diagnostics_emitted: u64,
-    /// Checks answered by the target's **shared verdict cache** (all
-    /// slots of all FROM groups probe one sharded table; see
+    /// Checks answered by the target's **shared verdict cache** (every
+    /// advise of every FROM group probes one sharded table; see
     /// [`crate::oracle::SolverContext`]).
     pub verdict_cache_hits: u64,
-    /// Of those hits, how many reused a verdict *another* oracle slot
-    /// paid for — the cross-thread sharing PR 3's private caches could
-    /// not provide.
+    /// Of those hits, how many reused a verdict *another* advise paid
+    /// for, earlier or concurrently, on any thread (each advise has its
+    /// own oracle, and a verdict records the oracle that decided it).
     pub verdict_cache_cross_thread_hits: u64,
     /// Shared-verdict-cache misses (each one ran the real solver).
     pub verdict_cache_misses: u64,
@@ -267,24 +268,11 @@ impl AtomicStats {
     }
 }
 
-/// Most idle slots a group keeps: enough for the `--jobs 8` sweet spot,
-/// few enough that a burst of concurrent advises cannot leave unbounded
-/// oracles resident. Slots checked out beyond it are dropped on return.
-const MAX_IDLE_SLOTS: usize = 8;
-
-/// A group's mutable solver state, owned by one advise at a time: a
-/// persistent oracle (interning into — and sharing verdicts through —
-/// the target-wide [`SolverContext`]) and the per-stage memos.
-struct GroupSlot {
-    oracle: Oracle,
-    memos: StageMemos,
-}
-
 /// Per-(FROM-binding, table-mapping) memoized derivations. Submissions
 /// sharing both are compared against the identical unified target, so
 /// the immutable fields are shared lock-free by every concurrent advise
-/// in the group; the binding fixes the column typing, so each slot's
-/// oracle — and therefore its formula-keyed verdict cache — is sound
+/// in the group; the binding fixes the column typing, so every advise's
+/// oracle types the group's columns alike, and the stage memo is sound
 /// across the group.
 ///
 /// The table mapping itself is *recomputed per submission* (cheap and
@@ -297,50 +285,18 @@ struct FromGroup {
     mapping: TableMapping,
     unified: Query,
     domain_ctx: Vec<Pred>,
-    /// Column typing fixed by the binding; seeds each new slot's oracle.
-    types: TypeEnv,
-    /// Slots not checked out, at most [`MAX_IDLE_SLOTS`]. Starts empty,
-    /// so the sequential path pays for exactly one oracle. Held only to
-    /// pop, push, count or take, none of which can panic, so it is never
-    /// poisoned.
-    idle: Mutex<Vec<GroupSlot>>,
+    /// Column typing fixed by the binding; types each advise's oracle.
+    types: Arc<TypeEnv>,
+    /// The group's stage memo, shared by every advise in it (see
+    /// [`crate::runner`] for the locking).
+    memos: Mutex<StageMemos>,
 }
 
 impl FromGroup {
-    /// Run `f` with one of the group's slots, owned for the whole call:
-    /// pop an idle slot, or build one when none is idle, and lock
-    /// nothing while `f` runs. If `f` panics the slot is dropped.
-    ///
-    /// `shared` is the target's current-context cell. A popped slot
-    /// bound to a context that has since been shed
-    /// ([`PreparedTarget::shed_caches`] swaps in a fresh one) is dropped
-    /// and replaced. On return the slot is pushed back only if its
-    /// context is still current, read under the idle lock: shed swaps
-    /// the context before it empties each idle list (under the same
-    /// lock), so a stale slot is either refused here or emptied by the
-    /// shed, and no idle slot pins a retired interner alive.
-    fn with_slot<R>(
-        &self,
-        shared: &RwLock<Arc<SolverContext>>,
-        f: impl FnOnce(&mut GroupSlot) -> R,
-    ) -> R {
-        let current = Arc::clone(&shared.read().unwrap());
-        let popped = self.idle.lock().expect("idle list never poisoned").pop();
-        let mut slot = match popped.filter(|slot| Arc::ptr_eq(slot.oracle.context(), &current)) {
-            Some(slot) => slot,
-            None => GroupSlot {
-                oracle: Oracle::with_context(self.types.clone(), current),
-                memos: StageMemos::default(),
-            },
-        };
-        let out = f(&mut slot);
-        let mut idle = self.idle.lock().expect("idle list never poisoned");
-        if idle.len() < MAX_IDLE_SLOTS
-            && Arc::ptr_eq(slot.oracle.context(), &shared.read().unwrap())
-        {
-            idle.push(slot);
-        }
-        out
+    /// Resident stage-memo entries (the lock is held only to count,
+    /// which cannot panic).
+    fn memo_entries(&self) -> usize {
+        self.memos.lock().expect("stage memos never poisoned").len()
     }
 }
 
@@ -350,9 +306,8 @@ impl FromGroup {
 /// that a registry's byte budget *scales with real usage*, not that the
 /// number matches the allocator. The shared interner and verdict cache
 /// carry their own accounting ([`SolverContext::approx_bytes`]); these
-/// constants cover the per-slot stage memos.
+/// constants cover the groups and their stage memos.
 const STAGE_MEMO_ENTRY_BYTES: usize = 512;
-const SLOT_BASE_BYTES: usize = 2048;
 const GROUP_BASE_BYTES: usize = 2048;
 
 /// One advice-cache entry. `touched` is bumped atomically on read-path
@@ -406,8 +361,8 @@ pub struct PreparedTarget {
     cfg: QrHintConfig,
     target: Query,
     groups: RwLock<HashMap<FromKey, Arc<FromGroup>>>,
-    /// The target-wide interning + shared-verdict state every oracle
-    /// slot binds to. [`PreparedTarget::shed_caches`] swaps in a fresh
+    /// The target-wide interning + shared-verdict state every advise's
+    /// oracle binds to. [`PreparedTarget::shed_caches`] swaps in a fresh
     /// context; in-flight advises finish safely against the old `Arc`.
     shared: RwLock<Arc<SolverContext>>,
     advice_cache: RwLock<AdviceCache>,
@@ -532,15 +487,60 @@ impl PreparedTarget {
     /// Advise on one resolved working query: the first failing stage's
     /// hints, with every memo layer engaged.
     pub fn advise(&self, q: &Query) -> QrResult<Advice> {
-        self.advise_inner(q, true)
-    }
+        let _span = qrhint_obs::span("advise");
+        self.stats.advise_calls.fetch_add(1, Ordering::Relaxed);
+        let use_advice_cache = self.cfg.advice_cache_capacity > 0;
+        if use_advice_cache {
+            if let Some(hit) = self.advice_cache.read().unwrap().map.get(q) {
+                hit.touched.store(self.next_stamp(), Ordering::Relaxed);
+                self.stats.advice_cache_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(hit.advice.clone());
+            }
+            self.stats.advice_cache_misses.fetch_add(1, Ordering::Relaxed);
+        }
 
-    /// One-shot advise for the stateless [`crate::QrHint::advise`]
-    /// wrapper: stage/verdict memos still apply, but the whole-advice
-    /// cache is bypassed (a throwaway target would pay its two clones
-    /// for nothing).
-    pub(crate) fn advise_uncached(&self, q: &Query) -> QrResult<Advice> {
-        self.advise_inner(q, false)
+        // ---- Stage 1: FROM ---- (always cheap: a multiset compare)
+        let from_out = {
+            let _span = qrhint_obs::span("stage:from");
+            from_stage::check_from(&self.target, q)
+        };
+        let advice = if !from_out.viable {
+            Advice {
+                stage: Stage::From,
+                hints: from_out.hints,
+                fixed: Some(from_stage::apply_from_fix(q, &self.target)),
+                mapping: None,
+            }
+        } else {
+            // The mapping is recomputed per submission (see [`FromGroup`]
+            // docs): it aligns self-joined aliases by the submission's own
+            // predicate signatures, so it cannot be cached by binding.
+            let mapping = table_mapping(&self.target, q).ok_or_else(|| {
+                QrHintError::Internal("table mapping failed after viable FROM".into())
+            })?;
+            let binding: FromBinding = q
+                .from
+                .iter()
+                .map(|t| (t.alias.clone(), t.table.clone()))
+                .collect();
+            let group = self.group_for((binding, mapping), q);
+            let mut oracle = Oracle::with_context(Arc::clone(&group.types), self.solver_context());
+            let advice = run_stages(StageInputs {
+                oracle: &mut oracle,
+                unified: &group.unified,
+                q,
+                cfg: &self.cfg,
+                domain_ctx: &group.domain_ctx,
+                mapping: &group.mapping,
+                memos: &group.memos,
+            });
+            *self.stats.oracle.lock().expect("oracle totals never poisoned") += oracle.counters;
+            advice?
+        };
+        if use_advice_cache {
+            self.cache_insert(q, &advice);
+        }
+        Ok(advice)
     }
 
     /// Grade a batch of submissions. Per-submission failures (malformed
@@ -595,13 +595,13 @@ impl PreparedTarget {
         let mapping = key.1.clone();
         let unified = unify_target(&self.target, &mapping);
         let domain_ctx = self.schema.domain_context(q);
-        let types = TypeEnv::from_queries(&self.schema, &[&unified, q]);
+        let types = Arc::new(TypeEnv::from_queries(&self.schema, &[&unified, q]));
         let fresh = Arc::new(FromGroup {
             mapping,
             unified,
             domain_ctx,
             types,
-            idle: Mutex::new(Vec::new()),
+            memos: Mutex::new(StageMemos::default()),
         });
         match self.groups.write().unwrap().entry(key) {
             std::collections::hash_map::Entry::Occupied(o) => {
@@ -613,69 +613,6 @@ impl PreparedTarget {
                 Arc::clone(v.insert(fresh))
             }
         }
-    }
-
-    /// The advise walk. `use_advice_cache` gates only the whole-advice
-    /// duplicate cache (skipped for one-shot stateless wrappers, where
-    /// populating it is pure overhead); the per-stage and solver-verdict
-    /// memos always apply.
-    fn advise_inner(&self, q: &Query, use_advice_cache: bool) -> QrResult<Advice> {
-        let _span = qrhint_obs::span("advise");
-        self.stats.advise_calls.fetch_add(1, Ordering::Relaxed);
-        let use_advice_cache = use_advice_cache && self.cfg.advice_cache_capacity > 0;
-        if use_advice_cache {
-            if let Some(hit) = self.advice_cache.read().unwrap().map.get(q) {
-                hit.touched.store(self.next_stamp(), Ordering::Relaxed);
-                self.stats.advice_cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit.advice.clone());
-            }
-            self.stats.advice_cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-
-        // ---- Stage 1: FROM ---- (always cheap: a multiset compare)
-        let from_out = {
-            let _span = qrhint_obs::span("stage:from");
-            from_stage::check_from(&self.target, q)
-        };
-        let advice = if !from_out.viable {
-            Advice {
-                stage: Stage::From,
-                hints: from_out.hints,
-                fixed: Some(from_stage::apply_from_fix(q, &self.target)),
-                mapping: None,
-            }
-        } else {
-            // The mapping is recomputed per submission (see [`FromGroup`]
-            // docs): it aligns self-joined aliases by the submission's own
-            // predicate signatures, so it cannot be cached by binding.
-            let mapping = table_mapping(&self.target, q).ok_or_else(|| {
-                QrHintError::Internal("table mapping failed after viable FROM".into())
-            })?;
-            let binding: FromBinding = q
-                .from
-                .iter()
-                .map(|t| (t.alias.clone(), t.table.clone()))
-                .collect();
-            let group = self.group_for((binding, mapping), q);
-            group.with_slot(&self.shared, |slot| {
-                let advice = run_stages(StageInputs {
-                    oracle: &mut slot.oracle,
-                    unified: &group.unified,
-                    q,
-                    cfg: &self.cfg,
-                    domain_ctx: &group.domain_ctx,
-                    mapping: &group.mapping,
-                    memos: &mut slot.memos,
-                });
-                let work = std::mem::take(&mut slot.oracle.counters);
-                *self.stats.oracle.lock().expect("oracle totals never poisoned") += work;
-                advice
-            })?
-        };
-        if use_advice_cache {
-            self.cache_insert(q, &advice);
-        }
-        Ok(advice)
     }
 
     fn next_stamp(&self) -> u64 {
@@ -719,39 +656,34 @@ impl PreparedTarget {
     /// Approximate bytes held by this target's rebuildable caches: the
     /// advice cache (exact per-entry estimates), the shared solver
     /// context (interner tables + shared verdict cache, self-accounted),
-    /// and every FROM group's idle solver slots (stage memos, estimated
-    /// per entry). A slot checked out by an advise right now is not
-    /// counted; it rejoins the count when it goes back idle, unless its
-    /// context was shed meanwhile, in which case it is dropped on return.
+    /// and every FROM group with its stage memo (estimated per entry).
     /// The `qr-hint serve` registry steers its byte-budget eviction with
     /// this number.
     pub fn approx_cache_bytes(&self) -> usize {
         let mut total = self.stats.advice_cache_bytes.load(Ordering::Relaxed) as usize;
         total += self.solver_context().approx_bytes();
         for group in self.groups.read().unwrap().values() {
-            let idle = group.idle.lock().expect("idle list never poisoned");
-            total += GROUP_BASE_BYTES + slots_bytes(&idle);
+            total += GROUP_BASE_BYTES + group.memo_entries() * STAGE_MEMO_ENTRY_BYTES;
         }
         total
     }
 
     /// Drop every rebuildable cache — the whole-advice cache, the shared
     /// solver context (interner tables **and** the shared verdict
-    /// cache), and each FROM group's solver slots (persistent oracles,
-    /// stage memos) — while keeping the compiled target and the groups'
-    /// immutable derivations (unified target, domain context, typing).
-    /// Returns the approximate bytes freed, interner included, so the
-    /// server registry's byte budget stays truthful after shedding.
+    /// cache), and each FROM group's stage memo — while keeping the
+    /// compiled target and the groups' immutable derivations (unified
+    /// target, domain context, typing). Returns the approximate bytes
+    /// freed, interner included, so the server registry's byte budget
+    /// stays truthful after shedding.
     ///
     /// This is the eviction hook a resident server uses as a middle
     /// ground: a shed target re-pays solver time on its next request
     /// but no target-compilation time, while a dropped target pays
     /// both. Safe under concurrent grading: the context is *swapped*,
-    /// not drained — an advise holding a slot keeps it and the old
-    /// context alive until it finishes, its interned ids stay valid, and
-    /// the stale slot is dropped when it is returned
-    /// (`FromGroup::with_slot`). Only idle slots are counted in the
-    /// freed bytes; checked-out ones are freed as they come back.
+    /// not drained — an in-flight advise keeps its oracle and the old
+    /// context alive until it finishes, and its interned ids stay
+    /// valid. A stage outcome it memoizes after the shed is still
+    /// right: outcomes are SQL-level and do not depend on the context.
     pub fn shed_caches(&self) -> usize {
         let mut freed = {
             let mut cache = self.advice_cache.write().unwrap();
@@ -768,16 +700,11 @@ impl PreparedTarget {
         let old = std::mem::replace(&mut *self.shared.write().unwrap(), fresh);
         freed += old.approx_bytes();
         for group in self.groups.read().unwrap().values() {
-            let idle = std::mem::take(&mut *group.idle.lock().expect("idle list never poisoned"));
-            freed += slots_bytes(&idle);
+            let mut memos = group.memos.lock().expect("stage memos never poisoned");
+            freed += std::mem::take(&mut *memos).len() * STAGE_MEMO_ENTRY_BYTES;
         }
         freed
     }
-}
-
-/// Estimated bytes of `slots` (see [`STAGE_MEMO_ENTRY_BYTES`]).
-fn slots_bytes(slots: &[GroupSlot]) -> usize {
-    slots.iter().map(|slot| SLOT_BASE_BYTES + slot.memos.len() * STAGE_MEMO_ENTRY_BYTES).sum()
 }
 
 /// A stateful tutoring session against one [`PreparedTarget`]: the
@@ -931,67 +858,6 @@ mod tests {
         let stats = prepared.stats();
         assert_eq!(stats.from_groups, 2, "s-binding shared, t-binding separate");
         assert_eq!(stats.mapping_reuses, 1);
-    }
-
-    #[test]
-    fn sequential_grading_uses_a_single_slot_per_group() {
-        let qr = QrHint::new(beers_schema());
-        let prepared = qr.compile_target(TARGET).unwrap();
-        for price in 1..6 {
-            prepared
-                .advise_sql(&format!("SELECT s.bar FROM Serves s WHERE s.price >= {price}"))
-                .unwrap();
-        }
-        let groups = prepared.groups.read().unwrap();
-        assert_eq!(groups.len(), 1);
-        let group = groups.values().next().unwrap();
-        assert_eq!(
-            group.idle.lock().unwrap().len(),
-            1,
-            "uncontended grading must not build a second slot"
-        );
-    }
-
-    /// The one FROM group of `prepared`, after one advise created it.
-    fn only_group(prepared: &PreparedTarget) -> Arc<FromGroup> {
-        prepared.advise_sql("SELECT s.bar FROM Serves s WHERE s.price > 3").unwrap();
-        let groups = prepared.groups.read().unwrap();
-        assert_eq!(groups.len(), 1);
-        Arc::clone(groups.values().next().unwrap())
-    }
-
-    #[test]
-    fn idle_list_keeps_at_most_eight_slots() {
-        // Ten slots checked out at once on one thread: each level owns
-        // its own, and only eight go back idle.
-        fn nest(group: &FromGroup, shared: &RwLock<Arc<SolverContext>>, depth: usize) -> usize {
-            if depth == 0 {
-                return 0;
-            }
-            group.with_slot(shared, |_| 1 + nest(group, shared, depth - 1))
-        }
-        let qr = QrHint::new(beers_schema());
-        let prepared = qr.compile_target(TARGET).unwrap();
-        let group = only_group(&prepared);
-        assert_eq!(nest(&group, &prepared.shared, 10), 10, "every level runs");
-        assert_eq!(group.idle.lock().unwrap().len(), 8);
-    }
-
-    #[test]
-    fn a_panic_while_grading_drops_its_slot_instead_of_poisoning_the_group() {
-        let qr = QrHint::new(beers_schema());
-        let prepared = qr.compile_target(TARGET).unwrap();
-        let group = only_group(&prepared);
-        for _ in 0..8 {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                group.with_slot(&prepared.shared, |_| panic!("injected grading panic"))
-            }));
-            assert!(caught.is_err());
-        }
-        // A different submission in the same group still grades.
-        let sub = "SELECT s.bar FROM Serves s WHERE s.price >= 2";
-        assert_eq!(prepared.advise_sql(sub).unwrap(), qr.advise_sql(TARGET, sub).unwrap());
-        assert_eq!(prepared.stats().from_groups, 1);
     }
 
     #[test]
@@ -1278,6 +1144,74 @@ mod tests {
             .unwrap();
         assert!(swapped.is_equivalent(), "{:?}", swapped.hints);
         assert_eq!(prepared.stats().from_groups, 2, "one group per mapping");
+    }
+
+    fn r_schema() -> Schema {
+        Schema::new().with_table("R", &[("a", SqlType::Int), ("b", SqlType::Int)], &["a", "b"])
+    }
+
+    /// A grouped target whose SELECT constant the working query writes as
+    /// an aggregate: under `r.a = 101`, `MAX(r.a)` is 101.
+    const GROUPED_TARGET: &str = "SELECT r.b, 101 FROM R r WHERE r.a = 101 GROUP BY r.b";
+    const MAX_WORK: &str = "SELECT r.b, MAX(r.a) FROM R r WHERE r.a = 101 GROUP BY r.b";
+    const MAX_PLUS_ZERO: &str = "SELECT r.b, MAX(r.a) + 0 FROM R r WHERE r.a = 101 GROUP BY r.b";
+
+    #[test]
+    fn select_aggregates_get_their_axioms() {
+        let qr = QrHint::new(r_schema());
+        let one_shot = qr.advise_sql(GROUPED_TARGET, MAX_WORK).unwrap();
+        assert!(one_shot.is_equivalent(), "{:?}", one_shot.hints);
+        let prepared = qr.compile_target(GROUPED_TARGET).unwrap();
+        let advice = prepared.advise_sql(MAX_WORK).unwrap();
+        assert!(advice.is_equivalent(), "{:?}", advice.hints);
+    }
+
+    #[test]
+    fn advice_does_not_depend_on_earlier_advises() {
+        let qr = QrHint::with_config(
+            r_schema(),
+            QrHintConfig { advice_cache_capacity: 0, ..QrHintConfig::default() },
+        );
+        let prepared = qr.compile_target(GROUPED_TARGET).unwrap();
+        let first = prepared.advise_sql(MAX_WORK).unwrap();
+        assert_eq!(prepared.advise_sql(MAX_WORK).unwrap(), first, "graded twice");
+
+        let fresh = || QrHint::new(r_schema()).compile_target(GROUPED_TARGET).unwrap();
+        let alone = fresh().grade_batch(&[MAX_WORK]).remove(0).unwrap();
+        let after_other = fresh().grade_batch(&[MAX_PLUS_ZERO, MAX_WORK]).remove(1).unwrap();
+        assert_eq!(after_other, alone, "graded after another submission");
+        for jobs in [1, 2, 4] {
+            let parallel =
+                fresh().grade_batch_parallel(&[MAX_PLUS_ZERO, MAX_WORK], jobs).remove(1).unwrap();
+            assert_eq!(parallel, alone, "jobs={jobs}");
+        }
+        assert_eq!(qr.advise_sql(GROUPED_TARGET, MAX_WORK).unwrap(), alone, "one-shot");
+        assert_eq!(first, alone);
+    }
+
+    #[test]
+    fn advises_of_one_group_share_its_stage_memo() {
+        // Two submissions with one WHERE stage input: the second advise's
+        // own oracle runs no solver check, because the group's memo
+        // already holds the WHERE outcome the first advise computed.
+        let qr = QrHint::new(beers_schema());
+        let prepared = qr.compile_target(TARGET).unwrap();
+        let first = prepared.advise_sql("SELECT s.bar FROM Serves s WHERE s.price > 3").unwrap();
+        let calls = prepared.stats().solver_calls;
+        assert!(calls > 0);
+        let second = prepared.advise_sql("SELECT s.beer FROM Serves s WHERE s.price > 3").unwrap();
+        assert_eq!((first.stage, second.stage), (Stage::Where, Stage::Where));
+        assert_eq!(prepared.stats().solver_calls, calls, "WHERE outcome reused");
+        let group = {
+            let groups = prepared.groups.read().unwrap();
+            assert_eq!(groups.len(), 1);
+            Arc::clone(groups.values().next().unwrap())
+        };
+        assert_eq!(group.memo_entries(), 1);
+        let before = prepared.approx_cache_bytes();
+        assert!(prepared.shed_caches() >= STAGE_MEMO_ENTRY_BYTES);
+        assert_eq!(group.memo_entries(), 0, "shed clears the group memo");
+        assert!(prepared.approx_cache_bytes() < before);
     }
 
     #[test]

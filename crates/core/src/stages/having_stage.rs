@@ -4,8 +4,9 @@
 //!
 //! The context `C` contains (Example 11):
 //! * the WHERE facts over group-constant columns, asserted scalar-ly;
-//! * the aggregate axioms over the oracle's own aggregate record (per-row bounds
-//!   lifted to MIN/MAX/AVG/SUM, `COUNT(*) ≥ 1`, `MIN ≤ AVG ≤ MAX`, ...).
+//! * the aggregate axioms over the aggregates of the stage's own inputs
+//!   (per-row bounds lifted to MIN/MAX/AVG/SUM, `COUNT(*) ≥ 1`,
+//!   `MIN ≤ AVG ≤ MAX`, ...).
 
 use crate::hint::{ClauseKind, Hint, SiteHint};
 use crate::mapping::signature::{equivalence_classes, EqClasses, EqItem};
@@ -56,6 +57,10 @@ pub fn group_constant_cols(q: &Query, where_pred: &Pred) -> BTreeSet<ColRef> {
 /// Build the HAVING base context and install it (with the grouped
 /// lowering environment) as the oracle's ambient state. Returns the
 /// environment for callers that need explicit lowering.
+///
+/// Starts from a cleared ambient state, aggregate record included, so
+/// the axioms cover exactly the aggregates of `h` and `h_star` plus any
+/// the caller lowers before its own [`Oracle::aggregate_axioms`] call.
 pub fn install_having_context(
     oracle: &mut Oracle,
     where_pred: &Pred,
@@ -63,6 +68,7 @@ pub fn install_having_context(
     h_star: &Pred,
     grouped: &BTreeSet<ColRef>,
 ) -> LowerEnv {
+    oracle.clear_ambient();
     let env = LowerEnv::grouped(grouped.clone());
     // WHERE facts usable scalar-ly: top-level conjuncts over
     // group-constant columns only.

@@ -1,15 +1,15 @@
 //! The shared solver-verdict cache: one sharded, recency-stamped,
 //! byte-budgeted table of `(formula, context) → TriBool` per
-//! [`crate::session::PreparedTarget`], shared by every oracle slot in
-//! every FROM group.
+//! [`crate::session::PreparedTarget`], shared by the oracle of every
+//! advise in every FROM group.
 //!
-//! Session slots once kept their verdict caches private —
-//! with tree-keyed entries, sharing would have meant deep structural
+//! With tree-keyed entries, sharing would have meant deep structural
 //! compares under a shared lock. With interned formulas
 //! ([`qrhint_smt::FormulaId`]) the key is a handful of `u32`s, so one
-//! shared table is cheap to probe, and a verdict decided on one thread
-//! becomes a read-path hit on every other: an 8-thread classroom batch
-//! pays each distinct solver check **once** instead of up to 8 times.
+//! shared table is cheap to probe, and a verdict one advise decided
+//! becomes a read-path hit for every other advise, on any thread: an
+//! 8-thread classroom batch pays each distinct solver check **once**
+//! instead of up to 8 times.
 //!
 //! Soundness and determinism: keys are ids into the same shared
 //! interner, so equal keys mean structurally identical (formula, full
@@ -52,8 +52,9 @@ pub(crate) struct VerdictKey {
 
 struct Entry {
     verdict: TriBool,
-    /// Oracle id that paid for the verdict (cross-thread hit
-    /// attribution in [`crate::session::SessionStats`]).
+    /// Oracle id that paid for the verdict. Each advise has its own
+    /// oracle, so a hit by another id is a cross-advise hit
+    /// ([`crate::session::SessionStats::verdict_cache_cross_thread_hits`]).
     owner: u64,
     /// Recency stamp; refreshed atomically on read-path hits.
     touched: AtomicU64,

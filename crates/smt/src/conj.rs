@@ -277,18 +277,18 @@ pub fn check_conjunction(lits: &[Lit], pool: &mut VarPool) -> (SatResult, Option
 mod tests {
     use super::*;
 
-    fn int_var(pool: &mut VarPool, name: &str) -> Term {
-        Term::var(pool.fresh(name, Sort::Int))
+    fn int_var(pool: &mut VarPool) -> Term {
+        Term::var(pool.fresh(Sort::Int))
     }
-    fn str_var(pool: &mut VarPool, name: &str) -> Term {
-        Term::var(pool.fresh(name, Sort::Str))
+    fn str_var(pool: &mut VarPool) -> Term {
+        Term::var(pool.fresh(Sort::Str))
     }
 
     #[test]
     fn simple_int_conjunction() {
         let mut p = VarPool::new();
-        let a = int_var(&mut p, "a");
-        let b = int_var(&mut p, "b");
+        let a = int_var(&mut p);
+        let b = int_var(&mut p);
         // a > b ∧ b > a → unsat
         let lits = vec![
             (Atom::Cmp(a.clone(), Rel::Gt, b.clone()), true),
@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn negative_polarity() {
         let mut p = VarPool::new();
-        let a = int_var(&mut p, "a");
+        let a = int_var(&mut p);
         // ¬(a ≤ 5) ∧ a < 3 → unsat
         let lits = vec![
             (Atom::Cmp(a.clone(), Rel::Le, Term::IntConst(5)), false),
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn disequality_case_split() {
         let mut p = VarPool::new();
-        let a = int_var(&mut p, "a");
+        let a = int_var(&mut p);
         // a ≠ 5 ∧ a ≥ 5 ∧ a ≤ 5 → unsat (both split branches die)
         let lits = vec![
             (Atom::Cmp(a.clone(), Rel::Ne, Term::IntConst(5)), true),
@@ -343,9 +343,9 @@ mod tests {
     #[test]
     fn transitivity_of_equality() {
         let mut p = VarPool::new();
-        let a = int_var(&mut p, "a");
-        let b = int_var(&mut p, "b");
-        let c = int_var(&mut p, "c");
+        let a = int_var(&mut p);
+        let b = int_var(&mut p);
+        let c = int_var(&mut p);
         // a = b ∧ b = c ∧ a ≠ c → unsat (the Example-1 inference that
         // Likes.beer = s1.beer ∧ Likes.beer = s2.beer ⟹ s1.beer = s2.beer).
         let lits = vec![
@@ -359,8 +359,8 @@ mod tests {
     #[test]
     fn mixed_sorts() {
         let mut p = VarPool::new();
-        let d = str_var(&mut p, "drinker");
-        let x = int_var(&mut p, "price");
+        let d = str_var(&mut p);
+        let x = int_var(&mut p);
         let lits = vec![
             (Atom::Cmp(d.clone(), Rel::Eq, Term::StrConst("Amy".into())), true),
             (Atom::Cmp(x.clone(), Rel::Gt, Term::IntConst(3)), true),
@@ -381,8 +381,8 @@ mod tests {
     #[test]
     fn arithmetic_equivalence_of_atoms() {
         let mut p = VarPool::new();
-        let a = int_var(&mut p, "a");
-        let b = int_var(&mut p, "b");
+        let a = int_var(&mut p);
+        let b = int_var(&mut p);
         // a + 1 = b + 1 ∧ a ≠ b → unsat (normalization cancels the +1).
         let lits = vec![
             (
@@ -401,7 +401,7 @@ mod tests {
     #[test]
     fn nonlinear_is_validated_not_trusted() {
         let mut p = VarPool::new();
-        let a = int_var(&mut p, "a");
+        let a = int_var(&mut p);
         // a * a < 0 — the abstraction is rational-sat, but validation must
         // reject any candidate model, so the result is Unknown or Unsat,
         // never Sat.
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn reflexive_strict_string_order_is_unsat() {
         let mut p = VarPool::new();
-        let s = str_var(&mut p, "beer");
+        let s = str_var(&mut p);
         for rel in [Rel::Lt, Rel::Gt] {
             let lits = vec![(Atom::Cmp(s.clone(), rel, s.clone()), true)];
             assert_eq!(check_conjunction(&lits, &mut p).0, SatResult::Unsat, "{rel}");

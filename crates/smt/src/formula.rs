@@ -289,8 +289,8 @@ mod tests {
     #[test]
     fn canonical_merges_flipped_atoms() {
         let mut p = VarPool::new();
-        let a = Term::var(p.fresh("a", Sort::Int));
-        let b = Term::var(p.fresh("b", Sort::Int));
+        let a = Term::var(p.fresh(Sort::Int));
+        let b = Term::var(p.fresh(Sort::Int));
         let f = Formula::and(vec![
             Formula::cmp(a.clone(), Rel::Lt, b.clone()),
             Formula::cmp(b.clone(), Rel::Gt, a.clone()),
@@ -306,7 +306,7 @@ mod tests {
         assert_eq!(Formula::or(vec![]), Formula::False);
         assert_eq!(Formula::not(Formula::True), Formula::False);
         let mut p = VarPool::new();
-        let a = Term::var(p.fresh("a", Sort::Int));
+        let a = Term::var(p.fresh(Sort::Int));
         let atom = Formula::cmp(a, Rel::Eq, Term::IntConst(1));
         assert_eq!(
             Formula::and(vec![Formula::True, atom.clone()]),
@@ -319,8 +319,8 @@ mod tests {
     #[test]
     fn eval3_three_valued() {
         let mut p = VarPool::new();
-        let a = Atom::Cmp(Term::var(p.fresh("a", Sort::Int)), Rel::Eq, Term::IntConst(1));
-        let b = Atom::Cmp(Term::var(p.fresh("b", Sort::Int)), Rel::Eq, Term::IntConst(2));
+        let a = Atom::Cmp(Term::var(p.fresh(Sort::Int)), Rel::Eq, Term::IntConst(1));
+        let b = Atom::Cmp(Term::var(p.fresh(Sort::Int)), Rel::Eq, Term::IntConst(2));
         let f = Formula::or(vec![Formula::atom(a.clone()), Formula::atom(b.clone())]);
         // b unknown, a true => true
         assert_eq!(

@@ -429,8 +429,8 @@ mod tests {
     fn two_vars() -> (Interner, TermId, TermId) {
         let mut it = Interner::new();
         let mut pool = VarPool::new();
-        let a = pool.fresh("a", Sort::Int);
-        let b = pool.fresh("b", Sort::Int);
+        let a = pool.fresh(Sort::Int);
+        let b = pool.fresh(Sort::Int);
         let (a, b) = (it.var(a), it.var(b));
         (it, a, b)
     }
@@ -493,8 +493,8 @@ mod tests {
     #[test]
     fn tree_round_trip_is_exact() {
         let mut pool = VarPool::new();
-        let a = Term::var(pool.fresh("a", Sort::Int));
-        let s = Term::var(pool.fresh("s", Sort::Str));
+        let a = Term::var(pool.fresh(Sort::Int));
+        let s = Term::var(pool.fresh(Sort::Str));
         let f = Formula::and(vec![
             Formula::cmp(
                 Term::add(a.clone(), Term::IntConst(2)),

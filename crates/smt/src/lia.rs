@@ -225,7 +225,7 @@ mod tests {
 
     fn vars(n: usize) -> (VarPool, Vec<VarId>) {
         let mut p = VarPool::new();
-        let vs = (0..n).map(|i| p.fresh(&format!("x{i}"), Sort::Int)).collect();
+        let vs = (0..n).map(|_| p.fresh(Sort::Int)).collect();
         (p, vs)
     }
 

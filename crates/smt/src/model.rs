@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn eval_arith() {
         let mut p = VarPool::new();
-        let a = p.fresh("a", Sort::Int);
+        let a = p.fresh(Sort::Int);
         let mut m = Model::new();
         m.set(a, Value::Int(7));
         // (a * 2 - 4) / 2 == 5 with truncating division
@@ -198,8 +198,8 @@ mod tests {
     #[test]
     fn eval_atoms_both_sorts() {
         let mut p = VarPool::new();
-        let a = p.fresh("a", Sort::Int);
-        let s = p.fresh("s", Sort::Str);
+        let a = p.fresh(Sort::Int);
+        let s = p.fresh(Sort::Str);
         let mut m = Model::new();
         m.set(a, Value::Int(10));
         m.set(s, Value::Str("Eve".into()));
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn default_values_for_missing_vars() {
         let mut p = VarPool::new();
-        let a = p.fresh("a", Sort::Int);
+        let a = p.fresh(Sort::Int);
         let m = Model::new();
         assert_eq!(m.eval_int(&Term::var(a)), Some(0));
     }
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn eval_formula_short_circuits() {
         let mut p = VarPool::new();
-        let a = p.fresh("a", Sort::Int);
+        let a = p.fresh(Sort::Int);
         let mut m = Model::new();
         m.set(a, Value::Int(1));
         let t = Formula::cmp(Term::var(a), Rel::Eq, Term::IntConst(1));

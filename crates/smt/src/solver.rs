@@ -595,11 +595,11 @@ mod tests {
 
     fn setup() -> (Solver, VarPool, Term, Term, Term, Term, Term) {
         let mut p = VarPool::new();
-        let a = Term::var(p.fresh("a", Sort::Int));
-        let b = Term::var(p.fresh("b", Sort::Int));
-        let c = Term::var(p.fresh("c", Sort::Int));
-        let d = Term::var(p.fresh("d", Sort::Int));
-        let e = Term::var(p.fresh("e", Sort::Int));
+        let a = Term::var(p.fresh(Sort::Int));
+        let b = Term::var(p.fresh(Sort::Int));
+        let c = Term::var(p.fresh(Sort::Int));
+        let d = Term::var(p.fresh(Sort::Int));
+        let e = Term::var(p.fresh(Sort::Int));
         (Solver::new(), p, a, b, c, d, e)
     }
 
@@ -636,12 +636,12 @@ mod tests {
         // P : (A=C ∧ (D≠E ∨ D>F)) ∨ (A=C ∧ (D>11 ∨ D<7 ∨ E≤5))
         // These are NOT equivalent.
         let mut p = VarPool::new();
-        let a = Term::var(p.fresh("A", Sort::Int));
-        let b = Term::var(p.fresh("B", Sort::Int));
-        let c = Term::var(p.fresh("C", Sort::Int));
-        let d = Term::var(p.fresh("D", Sort::Int));
-        let e = Term::var(p.fresh("E", Sort::Int));
-        let ff = Term::var(p.fresh("F", Sort::Int));
+        let a = Term::var(p.fresh(Sort::Int));
+        let b = Term::var(p.fresh(Sort::Int));
+        let c = Term::var(p.fresh(Sort::Int));
+        let d = Term::var(p.fresh(Sort::Int));
+        let e = Term::var(p.fresh(Sort::Int));
+        let ff = Term::var(p.fresh(Sort::Int));
         let s = Solver::new();
         let pstar = Formula::or(vec![
             Formula::and(vec![
@@ -712,7 +712,7 @@ mod tests {
     #[test]
     fn strings_and_like_in_full_solver() {
         let mut p = VarPool::new();
-        let name = Term::var(p.fresh("name", Sort::Str));
+        let name = Term::var(p.fresh(Sort::Str));
         let s = Solver::new();
         // name = 'Amy' ∧ name NOT LIKE 'A%' is unsat.
         let f = Formula::and(vec![
@@ -736,7 +736,7 @@ mod tests {
         let s = Solver { max_atoms: 3, ..Solver::default() };
         let mut parts = vec![];
         for i in 0..5 {
-            let v = Term::var(p.fresh(&format!("x{i}"), Sort::Int));
+            let v = Term::var(p.fresh(Sort::Int));
             parts.push(Formula::cmp(v, Rel::Gt, Term::IntConst(i)));
         }
         let f = Formula::and(parts);
@@ -761,7 +761,7 @@ mod tests {
         let wide = Formula::or(
             (0..20)
                 .map(|i| {
-                    let v = Term::var(p.fresh(&format!("w{i}"), Sort::Int));
+                    let v = Term::var(p.fresh(Sort::Int));
                     Formula::cmp(v, Rel::Eq, Term::IntConst(i))
                 })
                 .collect(),
@@ -789,7 +789,7 @@ mod tests {
     #[test]
     fn string_equalities_conflict() {
         let mut p = VarPool::new();
-        let s = Term::var(p.fresh("s", Sort::Str));
+        let s = Term::var(p.fresh(Sort::Str));
         let eq = |c: &str| Formula::cmp(s.clone(), Rel::Eq, Term::StrConst(c.into()));
         let f = Formula::and(vec![eq("a"), eq("b")]);
         assert_eq!(parts_verdict(&[f], &mut p), SatResult::Unsat);
@@ -808,7 +808,7 @@ mod tests {
     #[test]
     fn opaque_shapes_never_decide() {
         let (_, mut p, x, y, ..) = setup();
-        let s = Term::var(p.fresh("s", Sort::Str));
+        let s = Term::var(p.fresh(Sort::Str));
         // Satisfiable shapes stay Sat: a disjunction (no root facts), a
         // lone LIKE unit, and bounds on different variables.
         let f = Formula::or(vec![
@@ -833,7 +833,7 @@ mod tests {
         assert_eq!(parts_verdict(&[one_gt_two], &mut p), SatResult::Unsat);
         let x_ne_x = Formula::cmp(x.clone(), Rel::Ne, x.clone());
         assert_eq!(parts_verdict(&[x_ne_x], &mut p), SatResult::Unsat);
-        let s = Term::var(p.fresh("s", Sort::Str));
+        let s = Term::var(p.fresh(Sort::Str));
         for rel in [Rel::Lt, Rel::Gt] {
             let s_s = Formula::cmp(s.clone(), rel, s.clone());
             assert_eq!(parts_verdict(&[s_s], &mut p), SatResult::Unsat, "{rel}");
@@ -868,14 +868,14 @@ mod tests {
         // is a full check. Eleven independent pairs (x ≥ 0 ∨ x ≤ −5)
         // before it give every leaf its own integer system.
         let mut p = VarPool::new();
-        let mut var = |name: &str| Term::var(p.fresh(name, Sort::Int));
-        let (y, z) = (var("y"), var("z"));
+        let mut var = || Term::var(p.fresh(Sort::Int));
+        let (y, z) = (var(), var());
         let mut parts = vec![
             Formula::cmp(y.clone(), Rel::Ge, Term::IntConst(1)),
             Formula::cmp(Term::add(y, z.clone()), Rel::Eq, Term::IntConst(0)),
         ];
-        for i in 0..11 {
-            let x = var(&format!("x{i}"));
+        for _ in 0..11 {
+            let x = var();
             parts.push(Formula::or(vec![
                 Formula::cmp(x.clone(), Rel::Ge, Term::IntConst(0)),
                 Formula::cmp(x, Rel::Le, Term::IntConst(-5)),

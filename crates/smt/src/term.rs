@@ -22,11 +22,9 @@ impl fmt::Display for VarId {
     }
 }
 
-/// Variable pool: allocates variables and records their names and sorts.
-/// Names are purely diagnostic (e.g. `"s1.price"` or `"SUM(s.d)"`).
+/// Variable pool: allocates variables and records their sorts.
 #[derive(Debug, Clone, Default)]
 pub struct VarPool {
-    names: Vec<String>,
     sorts: Vec<Sort>,
 }
 
@@ -36,9 +34,8 @@ impl VarPool {
     }
 
     /// Allocate a fresh variable.
-    pub fn fresh(&mut self, name: &str, sort: Sort) -> VarId {
-        let id = VarId(self.names.len() as u32);
-        self.names.push(name.to_string());
+    pub fn fresh(&mut self, sort: Sort) -> VarId {
+        let id = VarId(self.sorts.len() as u32);
         self.sorts.push(sort);
         id
     }
@@ -48,14 +45,9 @@ impl VarPool {
         self.sorts[v.0 as usize]
     }
 
-    /// Diagnostic name of a variable.
-    pub fn name(&self, v: VarId) -> &str {
-        &self.names[v.0 as usize]
-    }
-
     /// Number of variables allocated.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.sorts.len()
     }
 
     /// Drop every variable at index `len` and above. Used by callers
@@ -63,7 +55,6 @@ impl VarPool {
     /// variables per check: truncate back to the synced snapshot, then
     /// [`VarPool::extend_from`] the new shared entries.
     pub fn truncate(&mut self, len: usize) {
-        self.names.truncate(len);
         self.sorts.truncate(len);
     }
 
@@ -72,13 +63,12 @@ impl VarPool {
     /// `self.len() == from` so indices stay aligned.
     pub fn extend_from(&mut self, other: &VarPool, from: usize) {
         debug_assert_eq!(self.len(), from);
-        self.names.extend_from_slice(&other.names[from..]);
         self.sorts.extend_from_slice(&other.sorts[from..]);
     }
 
     /// Whether no variables were allocated yet.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.sorts.is_empty()
     }
 }
 
@@ -261,7 +251,7 @@ impl OpaqueMap {
         if let Some(v) = self.map.get(&key) {
             return *v;
         }
-        let v = pool.fresh("<opaque>", Sort::Int);
+        let v = pool.fresh(Sort::Int);
         self.trail.push(key.clone());
         self.map.insert(key, v);
         v
@@ -364,9 +354,9 @@ mod tests {
 
     fn pool3() -> (VarPool, VarId, VarId, VarId) {
         let mut p = VarPool::new();
-        let a = p.fresh("a", Sort::Int);
-        let b = p.fresh("b", Sort::Int);
-        let c = p.fresh("c", Sort::Int);
+        let a = p.fresh(Sort::Int);
+        let b = p.fresh(Sort::Int);
+        let c = p.fresh(Sort::Int);
         (p, a, b, c)
     }
 

@@ -848,7 +848,7 @@ mod tests {
 
     fn int_pool(n: usize) -> (VarPool, Vec<VarId>) {
         let mut p = VarPool::new();
-        let vars = (0..n).map(|i| p.fresh(&format!("x{i}"), Sort::Int)).collect();
+        let vars = (0..n).map(|_| p.fresh(Sort::Int)).collect();
         (p, vars)
     }
 
@@ -900,8 +900,8 @@ mod tests {
     #[test]
     fn quick_detects_string_conflicts() {
         let mut pool = VarPool::new();
-        let s = pool.fresh("s", Sort::Str);
-        let t = pool.fresh("t", Sort::Str);
+        let s = pool.fresh(Sort::Str);
+        let t = pool.fresh(Sort::Str);
         let mut th = TheoryState::new();
         let eqc = |v: VarId, c: &str| {
             cmp(Term::var(v), Rel::Eq, Term::StrConst(c.to_string()))
@@ -922,9 +922,9 @@ mod tests {
     #[test]
     fn check_full_matches_from_scratch_on_a_mixed_stack() {
         let mut pool = VarPool::new();
-        let x = pool.fresh("x", Sort::Int);
-        let y = pool.fresh("y", Sort::Int);
-        let s = pool.fresh("s", Sort::Str);
+        let x = pool.fresh(Sort::Int);
+        let y = pool.fresh(Sort::Int);
+        let s = pool.fresh(Sort::Str);
         let lits: Vec<Lit> = vec![
             (cmp(Term::var(x), Rel::Le, Term::var(y)), true),
             (cmp(Term::var(x), Rel::Eq, Term::var(y)), false),

@@ -16,11 +16,11 @@ const NS: usize = 2; // str vars, ids NI..NI+NS
 
 fn base_pool() -> VarPool {
     let mut p = VarPool::new();
-    for i in 0..NI {
-        p.fresh(&format!("x{i}"), Sort::Int);
+    for _ in 0..NI {
+        p.fresh(Sort::Int);
     }
-    for i in 0..NS {
-        p.fresh(&format!("s{i}"), Sort::Str);
+    for _ in 0..NS {
+        p.fresh(Sort::Str);
     }
     p
 }
@@ -430,8 +430,8 @@ fn incremental_theory_work_is_linear_in_depth() {
     let run = |d: usize| {
         let mut p = VarPool::new();
         let parts: Vec<Formula> = (0..d)
-            .map(|i| {
-                let v = Term::var(p.fresh(&format!("y{i}"), Sort::Int));
+            .map(|_| {
+                let v = Term::var(p.fresh(Sort::Int));
                 Formula::or(vec![
                     Formula::cmp(v.clone(), Rel::Ge, Term::IntConst(0)),
                     Formula::cmp(v, Rel::Le, Term::IntConst(-5)),

@@ -10,8 +10,8 @@ const GRID: i64 = 4; // values 0..GRID per variable
 
 fn pool() -> VarPool {
     let mut p = VarPool::new();
-    for i in 0..NVARS {
-        p.fresh(&format!("x{i}"), Sort::Int);
+    for _ in 0..NVARS {
+        p.fresh(Sort::Int);
     }
     p
 }

@@ -6,9 +6,9 @@
 //! Uses the session API end-to-end: each question's hidden target is
 //! compiled **once** ([`QrHint::compile_target`]) and its submissions
 //! are graded against the prepared target through
-//! [`PreparedTarget::grade_batch_parallel`] — the target's memo state
-//! is sharded for concurrent grading, so the batch fans out over one
-//! worker per available core while sharing the memoized table mappings,
+//! [`PreparedTarget::grade_batch_parallel`] — every advise grades with
+//! its own oracle, so the batch fans out over one worker per available
+//! core while sharing the target's memoized table mappings, per-group
 //! stage outcomes and solver verdicts. Hinted submissions then replay
 //! the full tutoring loop (sequentially; it reuses the warm memos).
 //!

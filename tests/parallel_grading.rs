@@ -32,7 +32,7 @@ fn students_batches() -> (Schema, Vec<(String, Vec<String>)>) {
 
 /// Beers batch: fault-injected WHERE variants of course question (c)
 /// — 24 distinct submissions sharing one FROM binding, so every worker
-/// works in the same memo group, each on its own slot of it.
+/// works in the same memo group, each advise with its own oracle.
 fn beers_batch() -> (Schema, String, Vec<String>) {
     batches::beers_batch(24)
 }
@@ -50,8 +50,8 @@ fn assert_parallel_matches_sequential(
     };
     for jobs in [1usize, 2, 4, 8] {
         // Cold pass on a *fresh* target per job count: every worker
-        // does real concurrent run_stages work (slot-pool growth, memo
-        // seeding) — a shared target would be all advice-cache hits
+        // does real concurrent run_stages work (shared memo seeding) —
+        // a shared target would be all advice-cache hits
         // after the first job count and hide cold-path races.
         let hammered = qr.compile_target(target).unwrap();
         let cold = fingerprint(&hammered.grade_batch_parallel(subs, jobs));

@@ -2,7 +2,7 @@
 //! duplicate-heavy submission batches grade identically under
 //! [`PreparedTarget::grade_batch`] and
 //! [`PreparedTarget::grade_batch_parallel`] — the advice-cache read
-//! path and the owned group slots must never change an answer,
+//! path and the shared group stage memos must never change an answer,
 //! only the wall-clock.
 
 use proptest::prelude::*;

@@ -201,7 +201,7 @@ fn solver_models_validate() {
     f.collect_vars(&mut vars);
     let mut pool = qrhint_smt::VarPool::new();
     for _ in 0..=vars.iter().map(|v| v.0).max().unwrap_or(0) {
-        pool.fresh("x", qrhint_smt::Sort::Int);
+        pool.fresh(qrhint_smt::Sort::Int);
     }
     let outcome = solver.check(&f, &mut pool);
     assert_eq!(outcome.result, SatResult::Sat);
