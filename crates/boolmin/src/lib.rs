@@ -7,12 +7,15 @@
 //! `0` / `1` / `don't-care`, [`minimize`] returns a minimum disjunctive
 //! normal form:
 //!
-//! 1. **Prime implicant generation** by the Quine–McCluskey merging
-//!    procedure (don't-cares participate in merging but never require
-//!    coverage) — [`prime_implicants`]. The cubes of one dash pattern are
-//!    a bitset over the `2^n` values, so merging a whole pattern on one
-//!    variable is a word-wise `b & (b >> 2^i)`, and a cube is prime when
-//!    no merged cube one level up covers it;
+//! 1. **Prime implicant generation** — [`prime_implicants`]: the primes
+//!    of on ∪ dc that cover an on-row (don't-cares may be covered but
+//!    never need to be), grown from each on-row against the off-rows as
+//!    ESPRESSO's EXPAND grows a cube, but to every maximal cube. A cube
+//!    through on-row `m` is its dash mask `d`; the masks reaching an
+//!    off-row `z` are the supersets of `z ^ m`, one bitset over the `2^n`
+//!    masks closed upward word-wise, and the primes through `m` are the
+//!    masks outside it whose every one-dash widening is inside. The work
+//!    grows with the on-rows, not with `4^n`;
 //! 2. **Cover selection**: essential primes first, then an exact
 //!    branch-and-bound set cover (optimal for the sizes Qr-Hint produces),
 //!    falling back to a greedy cover under a node budget — exactly

@@ -1,13 +1,16 @@
-//! Quine–McCluskey prime implicant generation, bit-parallel.
+//! Prime implicant generation, grown from each on-row against the
+//! off-rows (ESPRESSO's EXPAND, run to every maximal cube).
 //!
-//! The cubes sharing one dash pattern `d` are held as a single bitset
-//! over the `2^n` values: bit `v` is set when the cube
-//! `{dashes: d, values: v}` is an implicant of on ∪ dc (such a `v` has the
-//! bits of `d` clear). Merging on a variable `i ∉ d` pairs every value `v`
-//! whose bit `i` is clear with `v | 1 << i` in one word-wise step,
-//! `b & (b >> 2^i)`: a shift inside each word for `i < 6` and a whole-word
-//! offset for `i ≥ 6`. A cube is prime when no merged cube one level up
-//! covers it.
+//! A cube through an on-row `m` is fixed by its dash mask `d`: it is
+//! `{dashes: d, values: m & !d}`, and it contains an off-row `z` exactly
+//! when `z ^ m` lies within `d`. So the masks whose cubes hit the off-set
+//! are the supersets of the masks `z ^ m`: one bitset over the `2^n`
+//! masks, seeded with bit `z ^ m` per off-row and closed upward one
+//! variable `i` at a time (a shift inside each word for `i < 6`, a
+//! whole-word offset for `i ≥ 6`). The primes through `m` are the masks
+//! outside that set whose every one-dash widening is in it. Each on-row
+//! costs one pass over the off-rows and `O(n · 2^n / 64)` words, so a
+//! table with few cared rows pays for few.
 
 use crate::table::MAX_VARS;
 
@@ -49,87 +52,74 @@ const BIT_CLEAR: [u64; 6] = [
     0x0000_0000_FFFF_FFFF,
 ];
 
-/// The cubes of `b`'s pattern merged on variable `i`: bit `v` (bit `i`
-/// of `v` clear) is set when both `v` and `v | 1 << i` are set in `b`.
-fn merge(b: &[u64], i: usize) -> Vec<u64> {
+/// Close the mask set `b` upward on variable `i`: every mask with bit `i`
+/// clear passes its bit on to the mask with bit `i` set.
+fn close_up(b: &mut [u64], i: usize) {
     if i < 6 {
-        return b.iter().map(|&w| w & (w >> (1 << i)) & BIT_CLEAR[i]).collect();
-    }
-    let step = 1 << (i - 6);
-    let mut out = vec![0; b.len()];
-    for j in (0..b.len()).filter(|j| j & step == 0) {
-        out[j] = b[j] & b[j + step];
-    }
-    out
-}
-
-/// Mark in `covered` both halves of every cube of `merged`, a pattern
-/// merged on variable `i`.
-fn cover_halves(covered: &mut [u64], merged: &[u64], i: usize) {
-    if i < 6 {
-        for (c, &w) in covered.iter_mut().zip(merged) {
-            *c |= w | (w << (1 << i));
+        for w in b.iter_mut() {
+            *w |= (*w & BIT_CLEAR[i]) << (1 << i);
         }
         return;
     }
     let step = 1 << (i - 6);
-    for j in (0..merged.len()).filter(|j| j & step == 0) {
-        covered[j] |= merged[j];
-        covered[j + step] |= merged[j];
+    for j in (0..b.len()).filter(|j| j & step == 0) {
+        b[j + step] |= b[j];
+    }
+}
+
+/// Keep in `keep` only the masks that have bit `i` set or whose widening
+/// by bit `i` is in `b`.
+fn keep_widened(keep: &mut [u64], b: &[u64], i: usize) {
+    if i < 6 {
+        for (k, &w) in keep.iter_mut().zip(b) {
+            *k &= (w >> (1 << i)) | !BIT_CLEAR[i];
+        }
+        return;
+    }
+    let step = 1 << (i - 6);
+    for j in (0..keep.len()).filter(|j| j & step == 0) {
+        keep[j] &= b[j + step];
     }
 }
 
 /// Compute all prime implicants of the function whose on-set is `on` and
-/// don't-care set is `dc` (don't-cares join the merging but are never
-/// required to be covered). Primes covering no on-row are dropped; the
-/// rest come sorted.
+/// don't-care set is `dc` (don't-cares may be covered but never need to
+/// be). Only primes covering an on-row are returned, sorted.
 pub fn prime_implicants(nvars: usize, on: &[u32], dc: &[u32]) -> Vec<Cube> {
     assert!(nvars <= MAX_VARS, "too many variables: {nvars}");
-    let words = (1usize << nvars).div_ceil(64);
-    let mut minterms = vec![0u64; words];
-    for &m in on.iter().chain(dc) {
-        minterms[m as usize / 64] |= 1 << (m % 64);
+    let rows = 1usize << nvars;
+    let words = rows.div_ceil(64);
+    let mut cared = vec![0u64; words];
+    for &r in on.iter().chain(dc) {
+        cared[r as usize / 64] |= 1 << (r % 64);
     }
-    // One level: every non-empty dash pattern with the same number of
-    // dashes, in ascending pattern order.
-    let mut level: Vec<(u32, Vec<u64>)> = vec![(0, minterms)];
+    let off: Vec<u32> =
+        (0..rows as u32).filter(|&z| cared[z as usize / 64] >> (z % 64) & 1 == 0).collect();
+    // A table of fewer than 64 rows has its masks in the low bits of one
+    // word.
+    let valid = if rows < 64 { (1 << rows) - 1 } else { !0 };
+    let mut blocked = vec![0u64; words];
     let mut primes: Vec<Cube> = Vec::new();
-    while !level.is_empty() {
-        // Each pattern one level up is built once, from the pattern
-        // without its highest dash; if that one is empty, so is it.
-        let mut next: Vec<(u32, Vec<u64>)> = Vec::new();
-        for (d, b) in &level {
-            let above_highest = (u32::BITS - d.leading_zeros()) as usize;
-            for i in above_highest..nvars {
-                let merged = merge(b, i);
-                if merged.iter().any(|&w| w != 0) {
-                    next.push((d | 1 << i, merged));
-                }
+    for &m in on {
+        blocked.fill(0);
+        for &z in &off {
+            let d = (z ^ m) as usize;
+            blocked[d / 64] |= 1 << (d % 64);
+        }
+        (0..nvars).for_each(|i| close_up(&mut blocked, i));
+        let mut prime: Vec<u64> = blocked.iter().map(|&w| !w & valid).collect();
+        (0..nvars).for_each(|i| keep_widened(&mut prime, &blocked, i));
+        for (j, &w) in prime.iter().enumerate() {
+            let mut rest = w;
+            while rest != 0 {
+                let d = j as u32 * 64 + rest.trailing_zeros();
+                primes.push(Cube { dashes: d, values: m & !d });
+                rest &= rest - 1;
             }
         }
-        next.sort_unstable_by_key(|(d, _)| *d);
-        for (d, b) in &level {
-            let mut covered = vec![0u64; words];
-            for i in (0..nvars).filter(|i| d & (1 << i) == 0) {
-                if let Ok(k) = next.binary_search_by_key(&(d | 1 << i), |(up, _)| *up) {
-                    cover_halves(&mut covered, &next[k].1, i);
-                }
-            }
-            for (j, (&w, &c)) in b.iter().zip(&covered).enumerate() {
-                let mut rest = w & !c;
-                while rest != 0 {
-                    let v = j as u32 * 64 + rest.trailing_zeros();
-                    primes.push(Cube { dashes: *d, values: v });
-                    rest &= rest - 1;
-                }
-            }
-        }
-        level = next;
     }
-    primes.sort();
-    // Drop primes that cover no required (on-set) row; they only covered
-    // don't-cares and are useless for the cover.
-    primes.retain(|p| on.iter().any(|&m| p.covers(m)));
+    primes.sort_unstable();
+    primes.dedup();
     primes
 }
 
@@ -154,7 +144,7 @@ mod tests {
 
     #[test]
     fn merges_across_words() {
-        // Variables 6 and 7 index whole words of the 256-bit cube sets.
+        // Variables 6 and 7 index whole words of the 256-bit mask sets.
         let primes = prime_implicants(8, &[0b0000_0001, 0b1100_0001], &[0b0100_0001, 0b1000_0001]);
         assert_eq!(primes, vec![Cube { dashes: 0b1100_0000, values: 0b0000_0001 }]);
     }

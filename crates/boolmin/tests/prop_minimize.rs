@@ -1,11 +1,13 @@
-//! Property-based tests for the Quine–McCluskey minimizer: semantic
+//! Property-based tests for the two-level minimizer: semantic
 //! correctness on arbitrary tables with don't-cares, exact minimality
 //! (term count) against brute-force search on small instances, and the
-//! exact prime set against a brute-force enumeration of all `3^n` cubes.
-//! The minimizer merges cubes bit-parallel (each dash pattern's cubes are
-//! a bitset over the `2^n` values, merged on a variable by a word-wise
-//! `b & (b >> 2^i)`), so the prime-set reference checks that procedure
-//! on uniform, mostly-don't-care and mostly-off tables.
+//! exact prime set against two brute forces. `prime_implicants` grows the
+//! primes through each on-row from a bitset over the `2^n` dash masks,
+//! closed upward from the masks that reach an off-row; the first
+//! reference enumerates all `3^n` cubes (uniform, mostly-don't-care and
+//! mostly-off tables up to 6 variables), and the second tries every dash
+//! mask through every on-row against every off-row (MinFix-shaped tables,
+//! a few on- and off-rows among don't-cares, at 8–12 variables).
 
 use proptest::prelude::*;
 use qrhint_boolmin::{minimize, prime_implicants, Cube, Dnf, Out, TruthTable};
@@ -73,6 +75,43 @@ fn reference_primes(t: &TruthTable) -> Vec<Cube> {
         .collect();
     primes.sort();
     primes
+}
+
+/// The same primes by a second brute force, over the dash masks through
+/// each on-row: for on-row `m`, every mask `d` whose cube
+/// `{dashes: d, values: m & !d}` avoids all off-rows while each one-dash
+/// widening of it contains one; deduplicated and sorted.
+fn reference_primes_by_on_row(t: &TruthTable) -> Vec<Cube> {
+    let nvars = t.nvars();
+    let off: Vec<u32> = t.rows_with(Out::Zero).collect();
+    let through = |m: u32, d: u32| Cube { dashes: d, values: m & !d };
+    let avoids_off = |c: Cube| off.iter().all(|&z| !c.covers(z));
+    let mut primes = Vec::new();
+    for m in t.rows_with(Out::One) {
+        let implicant: Vec<bool> = (0..1u32 << nvars).map(|d| avoids_off(through(m, d))).collect();
+        for d in (0..1u32 << nvars).filter(|&d| implicant[d as usize]) {
+            if (0..nvars).filter(|i| d & (1 << i) == 0).all(|i| !implicant[(d | 1 << i) as usize]) {
+                primes.push(through(m, d));
+            }
+        }
+    }
+    primes.sort();
+    primes.dedup();
+    primes
+}
+
+/// A MinFix-shaped table over `nvars` variables: up to `max_on` on-rows
+/// and up to `max_off` off-rows drawn at random (a row drawn as both is
+/// on), every other row a don't-care.
+fn sparse_table(nvars: usize, max_on: usize, max_off: usize) -> impl Strategy<Value = TruthTable> {
+    let row = 0u32..1 << nvars;
+    (prop::collection::vec(row.clone(), 1..=max_on), prop::collection::vec(row, 0..=max_off))
+        .prop_map(move |(on, off)| {
+            let mut t = TruthTable::from_fn(nvars, |_| Out::DontCare);
+            off.iter().for_each(|&r| t.set(r, Out::Zero));
+            on.iter().for_each(|&r| t.set(r, Out::One));
+            t
+        })
 }
 
 fn primes_of(t: &TruthTable) -> Vec<Cube> {
@@ -174,6 +213,18 @@ proptest! {
         prop_assert_eq!(primes_of(&t), reference_primes(&t));
     }
 
+    /// The exact prime set of MinFix-shaped tables at 8–12 variables: a
+    /// few on- and off-rows among don't-cares (one wide-where pass's
+    /// tables average 6.8 on- and 1.8 off-rows at 11 variables).
+    #[test]
+    fn primes_of_sparse_wide_tables_match_reference(
+        t in (8usize..=12).prop_flat_map(|n| sparse_table(n, 8, 8)),
+    ) {
+        let primes = primes_of(&t);
+        prop_assert!(!primes.is_empty());
+        prop_assert_eq!(primes, reference_primes_by_on_row(&t));
+    }
+
     /// The minimized DNF agrees with the table on every cared row.
     #[test]
     fn minimization_is_semantically_correct(t in (1usize..=6).prop_flat_map(arb_table)) {
@@ -213,5 +264,20 @@ proptest! {
             with_dc.terms.len(),
             without.terms.len()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// The exact prime set of the denser tables MinFix meets at 8–10
+    /// variables (one wide-where pass reaches 127 on- and 1,023 off-rows
+    /// at 10).
+    #[test]
+    fn primes_of_dense_wide_tables_match_reference(
+        t in (8usize..=10).prop_flat_map(|n| sparse_table(n, 128, 256)),
+    ) {
+        let primes = primes_of(&t);
+        prop_assert_eq!(primes, reference_primes_by_on_row(&t));
     }
 }

@@ -482,9 +482,13 @@ pub struct OracleCounters {
     /// Candidates in those lists.
     pub equiv_batch_candidates: u64,
     /// Checks [`Oracle::sat_f`] or [`Oracle::sat_rows`] answered
-    /// `Unknown` (one per table row); callers act only on definitive
+    /// `Unknown` (one per asked table row); callers act only on definitive
     /// answers, so each is a place the advice may be less than optimal.
     pub unknown_verdicts: u64,
+    /// Advises whose WHERE or HAVING hint is the whole clause, with the
+    /// target's clause as its fix, because repair found no verified
+    /// repair within its limits.
+    pub whole_clause_fallbacks: u64,
 }
 
 impl AddAssign for OracleCounters {
@@ -501,6 +505,7 @@ impl AddAssign for OracleCounters {
         self.equiv_batches += o.equiv_batches;
         self.equiv_batch_candidates += o.equiv_batch_candidates;
         self.unknown_verdicts += o.unknown_verdicts;
+        self.whole_clause_fallbacks += o.whole_clause_fallbacks;
     }
 }
 
@@ -1144,33 +1149,41 @@ impl Oracle {
         verdict
     }
 
-    /// [`Oracle::sat_f`] for every row of a truth table over `lits`
-    /// under `ctx`: row `r` is the `and_f` of `lits[i][1]` where bit `i`
-    /// of `r` is set and `lits[i][0]` elsewhere, so it is the id, and
-    /// the verdict-cache key, that `sat_f` of the row's predicate uses.
-    /// Each row counts one `solver_calls` and one hit or miss, as in
-    /// `sat_f`; the missed rows are then decided together by one
-    /// [`Solver::check_rows`] walk (every row is probed before any is
-    /// decided, so a key repeated within one table would count a miss
-    /// each time). Returns one verdict per row.
-    pub fn sat_rows(&mut self, lits: &[[FormulaId; 2]], ctx: &[FormulaId]) -> Vec<TriBool> {
+    /// [`Oracle::sat_f`] for the rows of a truth table over `lits` under
+    /// `ctx` that `asked` marks (one entry per row): row `r` is the
+    /// `and_f` of `lits[i][1]` where bit `i` of `r` is set and `lits[i][0]`
+    /// elsewhere, so it is the id, and the verdict-cache key, that `sat_f`
+    /// of the row's predicate uses. Each asked row is interned and counts
+    /// one `solver_calls` and one hit or miss, as in `sat_f`; the missed
+    /// rows are then decided together by one [`Solver::check_rows`] walk
+    /// (every asked row is probed before any is decided, so a key repeated
+    /// within one table would count a miss each time). A row not asked is
+    /// neither interned nor counted, and reads `Unknown`. Returns one
+    /// verdict per row.
+    pub fn sat_rows(
+        &mut self,
+        lits: &[[FormulaId; 2]],
+        ctx: &[FormulaId],
+        asked: &[bool],
+    ) -> Vec<TriBool> {
+        assert_eq!(asked.len(), 1 << lits.len(), "one mask entry per row");
         let rows: Vec<FormulaId> = {
             let mut st = self.ctx.lower.write().unwrap();
-            (0..1usize << lits.len())
-                .map(|r| {
-                    st.interner.and(lits.iter().enumerate().map(|(i, l)| l[r >> i & 1]).collect())
-                })
-                .collect()
+            let mut row = |r: usize| {
+                st.interner.and(lits.iter().enumerate().map(|(i, l)| l[r >> i & 1]).collect())
+            };
+            (0..asked.len()).map(|r| if asked[r] { row(r) } else { FormulaId::TRUE }).collect()
         };
         let mut key = VerdictKey { f: FormulaId::TRUE, ctx: self.full_ctx(ctx) };
-        let mut verdicts = Vec::with_capacity(rows.len());
-        let mut needed = Vec::with_capacity(rows.len());
-        for &f in &rows {
+        let mut verdicts = vec![TriBool::Unknown; rows.len()];
+        let mut needed = vec![false; rows.len()];
+        for (r, &f) in rows.iter().enumerate().filter(|&(r, _)| asked[r]) {
             self.counters.solver_calls += 1;
             key.f = f;
-            let hit = self.probe(&key);
-            verdicts.push(hit.unwrap_or(TriBool::Unknown));
-            needed.push(hit.is_none());
+            match self.probe(&key) {
+                Some(verdict) => verdicts[r] = verdict,
+                None => needed[r] = true,
+            }
         }
         if needed.contains(&true) {
             let _span = qrhint_obs::span("solver:check");

@@ -5,7 +5,7 @@
 //! The Boolean-minimization back end is `qrhint-boolmin` (the ESPRESSO
 //! stand-in). Infeasible atom combinations (detected by the solver) and
 //! rows where the bound leaves slack become don't-cares, exactly as in
-//! §5.2's encoding.
+//! §5.2's encoding; only the rows the bound pins go to the solver.
 
 use crate::oracle::Oracle;
 use qrhint_boolmin::{minimize, Dnf, Out, TruthTable};
@@ -23,7 +23,7 @@ pub enum NormalForm {
 }
 
 /// Maximum number of semantically unique atoms MinFix will build a truth
-/// table over (2^N rows, each theory-checked).
+/// table over (2^N rows, each one its bound pins theory-checked).
 pub const MAX_MINFIX_ATOMS: usize = 12;
 
 /// The result of `MapAtomPreds`: a list of semantically unique atoms and
@@ -253,9 +253,11 @@ fn lower_literals(
 }
 
 /// Build the truth table for the target bound `[lower, upper]` over the
-/// atom map: infeasible rows and slack rows become don't-cares. The rows'
-/// feasibility is one [`Oracle::sat_rows`] call, and each bound is
-/// evaluated on all rows at once ([`AtomMap::eval_words`]).
+/// atom map: infeasible rows and slack rows become don't-cares. Each
+/// bound is evaluated on all rows at once ([`AtomMap::eval_words`]), and
+/// only the rows they pin (where they agree) are decided, by one
+/// [`Oracle::sat_rows`] call; a slack row is a don't-care whatever its
+/// feasibility.
 pub fn build_truth_table(
     map: &AtomMap,
     oracle: &mut Oracle,
@@ -264,22 +266,22 @@ pub fn build_truth_table(
     upper: &Pred,
 ) -> TruthTable {
     let (lits, ctx) = lower_literals(map, oracle, ctx);
-    let feasible = oracle.sat_rows(&lits, &ctx);
     let (lower, upper) = (map.eval_words(lower), map.eval_words(upper));
     let bit = |words: &[u64], row: u32| words[row as usize / 64] >> (row % 64) & 1 == 1;
+    // `l ⇒ u` precludes (true, false), but bounds derived under Unknown
+    // answers may have such rows; they are slack too.
+    let pinned: Vec<bool> =
+        (0..1u32 << map.len()).map(|row| bit(&lower, row) == bit(&upper, row)).collect();
+    let feasible = oracle.sat_rows(&lits, &ctx, &pinned);
     TruthTable::from_fn(map.len(), |row| {
-        // Infeasible combination of atoms → don't-care. Only a definitive
-        // UNSAT may mark the row (paper's soundness discipline).
-        if feasible[row as usize] == TriBool::False {
-            return Out::DontCare;
-        }
-        match (bit(&lower, row), bit(&upper, row)) {
-            (true, true) => Out::One,
-            (false, false) => Out::Zero,
-            (false, true) => Out::DontCare,
-            // l ⇒ u precludes (true, false); be defensive if bounds were
-            // derived under Unknown answers.
-            (true, false) => Out::DontCare,
+        // Only a definitive UNSAT may mark a pinned row infeasible
+        // (paper's soundness discipline).
+        if !pinned[row as usize] || feasible[row as usize] == TriBool::False {
+            Out::DontCare
+        } else if bit(&lower, row) {
+            Out::One
+        } else {
+            Out::Zero
         }
     })
 }
@@ -319,23 +321,45 @@ pub fn min_fix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::LowerEnv;
+    use crate::oracle::{LowerEnv, SolverContext, TypeEnv};
     use proptest::prelude::*;
     use qrhint_sqlast::ColRef;
     use qrhint_sqlparse::parse_pred;
+    use std::sync::Arc;
 
     fn oracle_for(preds: &[&Pred]) -> Oracle {
         Oracle::for_preds(preds)
     }
 
-    /// Build the same table on two fresh oracles from `fresh`: through
-    /// `build_truth_table`, and with one `sat_f` per row. Both give every
-    /// row the same verdict for the same solver work, except that the
-    /// table shares the pushes of common row prefixes. A later per-row
-    /// sweep over the rows' lowered predicates is all verdict-cache hits:
-    /// each row is interned (and keyed) like its predicate.
-    fn assert_table_matches_per_row_checks(
-        fresh: impl Fn() -> Oracle,
+    /// An oracle typed by inference over `preds`, on the given context.
+    fn oracle_on(preds: &[&Pred], ctx: Arc<SolverContext>) -> Oracle {
+        Oracle::with_context(Arc::new(TypeEnv::infer_from_preds(preds)), ctx)
+    }
+
+    /// An oracle from `fresh` on a fresh context, which the caller keeps
+    /// to read the interner's size.
+    fn on_fresh_context(
+        fresh: &impl Fn(Arc<SolverContext>) -> Oracle,
+    ) -> (Oracle, Arc<SolverContext>) {
+        let ctx = Arc::new(SolverContext::new(crate::pipeline::DEFAULT_VERDICT_CACHE_BYTES));
+        (fresh(Arc::clone(&ctx)), ctx)
+    }
+
+    fn interned_formulas(ctx: &SolverContext) -> u64 {
+        ctx.stats_snapshot().interner.formulas
+    }
+
+    /// Build one table on two fresh oracles from `fresh`: through
+    /// `build_truth_table`, and with one `sat_f` per row the bounds pin
+    /// (where `lower` and `upper` agree). The table asks exactly those
+    /// rows, for the same verdicts, counts and full theory checks, but
+    /// shares the pushes of common row prefixes; a slack row is a
+    /// don't-care that interns no formula and counts nothing. A later
+    /// per-row sweep over the rows' lowered predicates hits the verdict
+    /// cache on every pinned row (each is interned, and keyed, like its
+    /// predicate) and misses on every slack one.
+    fn assert_table_asks_its_pinned_rows(
+        fresh: impl Fn(Arc<SolverContext>) -> Oracle,
         ctx: &Pred,
         lower: &Pred,
         upper: &Pred,
@@ -346,58 +370,85 @@ mod tests {
             map.absorb(upper, o, &[ctx]);
             map
         };
-        let mut table_oracle = fresh();
+        let (mut table_oracle, table_ctx) = on_fresh_context(&fresh);
         let map = atom_map(&mut table_oracle);
         assert!(map.len() >= 3, "atoms: {:?}", map.atoms);
         let rows = 1u32 << map.len();
+        let pinned: Vec<bool> =
+            (0..rows).map(|row| map.eval(lower, row) == map.eval(upper, row)).collect();
+        let asked = pinned.iter().filter(|&&p| p).count() as u64;
+        assert!(0 < asked && asked < u64::from(rows), "{asked} of {rows} rows pinned");
         table_oracle.counters = Default::default();
-        build_truth_table(&map, &mut table_oracle, &[ctx], lower, upper);
+        let before = interned_formulas(&table_ctx);
+        let table = build_truth_table(&map, &mut table_oracle, &[ctx], lower, upper);
+        let table_formulas = interned_formulas(&table_ctx) - before;
         let table_work = std::mem::take(&mut table_oracle.counters);
 
-        let mut row_oracle = fresh();
+        let (mut row_oracle, row_ctx) = on_fresh_context(&fresh);
         assert_eq!(atom_map(&mut row_oracle).atoms, map.atoms);
         row_oracle.counters = Default::default();
+        let before = interned_formulas(&row_ctx);
         let (lits, ctx_ids) = lower_literals(&map, &mut row_oracle, &[ctx]);
-        let per_row: Vec<TriBool> = (0..rows)
+        let per_row: Vec<Option<TriBool>> = (0..rows)
             .map(|row| {
-                let lits = lits.iter().enumerate().map(|(i, l)| l[(row >> i & 1) as usize]);
-                let f = row_oracle.and_f(lits.collect());
-                row_oracle.sat_f(f, &ctx_ids)
+                pinned[row as usize].then(|| {
+                    let lits = lits.iter().enumerate().map(|(i, l)| l[(row >> i & 1) as usize]);
+                    let f = row_oracle.and_f(lits.collect());
+                    row_oracle.sat_f(f, &ctx_ids)
+                })
             })
             .collect();
+        let row_formulas = interned_formulas(&row_ctx) - before;
         let row_work = std::mem::take(&mut row_oracle.counters);
-        assert!(per_row.contains(&TriBool::False), "some rows must be infeasible");
-        assert!(per_row.contains(&TriBool::True));
+        assert!(per_row.contains(&Some(TriBool::False)), "some pinned rows must be infeasible");
+        assert!(per_row.contains(&Some(TriBool::True)));
 
-        assert_eq!(table_work.solver_calls, u64::from(rows));
+        assert_eq!(table_work.solver_calls, asked);
         assert_eq!(
             (table_work.solver_calls, table_work.verdict_hits, table_work.verdict_misses),
             (row_work.solver_calls, row_work.verdict_hits, row_work.verdict_misses),
         );
+        assert_eq!(table_work.unknown_verdicts, row_work.unknown_verdicts);
         assert_eq!(table_work.theory_full_checks, row_work.theory_full_checks);
         assert!(
             table_work.theory_pushes < row_work.theory_pushes,
             "{table_work:?} vs {row_work:?}"
         );
+        assert_eq!(table_formulas, row_formulas, "slack rows intern no formula");
+        for row in 0..rows {
+            let want = match per_row[row as usize] {
+                None | Some(TriBool::False) => Out::DontCare,
+                Some(_) if map.eval(lower, row) => Out::One,
+                Some(_) => Out::Zero,
+            };
+            assert_eq!(table.get(row), want, "row {row:b}");
+        }
 
         let ctx_id = table_oracle.lower_pred(ctx);
-        table_oracle.counters = Default::default();
         for row in 0..rows {
+            table_oracle.counters = Default::default();
             let f = table_oracle.lower_pred(&map.row_conjunction(row));
             let verdict = table_oracle.sat_f(f, &[ctx_id]);
-            assert_eq!(verdict, per_row[row as usize], "row {row:b}");
+            let sweep = std::mem::take(&mut table_oracle.counters);
+            match per_row[row as usize] {
+                Some(asked) => {
+                    assert_eq!(verdict, asked, "row {row:b}");
+                    assert_eq!(sweep.verdict_hits, 1, "pinned row {row:b}: {sweep:?}");
+                }
+                None => assert_eq!(sweep.verdict_misses, 1, "slack row {row:b}: {sweep:?}"),
+            }
         }
-        let sweep = std::mem::take(&mut table_oracle.counters);
-        assert_eq!(sweep.verdict_hits, u64::from(rows), "{sweep:?}");
     }
 
     #[test]
     fn truth_table_rows_intern_like_their_predicates() {
+        // Rows with `t.x > 12` false and `t.x < 20` false contradict each
+        // other; the bound pins two of them.
         let ctx = parse_pred("t.x > 10").unwrap();
         let lower = parse_pred("t.x > 12 AND t.s NOT LIKE 'a%' AND t.y = 1").unwrap();
-        let upper = parse_pred("t.s NOT LIKE 'a%' OR t.y = 1 OR t.x >= 20").unwrap();
-        let fresh = || oracle_for(&[&ctx, &lower, &upper]);
-        assert_table_matches_per_row_checks(fresh, &ctx, &lower, &upper);
+        let upper = parse_pred("t.s NOT LIKE 'a%' OR t.y = 1 OR t.x < 20").unwrap();
+        let fresh = |c| oracle_on(&[&ctx, &lower, &upper], c);
+        assert_table_asks_its_pinned_rows(fresh, &ctx, &lower, &upper);
     }
 
     #[test]
@@ -409,8 +460,8 @@ mod tests {
         let ctx = parse_pred("g.a > 4").unwrap();
         let lower = parse_pred("SUM(s.d) > 10 AND g.b NOT LIKE 'x%' AND COUNT(*) >= 2").unwrap();
         let upper = parse_pred("SUM(s.d) > 10 OR MAX(s.d) < 3 OR g.a = 5 OR MIN(s.d) > 4").unwrap();
-        let fresh = || {
-            let mut o = oracle_for(&[&ctx, &lower, &upper]);
+        let fresh = |c| {
+            let mut o = oracle_on(&[&ctx, &lower, &upper], c);
             let env = LowerEnv::grouped([ColRef::new("g", "a"), ColRef::new("g", "b")].into());
             o.lower_pred_env(&lower, &env);
             o.lower_pred_env(&upper, &env);
@@ -419,8 +470,13 @@ mod tests {
             o.set_ambient(env, ambient);
             o
         };
-        assert_table_matches_per_row_checks(fresh, &ctx, &lower, &upper);
+        assert_table_asks_its_pinned_rows(fresh, &ctx, &lower, &upper);
     }
+
+    /// Atoms over `t.x`, `t.y` and `t.s` that constrain each other, so
+    /// some of their combinations are infeasible.
+    const REAL_ATOMS: [&str; 6] =
+        ["t.x > 10", "t.x < 5", "t.y = 1", "t.x = t.y", "t.s LIKE 'a%'", "t.s = 'ab'"];
 
     /// An atom map over `n` atoms `t.c{i} > i`, registered as `absorb`
     /// can register them: atom `i % 3 == 0` as written, `1` both as
@@ -445,9 +501,14 @@ mod tests {
     /// Random bounds over atoms `0..n`: each leaf an atom as written or
     /// complemented, or a constant, under And/Or/Not.
     fn arb_bound(n: usize) -> impl Strategy<Value = Pred> {
+        arb_bound_over(n, |i| format!("t.c{i} > {i}"))
+    }
+
+    /// [`arb_bound`] with atom `i` written as `atom(i)`.
+    fn arb_bound_over(n: usize, atom: fn(usize) -> String) -> impl Strategy<Value = Pred> {
         let leaf = prop_oneof![
-            ((0..n), any::<bool>()).prop_map(|(i, complement)| {
-                let atom = parse_pred(&format!("t.c{i} > {i}")).unwrap();
+            ((0..n), any::<bool>()).prop_map(move |(i, complement)| {
+                let atom = parse_pred(&atom(i)).unwrap();
                 if complement {
                     atom.negated_nnf()
                 } else {
@@ -485,6 +546,44 @@ mod tests {
                     prop_assert_eq!(bit, map.eval(&p, row), "row {:b} of {}", row, p);
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The table that decides only its pinned rows equals the table
+        /// that decides every row by `sat_f` of the row's predicate, on
+        /// random bounds (not always `l ⇒ u`) over atoms that contradict
+        /// each other, with and without a context.
+        #[test]
+        fn pinned_row_table_matches_every_row_decided(
+            lower in arb_bound_over(REAL_ATOMS.len(), |i| REAL_ATOMS[i].to_string()),
+            upper in arb_bound_over(REAL_ATOMS.len(), |i| REAL_ATOMS[i].to_string()),
+            ctx in prop_oneof![Just(Pred::True), Just(parse_pred("t.y > 0").unwrap())],
+        ) {
+            let preds = [&ctx, &lower, &upper];
+            let mut table_oracle = oracle_for(&preds);
+            let mut map = AtomMap::default();
+            map.absorb(&lower, &mut table_oracle, &[&ctx]);
+            map.absorb(&upper, &mut table_oracle, &[&ctx]);
+            let table = build_truth_table(&map, &mut table_oracle, &[&ctx], &lower, &upper);
+
+            let mut row_oracle = oracle_for(&preds);
+            let (lits, ctx_ids) = lower_literals(&map, &mut row_oracle, &[&ctx]);
+            let every_row = TruthTable::from_fn(map.len(), |row| {
+                let lits = lits.iter().enumerate().map(|(i, l)| l[(row >> i & 1) as usize]);
+                let f = row_oracle.and_f(lits.collect());
+                if row_oracle.sat_f(f, &ctx_ids) == TriBool::False {
+                    return Out::DontCare;
+                }
+                match (map.eval(&lower, row), map.eval(&upper, row)) {
+                    (true, true) => Out::One,
+                    (false, false) => Out::Zero,
+                    _ => Out::DontCare,
+                }
+            });
+            prop_assert_eq!(table, every_row, "[{}, {}] under {}", lower, upper, ctx);
         }
     }
 

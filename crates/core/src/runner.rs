@@ -170,6 +170,7 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
             fixed.where_pred = where_out.target_where.clone();
         }
         let hints = if where_out.hints.is_empty() {
+            oracle.counters.whole_clause_fallbacks += 1;
             vec![Hint::PredicateRepair {
                 clause: crate::hint::ClauseKind::Where,
                 sites: vec![crate::hint::SiteHint {
@@ -311,6 +312,7 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
                     };
                 }
                 let hints = if hv_out.hints.is_empty() {
+                    oracle.counters.whole_clause_fallbacks += 1;
                     vec![Hint::PredicateRepair {
                         clause: crate::hint::ClauseKind::Having,
                         sites: vec![crate::hint::SiteHint {

@@ -200,11 +200,15 @@ pub struct SessionStats {
     pub equiv_batches: u64,
     /// Candidates in those lists.
     pub equiv_batch_candidates: u64,
-    /// Solver checks answered `Unknown` (a table row counts one): the
-    /// atom or leaf budget ran out, or a theory could not decide. The
+    /// Solver checks answered `Unknown` (an asked table row counts one):
+    /// the atom or leaf budget ran out, or a theory could not decide. The
     /// advice acts only on definitive answers, so each one is a place it
     /// may be less than optimal.
     pub unknown_verdicts: u64,
+    /// Graded advices whose WHERE or HAVING hint is the whole clause (the
+    /// target's clause as its fix) because repair found no verified
+    /// repair within its limits.
+    pub whole_clause_fallbacks: u64,
 }
 
 /// The backing store for [`SessionStats`]: plain counters would lose
@@ -264,6 +268,7 @@ impl AtomicStats {
             equiv_batches: o.equiv_batches,
             equiv_batch_candidates: o.equiv_batch_candidates,
             unknown_verdicts: o.unknown_verdicts,
+            whole_clause_fallbacks: o.whole_clause_fallbacks,
         }
     }
 }
@@ -940,7 +945,11 @@ mod tests {
         assert!(stats.unknown_verdicts > 0, "{stats:?}");
         assert!(stats.unknown_verdicts <= stats.verdict_cache_misses, "{stats:?}");
         // The advice Unknown answers lead to: the whole clause flagged,
-        // with the target's clause as its fix.
+        // with the target's clause as its fix. The repair search verified
+        // that root-site repair (its fix is the target clause itself, so
+        // it is the same interned formula), so it is a repair, not a
+        // whole-clause fallback.
+        assert_eq!(stats.whole_clause_fallbacks, 0, "{stats:?}");
         assert_eq!(advice.stage, Stage::Where);
         let hints: Vec<String> = advice.hints.iter().map(ToString::to_string).collect();
         assert_eq!(
@@ -951,6 +960,45 @@ mod tests {
             advice.fixed.map(|q| q.to_string()),
             Some(format!("SELECT s.bar FROM serves s WHERE {}", disjuncts(1)))
         );
+        // An ordinary WHERE repair is no fallback.
+        let prepared = qr.compile_target(TARGET).unwrap();
+        let advice = prepared.advise_sql("SELECT s.bar FROM Serves s WHERE s.price > 3").unwrap();
+        assert_eq!(advice.stage, Stage::Where);
+        assert_eq!(prepared.stats().whole_clause_fallbacks, 0, "{:?}", prepared.stats());
+    }
+
+    #[test]
+    fn clauses_without_a_verified_repair_count_whole_clause_fallbacks() {
+        // A 21-atom CHECK constraint joins every check as domain context,
+        // so each check exceeds the solver's 20-atom budget and answers
+        // Unknown. A candidate repair then verifies only if it rebuilds
+        // the target clause node for node (the same interned formula
+        // needs no solver); these working clauses put the target's
+        // conjuncts in another order, so none does, and the advice falls
+        // back to the whole target clause.
+        let check = (100..121).map(|k| format!("price <> {k}")).collect::<Vec<_>>().join(" AND ");
+        let check = qrhint_sqlparse::parse_pred(&check).unwrap();
+        let qr = QrHint::new(beers_schema().with_check("Serves", check));
+        // One advise on a fresh target: its stage, its one hint, and the
+        // target's fallback count.
+        let advise = |target: &str, working: &str| {
+            let prepared = qr.compile_target(target).unwrap();
+            let advice = prepared.advise_sql(working).unwrap();
+            let [crate::Hint::PredicateRepair { sites, cost, .. }] = &advice.hints[..] else {
+                panic!("one predicate hint expected: {advice:?}");
+            };
+            let whole = sites.len() == 1 && sites[0].path.is_empty() && *cost == f64::MAX;
+            (advice.stage, whole, prepared.stats().whole_clause_fallbacks)
+        };
+        let target =
+            "SELECT s.bar FROM Serves s WHERE s.price = 1 AND (s.beer = 'Bud' OR s.bar = 'x')";
+        let working = "SELECT s.bar FROM Serves s WHERE s.beer = 'Bud' AND s.price = 1";
+        assert_eq!(advise(target, working), (Stage::Where, true, 1));
+        let target = "SELECT s.price FROM Serves s GROUP BY s.price \
+                      HAVING COUNT(*) > 1 AND (MAX(s.bar) = 'x' OR MIN(s.beer) = 'y')";
+        let working = "SELECT s.price FROM Serves s GROUP BY s.price \
+                       HAVING MAX(s.bar) = 'x' AND COUNT(*) > 1";
+        assert_eq!(advise(target, working), (Stage::Having, true, 1));
     }
 
     #[test]

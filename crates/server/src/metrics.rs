@@ -69,6 +69,7 @@ pub const SESSION_GAUGES: &[(&str, &str)] = &[
     ("equiv_batches", "Candidate lists checked against one context, summed over resident targets."),
     ("equiv_batch_candidates", "Candidates in those lists, summed over resident targets."),
     ("unknown_verdicts", "Solver checks answered Unknown, summed over resident targets."),
+    ("whole_clause_fallbacks", "Whole-clause WHERE or HAVING fallback hints, summed over resident targets."),
 ];
 
 /// `stats` as serialized, one `(field name, value)` pair per field in

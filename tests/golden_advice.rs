@@ -7,10 +7,15 @@
 //! change to any hint, repair, cost or stage on these corpora fails here
 //! with the block that moved.
 //!
+//! The `tpch-opt` and `dblp-opt` blocks tutor the two wide corpora with
+//! `FixStrategy::Optimized` (the paper's DeriveFixesOPT), whose
+//! `min_fix_mult` builds and minimizes MinFix truth tables itself.
+//!
 //! When a change is *meant* to move advice, the failure message prints
 //! the recomputed file; review the per-case differences before
 //! replacing it.
 
+use qr_hint::core::FixStrategy;
 use qr_hint::prelude::*;
 use qrhint_workloads::mutate::Fuzzer;
 use std::collections::BTreeMap;
@@ -47,10 +52,13 @@ fn trail_text(prepared: &PreparedTarget, sql: &str) -> String {
     }
 }
 
-/// `"<schema> <block> <fnv>"` lines for the leading `count` cases.
-fn fingerprint_lines(schema: &str, count: usize) -> Vec<String> {
+/// `"<key> <block> <fnv>"` lines for the leading `count` cases of
+/// `schema`, tutored under `strategy`.
+fn fingerprint_lines(schema: &str, key: &str, count: usize, strategy: FixStrategy) -> Vec<String> {
     let fuzzer = Fuzzer::for_schema(schema).expect("known workload schema");
-    let qr = QrHint::new(fuzzer.schema().clone());
+    let mut cfg = QrHintConfig::default();
+    cfg.repair.strategy = strategy;
+    let qr = QrHint::with_config(fuzzer.schema().clone(), cfg);
     let targets: BTreeMap<&str, PreparedTarget> = fuzzer
         .bases()
         .iter()
@@ -65,21 +73,25 @@ fn fingerprint_lines(schema: &str, count: usize) -> Vec<String> {
                 let trail = trail_text(&targets[case.base_id.as_str()], &case.working.to_string());
                 fnv1a(h, trail.as_bytes())
             });
-            format!("{schema} {block} {h:016x}")
+            format!("{key} {block} {h:016x}")
         })
         .collect()
 }
 
 fn assert_golden(schema: &str, count: usize) {
-    let want: Vec<&str> = GOLDEN
-        .lines()
-        .filter(|l| l.split_whitespace().next() == Some(schema))
-        .collect();
-    assert_eq!(want.len(), count.div_ceil(BLOCK), "{schema}: golden block count");
-    let got = fingerprint_lines(schema, count);
+    assert_golden_as(schema, schema, count, FixStrategy::Basic);
+}
+
+/// Check the blocks checked in under `key` against `schema`'s leading
+/// `count` cases tutored under `strategy`.
+fn assert_golden_as(schema: &str, key: &str, count: usize, strategy: FixStrategy) {
+    let want: Vec<&str> =
+        GOLDEN.lines().filter(|l| l.split_whitespace().next() == Some(key)).collect();
+    assert_eq!(want.len(), count.div_ceil(BLOCK), "{key}: golden block count");
+    let got = fingerprint_lines(schema, key, count, strategy);
     assert!(
         got.iter().map(String::as_str).eq(want.iter().copied()),
-        "{schema}: advice moved; recomputed blocks:\n{}",
+        "{key}: advice moved; recomputed blocks:\n{}",
         got.join("\n")
     );
 }
@@ -112,4 +124,14 @@ fn tpch_advice_matches_golden() {
 #[test]
 fn dblp_advice_matches_golden() {
     assert_golden("dblp", 30);
+}
+
+#[test]
+fn tpch_optimized_advice_matches_golden() {
+    assert_golden_as("tpch", "tpch-opt", 60, FixStrategy::Optimized);
+}
+
+#[test]
+fn dblp_optimized_advice_matches_golden() {
+    assert_golden_as("dblp", "dblp-opt", 30, FixStrategy::Optimized);
 }
