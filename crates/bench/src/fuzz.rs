@@ -1,6 +1,6 @@
-//! Fuzz-throughput benchmark (PR 6): how fast the batch grader chews
-//! through the seeded mutation corpora, and what the shared verdict
-//! cache does under that load.
+//! Fuzz-throughput benchmark: how fast the batch grader chews through
+//! the seeded mutation corpora, and what the shared verdict cache does
+//! under that load.
 //!
 //! The differential oracle (`qr-hint fuzz`) spends most of its time
 //! *executing* repaired queries on generated databases; this benchmark
@@ -10,25 +10,16 @@
 //! [`PreparedTarget::grade_batch_parallel`] against a per-base prepared
 //! target (the same shape `qr-hint fuzz` uses):
 //!
-//! 1. **Throughput at 1/4/8 worker threads.** Pairs/sec over the whole
-//!    corpus; every parallel pass must fingerprint equal to the
-//!    sequential baseline. The whole-advice cache is *disabled*
-//!    (fuzzed mutants are near-duplicates by construction — PR 2's memo
-//!    would otherwise answer most of the batch and hide the solver).
-//! 2. **Verdict-cache eviction cliff.** The same corpus graded once
-//!    with the default 32 MiB shared-verdict budget and once with a
-//!    deliberately tiny budget. Mutants of one base share most of their
-//!    solver obligations, so the default run should see a high hit
-//!    rate and zero evictions, while the tiny-budget run must show the
-//!    eviction counter moving — evidence the byte bound actually
-//!    sheds entries under fuzz-shaped load (parity must hold anyway:
-//!    evictions cost time, never answers).
+//! **Throughput at 1/4/8 worker threads**: pairs/sec over the whole
+//! corpus, with the shared verdict cache's hit rate. Every parallel
+//! pass must fingerprint equal to the sequential baseline. Each pass
+//! grades on fresh targets, so duplicate mutants within a base are
+//! answered by the whole-advice cache exactly as in `qr-hint fuzz`.
 //!
 //! The speed-up gate is waived (recorded, never claimed) on hosts with
-//! fewer than 4 cores, where the pool cannot scale; parity and the
-//! eviction cliff are gated everywhere. Results land in
-//! `BENCH_fuzz.json` (run from the repo root:
-//! `cargo run --release --bin exp_fuzz`).
+//! fewer than 4 cores, where the pool cannot scale; parity is gated
+//! everywhere. Results land in `BENCH_fuzz.json` (run from the repo
+//! root: `cargo run --release --bin exp_fuzz`).
 
 use qr_hint::prelude::*;
 use qrhint_core::SessionStats;
@@ -40,11 +31,9 @@ use std::time::Instant;
 
 /// Corpus seed: the same default `qr-hint fuzz` advertises.
 pub const SEED: u64 = 42;
-/// Tiny verdict budget for the eviction-cliff run (bytes).
-pub const TIGHT_VERDICT_BUDGET: usize = 16 * 1024;
 const TIMED_REPS: usize = 3;
 
-/// One (schema, mode, jobs) measurement.
+/// One (schema, jobs) measurement.
 #[derive(Debug, Clone, Serialize)]
 pub struct FuzzBenchRow {
     pub schema: String,
@@ -52,9 +41,6 @@ pub struct FuzzBenchRow {
     pub bases: usize,
     /// Total working queries graded per pass.
     pub pairs: usize,
-    /// `"parallel"` for the scaling story, `"tight-budget"` for the
-    /// eviction-cliff run.
-    pub mode: String,
     pub jobs: usize,
     /// Min-of-reps wall clock for grading the whole corpus.
     pub ms: f64,
@@ -65,7 +51,6 @@ pub struct FuzzBenchRow {
     /// after the measured pass.
     pub verdict_hits: u64,
     pub verdict_misses: u64,
-    pub verdict_evictions: u64,
     /// `hits / (hits + misses)` — 0 when no solver calls ran.
     pub hit_rate: f64,
 }
@@ -84,22 +69,9 @@ pub struct FuzzBenchReport {
     /// True when the host has <4 cores: the pool cannot scale there, so
     /// the speed-up gate is recorded as waived, not met.
     pub gate_waived_low_cores: bool,
-    /// Default-budget runs must not evict; the tight-budget run must.
-    pub eviction_cliff_ok: bool,
     pub parity_ok: bool,
-    /// Parity ∧ eviction cliff ∧ (speedup ∨ waiver).
+    /// Parity ∧ (speedup ∨ waiver).
     pub gate_ok: bool,
-}
-
-/// Advice-cache-free config with an explicit shared-verdict budget:
-/// fuzz mutants are near-duplicates, so the whole-advice memo would
-/// otherwise answer the batch and hide the layer under test.
-fn config(verdict_cache_max_bytes: usize) -> QrHintConfig {
-    QrHintConfig {
-        advice_cache_capacity: 0,
-        verdict_cache_max_bytes,
-        ..QrHintConfig::default()
-    }
 }
 
 fn hit_rate(hits: u64, misses: u64) -> f64 {
@@ -133,9 +105,8 @@ fn grade_pass(
     schema: &Schema,
     corpus: &Corpus,
     jobs: usize,
-    verdict_budget: usize,
 ) -> (f64, Vec<Vec<String>>, SessionStats) {
-    let qr = QrHint::with_config(schema.clone(), config(verdict_budget));
+    let qr = QrHint::new(schema.clone());
     let targets: Vec<(&Vec<String>, _)> = corpus
         .values()
         .map(|(target, workings)| {
@@ -153,79 +124,47 @@ fn grade_pass(
         let s = prepared.stats();
         stats.verdict_cache_hits += s.verdict_cache_hits;
         stats.verdict_cache_misses += s.verdict_cache_misses;
-        stats.verdict_cache_evictions += s.verdict_cache_evictions;
     }
     (ms, outs.iter().map(|o| fingerprint(o)).collect(), stats)
 }
 
-/// The corpus shape shared by every row of one schema.
-struct CorpusShape<'a> {
-    schema: &'a str,
-    bases: usize,
-    pairs: usize,
-}
-
-fn row(
-    shape: &CorpusShape<'_>,
-    mode: &str,
-    jobs: usize,
-    ms: f64,
-    parity_ok: bool,
-    stats: &SessionStats,
-) -> FuzzBenchRow {
-    let &CorpusShape { schema, bases, pairs } = shape;
-    FuzzBenchRow {
-        schema: schema.to_string(),
-        bases,
-        pairs,
-        mode: mode.to_string(),
-        jobs,
-        ms,
-        pairs_per_s: pairs as f64 / (ms / 1e3).max(1e-9),
-        parity_ok,
-        verdict_hits: stats.verdict_cache_hits,
-        verdict_misses: stats.verdict_cache_misses,
-        verdict_evictions: stats.verdict_cache_evictions,
-        hit_rate: hit_rate(stats.verdict_cache_hits, stats.verdict_cache_misses),
-    }
-}
-
-/// Measure one schema's corpus: the 1/4/8-thread scaling rows plus the
-/// tight-budget eviction run.
+/// Measure one schema's corpus: the 1/4/8-thread scaling rows.
 pub fn run_schema(schema_name: &str, count: usize) -> Vec<FuzzBenchRow> {
     let (schema, corpus) = corpus(schema_name, count, SEED);
-    let shape = CorpusShape {
-        schema: schema_name,
-        bases: corpus.len(),
-        pairs: corpus.values().map(|(_, w)| w.len()).sum(),
-    };
-    let default_budget = QrHintConfig::default().verdict_cache_max_bytes;
+    let pairs: usize = corpus.values().map(|(_, w)| w.len()).sum();
 
     // Sequential baseline: fingerprints every later pass must match.
-    let (_, baseline, _) = grade_pass(&schema, &corpus, 1, default_budget);
+    let (_, baseline, _) = grade_pass(&schema, &corpus, 1);
 
-    let mut rows = Vec::new();
-    for jobs in [1usize, 4, 8] {
-        let mut parity = true;
-        let mut stats = SessionStats::default();
-        let mut best = f64::INFINITY;
-        for rep in 0..=TIMED_REPS {
-            let (ms, prints, s) = grade_pass(&schema, &corpus, jobs, default_budget);
-            parity &= prints == baseline;
-            stats = s;
-            if rep > 0 {
-                // rep 0 is warmup
-                best = best.min(ms);
+    [1usize, 4, 8]
+        .into_iter()
+        .map(|jobs| {
+            let mut parity_ok = true;
+            let mut stats = SessionStats::default();
+            let mut best = f64::INFINITY;
+            for rep in 0..=TIMED_REPS {
+                let (ms, prints, s) = grade_pass(&schema, &corpus, jobs);
+                parity_ok &= prints == baseline;
+                stats = s;
+                if rep > 0 {
+                    // rep 0 is warmup
+                    best = best.min(ms);
+                }
             }
-        }
-        rows.push(row(&shape, "parallel", jobs, best, parity, &stats));
-    }
-
-    // Eviction cliff: one sequential pass under a tiny byte budget.
-    let (ms, prints, stats) = grade_pass(&schema, &corpus, 1, TIGHT_VERDICT_BUDGET);
-    let parity = prints == baseline;
-    rows.push(row(&shape, "tight-budget", 1, ms, parity, &stats));
-    rows
+            FuzzBenchRow {
+                schema: schema_name.to_string(),
+                bases: corpus.len(),
+                pairs,
+                jobs,
+                ms: best,
+                pairs_per_s: pairs as f64 / (best / 1e3).max(1e-9),
+                parity_ok,
+                verdict_hits: stats.verdict_cache_hits,
+                verdict_misses: stats.verdict_cache_misses,
+                hit_rate: hit_rate(stats.verdict_cache_hits, stats.verdict_cache_misses),
+            }
+        })
+        .collect()
 }
 
 /// Run the full benchmark over the two cheap fuzz schemas.
@@ -236,24 +175,13 @@ pub fn run(count: usize) -> FuzzBenchReport {
         rows.extend(run_schema(schema, count));
     }
     let mut best_speedup: f64 = 0.0;
-    for base in rows.iter().filter(|r| r.mode == "parallel" && r.jobs == 1) {
-        for multi in rows
-            .iter()
-            .filter(|r| r.mode == "parallel" && r.jobs > 1 && r.schema == base.schema)
-        {
+    for base in rows.iter().filter(|r| r.jobs == 1) {
+        for multi in rows.iter().filter(|r| r.jobs > 1 && r.schema == base.schema) {
             best_speedup = best_speedup.max(base.ms / multi.ms.max(1e-9));
         }
     }
     let parallel_faster_ok = best_speedup > 1.0;
     let gate_waived_low_cores = cores < 4 && !parallel_faster_ok;
-    let eviction_cliff_ok = rows
-        .iter()
-        .filter(|r| r.mode == "tight-budget")
-        .all(|r| r.verdict_evictions > 0)
-        && rows
-            .iter()
-            .filter(|r| r.mode == "parallel")
-            .all(|r| r.verdict_evictions == 0);
     let parity_ok = rows.iter().all(|r| r.parity_ok);
     FuzzBenchReport {
         cores,
@@ -262,9 +190,8 @@ pub fn run(count: usize) -> FuzzBenchReport {
         best_speedup,
         parallel_faster_ok,
         gate_waived_low_cores,
-        eviction_cliff_ok,
         parity_ok,
-        gate_ok: parity_ok && eviction_cliff_ok && (parallel_faster_ok || gate_waived_low_cores),
+        gate_ok: parity_ok && (parallel_faster_ok || gate_waived_low_cores),
     }
 }
 
@@ -282,18 +209,10 @@ mod tests {
     }
 
     #[test]
-    fn small_run_has_parity_and_eviction_cliff() {
+    fn small_run_has_parity() {
         let rows = run_schema("beers", 12);
-        // jobs {1,4,8} + tight-budget.
-        assert_eq!(rows.len(), 4);
+        // jobs {1,4,8}.
+        assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.parity_ok), "{rows:?}");
-        let tight = rows.iter().find(|r| r.mode == "tight-budget").unwrap();
-        assert!(
-            tight.verdict_evictions > 0,
-            "tiny verdict budget must evict under fuzz load: {tight:?}"
-        );
-        for r in rows.iter().filter(|r| r.mode == "parallel") {
-            assert_eq!(r.verdict_evictions, 0, "default budget must not evict: {r:?}");
-        }
     }
 }

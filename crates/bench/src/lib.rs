@@ -14,7 +14,7 @@
 //! | `exp_fig4` | Figure 4a/4b — cost-over-time traces |
 //! | `exp_user_study` | Figures 5–6 — simulated-participant replay |
 //! | `exp_dblp_hints` | App. Tables 2–3 — study hints regeneration |
-//! | `exp_fuzz` | Mutation-fuzz grading: pairs/sec at 1/4/8 threads + verdict-cache eviction cliff (`BENCH_fuzz.json`) |
+//! | `exp_fuzz` | Mutation-fuzz grading: pairs/sec and verdict-cache hit rate at 1/4/8 threads (`BENCH_fuzz.json`) |
 //! | `exp_analyze` | Static analyzer: corpus throughput (`BENCH_analyze.json`) |
 //! | `exp_soak` | Scale-out serving soak: router + 2 backends, mixed load, overload shedding, fuzz-corpus ingest, failover recovery (`BENCH_soak.json`) |
 //!

@@ -3,18 +3,8 @@
 
 use crate::qm::Cube;
 
-/// Cover-search configuration.
-#[derive(Debug, Clone)]
-pub struct CoverConfig {
-    /// Maximum branch-and-bound nodes before falling back to greedy.
-    pub max_nodes: usize,
-}
-
-impl Default for CoverConfig {
-    fn default() -> Self {
-        CoverConfig { max_nodes: 200_000 }
-    }
-}
+/// Maximum branch-and-bound nodes before falling back to greedy.
+const MAX_COVER_NODES: usize = 200_000;
 
 /// Cost of a cover: primarily term count, secondarily literal count.
 fn cost(cover: &[Cube], nvars: usize) -> (usize, usize) {
@@ -22,7 +12,13 @@ fn cost(cover: &[Cube], nvars: usize) -> (usize, usize) {
 }
 
 /// Select a minimum-cost subset of `primes` covering every row of `on`.
-pub fn select_cover(nvars: usize, primes: &[Cube], on: &[u32], cfg: &CoverConfig) -> Vec<Cube> {
+pub fn select_cover(nvars: usize, primes: &[Cube], on: &[u32]) -> Vec<Cube> {
+    select_cover_within(nvars, primes, on, MAX_COVER_NODES)
+}
+
+/// [`select_cover`] with the exact search cut off after `max_nodes`
+/// branch-and-bound nodes.
+fn select_cover_within(nvars: usize, primes: &[Cube], on: &[u32], max_nodes: usize) -> Vec<Cube> {
     if on.is_empty() {
         return vec![];
     }
@@ -53,13 +49,12 @@ pub fn select_cover(nvars: usize, primes: &[Cube], on: &[u32], cfg: &CoverConfig
     // --- Essential primes: rows covered by exactly one prime. ---
     let mut chosen: Vec<usize> = Vec::new();
     let mut covered = vec![0u64; blocks];
-    for (j, &m) in on.iter().enumerate() {
+    for &m in on {
         let covering: Vec<usize> =
             (0..primes.len()).filter(|&i| primes[i].covers(m)).collect();
         if covering.len() == 1 && !chosen.contains(&covering[0]) {
             chosen.push(covering[0]);
         }
-        let _ = j;
     }
     for &i in &chosen {
         for (b, c) in covered.iter_mut().zip(&coverage[i]) {
@@ -156,10 +151,10 @@ pub fn select_cover(nvars: usize, primes: &[Cube], on: &[u32], cfg: &CoverConfig
         best: None,
         best_cost: (usize::MAX, usize::MAX),
         nodes: 0,
-        max_nodes: cfg.max_nodes,
+        max_nodes,
     };
     bb.search(covered.clone(), vec![]);
-    let exact_exhausted = bb.nodes <= cfg.max_nodes;
+    let exact_exhausted = bb.nodes <= max_nodes;
 
     if let (Some(extra), true) = (&bb.best, exact_exhausted) {
         let mut out: Vec<Cube> = chosen.iter().map(|&i| primes[i]).collect();
@@ -215,7 +210,7 @@ mod tests {
         // XOR: both primes are essential.
         let on = [1u32, 2];
         let primes = prime_implicants(2, &on, &[]);
-        let cover = select_cover(2, &primes, &on, &CoverConfig::default());
+        let cover = select_cover(2, &primes, &on);
         assert_eq!(cover.len(), 2);
     }
 
@@ -225,7 +220,7 @@ mod tests {
         // Minimum cover has 3 terms.
         let on = [0u32, 1, 2, 5, 6, 7];
         let primes = prime_implicants(3, &on, &[]);
-        let cover = select_cover(3, &primes, &on, &CoverConfig::default());
+        let cover = select_cover(3, &primes, &on);
         assert_eq!(cover.len(), 3, "{cover:?}");
         for &m in &on {
             assert!(cover.iter().any(|c| c.covers(m)));
@@ -237,7 +232,7 @@ mod tests {
         let on = [0u32, 1, 2, 5, 6, 7];
         let primes = prime_implicants(3, &on, &[]);
         // Force greedy with a zero node budget.
-        let cover = select_cover(3, &primes, &on, &CoverConfig { max_nodes: 0 });
+        let cover = select_cover_within(3, &primes, &on, 0);
         for &m in &on {
             assert!(cover.iter().any(|c| c.covers(m)));
         }
@@ -245,7 +240,7 @@ mod tests {
 
     #[test]
     fn empty_on_set() {
-        let cover = select_cover(3, &[], &[], &CoverConfig::default());
+        let cover = select_cover(3, &[], &[]);
         assert!(cover.is_empty());
     }
 }

@@ -31,7 +31,7 @@ pub mod cover;
 pub mod qm;
 pub mod table;
 
-pub use cover::{select_cover, CoverConfig};
+pub use cover::select_cover;
 pub use qm::{prime_implicants, Cube};
 pub use table::{Out, TruthTable};
 
@@ -97,11 +97,6 @@ pub(crate) fn mask(nvars: usize) -> u32 {
 /// assert_eq!(dnf.literal_count(), 4);
 /// ```
 pub fn minimize(table: &TruthTable) -> Dnf {
-    minimize_with(table, &CoverConfig::default())
-}
-
-/// [`minimize`] with an explicit cover-search configuration.
-pub fn minimize_with(table: &TruthTable, cfg: &CoverConfig) -> Dnf {
     let nvars = table.nvars();
     let on: Vec<u32> = table.rows_with(Out::One).collect();
     if on.is_empty() {
@@ -112,7 +107,7 @@ pub fn minimize_with(table: &TruthTable, cfg: &CoverConfig) -> Dnf {
         return Dnf::one(nvars);
     }
     let primes = prime_implicants(nvars, &on, &dc);
-    let chosen = select_cover(nvars, &primes, &on, cfg);
+    let chosen = select_cover(nvars, &primes, &on);
     Dnf { nvars, terms: chosen }
 }
 

@@ -334,6 +334,7 @@ struct AggKey {
 /// lock holds are tens of nanoseconds against solver checks in the
 /// milliseconds, and the verdict cache already removes most construction
 /// on warm paths.
+#[derive(Default)]
 struct LowerState {
     interner: Interner,
     pool: VarPool,
@@ -343,17 +344,6 @@ struct LowerState {
     /// variable.
     col_vars: BTreeMap<(ColRef, u8, Sort), VarId>,
     agg_vars: BTreeMap<(AggKey, Sort), VarId>,
-}
-
-impl LowerState {
-    fn new() -> LowerState {
-        LowerState {
-            interner: Interner::new(),
-            pool: VarPool::new(),
-            col_vars: BTreeMap::new(),
-            agg_vars: BTreeMap::new(),
-        }
-    }
 }
 
 /// Point-in-time interner statistics (see
@@ -377,25 +367,19 @@ const VAR_ENTRY_BYTES: usize = 160;
 
 /// The interning + verdict state shared by every [`Oracle`] of one
 /// [`crate::session::PreparedTarget`]: the hash-consing arena, the
-/// variable tables, and the sharded cross-advise verdict cache. All of it
-/// is rebuildable — [`crate::session::PreparedTarget::shed_caches`]
-/// swaps in a fresh context and reports these bytes as freed.
+/// variable tables, and the sharded cross-advise verdict cache. None of
+/// it has a bound of its own: it grows with the distinct work the
+/// target's advises do and lives as long as the context. All of it is
+/// rebuildable — [`crate::session::PreparedTarget::shed_caches`], which
+/// the `qr-hint serve` registry calls under its byte budget, swaps in a
+/// fresh context and reports these bytes as freed.
+#[derive(Default)]
 pub struct SolverContext {
     lower: RwLock<LowerState>,
     pub(crate) verdicts: VerdictCache,
 }
 
 impl SolverContext {
-    /// `verdict_cache_max_bytes` bounds the shared verdict cache
-    /// (`0` = unbounded); see
-    /// [`crate::QrHintConfig::verdict_cache_max_bytes`].
-    pub fn new(verdict_cache_max_bytes: usize) -> SolverContext {
-        SolverContext {
-            lower: RwLock::new(LowerState::new()),
-            verdicts: VerdictCache::new(verdict_cache_max_bytes),
-        }
-    }
-
     /// Approximate resident bytes of everything in the context: interner
     /// tables, variable pool/maps, and the verdict cache.
     pub fn approx_bytes(&self) -> usize {
@@ -463,8 +447,6 @@ pub struct OracleCounters {
     pub verdict_cross_hits: u64,
     /// Shared-verdict-cache misses (each one paid a real solver check).
     pub verdict_misses: u64,
-    /// Entries this oracle's inserts evicted from the shared cache.
-    pub verdict_evictions: u64,
     /// Literals pushed onto the solver's theory stack (root units and
     /// branch assignments) across solver misses.
     pub theory_pushes: u64,
@@ -497,7 +479,6 @@ impl AddAssign for OracleCounters {
         self.verdict_hits += o.verdict_hits;
         self.verdict_cross_hits += o.verdict_cross_hits;
         self.verdict_misses += o.verdict_misses;
-        self.verdict_evictions += o.verdict_evictions;
         self.theory_pushes += o.theory_pushes;
         self.theory_full_checks += o.theory_full_checks;
         self.quick_conflicts += o.quick_conflicts;
@@ -551,10 +532,7 @@ impl Oracle {
     /// tests). A session's advises share one context via
     /// [`Oracle::with_context`].
     pub fn new(types: TypeEnv) -> Oracle {
-        Oracle::with_context(
-            Arc::new(types),
-            Arc::new(SolverContext::new(crate::pipeline::DEFAULT_VERDICT_CACHE_BYTES)),
-        )
+        Oracle::with_context(Arc::new(types), Arc::default())
     }
 
     /// Oracle bound to a shared interning/verdict context.
@@ -1231,7 +1209,7 @@ impl Oracle {
         if verdict == TriBool::Unknown {
             self.counters.unknown_verdicts += 1;
         } else {
-            self.counters.verdict_evictions += self.ctx.verdicts.insert(key, verdict, self.id);
+            self.ctx.verdicts.insert(key, verdict, self.id);
         }
     }
 
@@ -1655,7 +1633,7 @@ mod tests {
         // Two oracles over one SolverContext: the second's identical
         // check is a cross-oracle read-path hit, not a solver call.
         let p = parse_pred("t.a > 1 AND t.a < 0").unwrap();
-        let shared = Arc::new(SolverContext::new(0));
+        let shared = Arc::new(SolverContext::default());
         let types = Arc::new(TypeEnv::infer_from_preds(&[&p]));
         let mut o1 = Oracle::with_context(Arc::clone(&types), Arc::clone(&shared));
         let mut o2 = Oracle::with_context(types, Arc::clone(&shared));
@@ -1677,7 +1655,7 @@ mod tests {
         // MAX(r.a) into the shared tables.
         let where_pred = parse_pred("r.a > 100").unwrap();
         let having = parse_pred("MAX(r.a) >= 101").unwrap();
-        let shared = Arc::new(SolverContext::new(0));
+        let shared = Arc::new(SolverContext::default());
         let types = Arc::new(TypeEnv::infer_from_preds(&[&where_pred, &having]));
         let mut o1 = Oracle::with_context(Arc::clone(&types), Arc::clone(&shared));
         let mut o2 = Oracle::with_context(types, Arc::clone(&shared));

@@ -19,7 +19,11 @@ use qrhint_sqlast::{resolve::resolve_query, Query, Schema};
 use qrhint_sqlparse::{parse_query, parse_query_extended, FlattenOptions};
 use serde::{Deserialize, Serialize};
 
-/// Pipeline configuration.
+/// Pipeline configuration: how to repair and how many stage repairs to
+/// apply. A compiled target's caches take no options: they grow with
+/// the distinct work its advises do until
+/// [`PreparedTarget::shed_caches`] drops them, as the `qr-hint serve`
+/// registry does under its byte budget.
 #[derive(Debug, Clone)]
 pub struct QrHintConfig {
     pub repair: RepairConfig,
@@ -29,39 +33,13 @@ pub struct QrHintConfig {
     /// interactions by the stage count; the default leaves 3× slack
     /// (plus the final `Done` round) purely as a defensive backstop.
     pub max_stage_applications: usize,
-    /// Capacity of a [`PreparedTarget`]'s whole-advice duplicate cache,
-    /// in entries. The cache is LRU-evicted at this bound so a resident
-    /// process (the `qr-hint serve` daemon) can hold a target hot
-    /// indefinitely without the cache growing with every distinct
-    /// submission ever seen. `0` disables the cache entirely.
-    pub advice_cache_capacity: usize,
-    /// Byte budget of a [`PreparedTarget`]'s **shared solver-verdict
-    /// cache** — the sharded `(formula, context) → verdict` table every
-    /// advise on the target reads and writes (see
-    /// [`crate::oracle::SolverContext`]). Each shard LRU-evicts its
-    /// stalest entries beyond its slice of the budget. `0` = unbounded
-    /// (the registry-level shed still reclaims it wholesale).
-    pub verdict_cache_max_bytes: usize,
 }
-
-/// Default bound on the per-target advice cache: generously above any
-/// single classroom batch (the Students+ corpus is 341 entries), small
-/// enough that a long-lived server holding dozens of targets stays
-/// within a predictable memory envelope.
-pub const DEFAULT_ADVICE_CACHE_CAPACITY: usize = 4096;
-
-/// Default byte budget for the shared verdict cache: roomy enough that a
-/// classroom-scale target never evicts in practice, bounded so dozens of
-/// resident server targets stay within a predictable envelope.
-pub const DEFAULT_VERDICT_CACHE_BYTES: usize = 32 * 1024 * 1024;
 
 impl Default for QrHintConfig {
     fn default() -> QrHintConfig {
         QrHintConfig {
             repair: RepairConfig::default(),
             max_stage_applications: 3 * Stage::COUNT + 1,
-            advice_cache_capacity: DEFAULT_ADVICE_CACHE_CAPACITY,
-            verdict_cache_max_bytes: DEFAULT_VERDICT_CACHE_BYTES,
         }
     }
 }

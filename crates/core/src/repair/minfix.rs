@@ -341,7 +341,7 @@ mod tests {
     fn on_fresh_context(
         fresh: &impl Fn(Arc<SolverContext>) -> Oracle,
     ) -> (Oracle, Arc<SolverContext>) {
-        let ctx = Arc::new(SolverContext::new(crate::pipeline::DEFAULT_VERDICT_CACHE_BYTES));
+        let ctx = Arc::new(SolverContext::default());
         (fresh(Arc::clone(&ctx)), ctx)
     }
 

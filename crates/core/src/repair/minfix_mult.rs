@@ -135,8 +135,6 @@ pub fn min_fix_mult(
 
     // ---- InitFeasibility ----
     let nrows = 1u32 << n;
-    let all_settings: u64 = if k == 64 { u64::MAX } else { (1u64 << (1 << k)) - 1 };
-    let _ = all_settings;
     let mut feas: Feasibility = Vec::with_capacity(nrows as usize);
     for row in 0..nrows {
         match g_star.get(row) {

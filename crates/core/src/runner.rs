@@ -98,7 +98,7 @@ pub(crate) struct StageMemos {
 
 impl StageMemos {
     /// Resident memo entries across all stages (cache-size accounting
-    /// for the session layer's byte-budget eviction).
+    /// for [`crate::session::PreparedTarget::approx_cache_bytes`]).
     pub(crate) fn len(&self) -> usize {
         self.where_memo.len() + self.groupby_memo.len() + self.having_memo.len()
     }

@@ -19,13 +19,16 @@
 //!      identical stage inputs, so cached verdicts are sound by
 //!      construction.
 //!   3. **Advice cache**: identical resolved submissions (classrooms
-//!      produce many duplicate answers) are graded once. The cache is a
-//!      bounded LRU ([`QrHintConfig::advice_cache_capacity`]) so a
-//!      resident server can hold a target hot indefinitely;
-//!      [`SessionStats`] reports hits, misses, evictions and occupancy,
-//!      and [`PreparedTarget::approx_cache_bytes`] /
-//!      [`PreparedTarget::shed_caches`] give a registry byte accounting
-//!      and an eviction hook.
+//!      produce many duplicate answers) are graded once. Every advise
+//!      consults it; [`SessionStats`] reports hits, misses and
+//!      occupancy.
+//!
+//!   None of these layers, nor the shared solver context below, has a
+//!   bound of its own: they live as long as the target.
+//!   [`PreparedTarget::approx_cache_bytes`] accounts their bytes and
+//!   [`PreparedTarget::shed_caches`] drops them all at once, which is
+//!   how the `qr-hint serve` registry keeps resident targets within
+//!   its byte budget.
 //! * [`PreparedTarget::grade_batch`] / [`PreparedTarget::grade_batch_parallel`]
 //!   — classroom-scale bulk grading, sequential or fanned out over a
 //!   scoped worker pool ([`crate::parallel`]).
@@ -60,18 +63,17 @@
 //!   before they emit axioms), so a hit returns exactly what the advise
 //!   would have computed itself.
 //! * Every advise interns formulas into — and **shares solver verdicts
-//!   through** — one target-wide [`SolverContext`]: a sharded,
-//!   byte-budgeted `(formula, context) → verdict` table keyed by
-//!   interned ids, so a verdict decided by one advise is a read-path hit
-//!   for every other, on any thread. Sharing stays deterministic: equal
-//!   ids mean structurally identical inputs, the solver is a
-//!   deterministic function of those inputs, and only definitive
-//!   verdicts are cached — so a hit returns exactly what the probing
-//!   advise would have computed itself.
+//!   through** — one target-wide [`SolverContext`]: a sharded
+//!   `(formula, context) → verdict` table keyed by interned ids, so a
+//!   verdict decided by one advise is a read-path hit for every other,
+//!   on any thread; a hit takes one shard read lock and writes nothing.
+//!   Sharing stays deterministic: equal ids mean structurally identical
+//!   inputs, the solver is a deterministic function of those inputs,
+//!   and only definitive verdicts are cached — so a hit returns exactly
+//!   what the probing advise would have computed itself.
 //! * The **whole-advice cache** is an `RwLock` map with a read-path
 //!   hit check, so duplicate submissions stay near-free under
-//!   contention; LRU recency is refreshed with an atomic stamp, so even
-//!   a hit never takes the write lock.
+//!   contention: a hit never takes the write lock.
 //! * [`SessionStats`] counters never lose updates: the advise-level
 //!   ones are atomics, and each advise adds its oracle's work counters
 //!   to the totals as one record, under one short lock taken after
@@ -132,12 +134,11 @@ pub struct SessionStats {
     /// Calls answered from the whole-advice cache (duplicate
     /// submissions).
     pub advice_cache_hits: u64,
-    /// Cache-enabled lookups that missed and had to grade for real.
-    /// `advice_cache_hits + advice_cache_misses` counts every advise
-    /// that consulted the cache (an `advice_cache_capacity = 0` config
-    /// bypasses it).
+    /// Lookups that missed and had to grade for real. Every advise
+    /// consults the cache, so `advice_cache_hits + advice_cache_misses`
+    /// equals `advise_calls`.
     pub advice_cache_misses: u64,
-    /// Entries LRU-evicted from the advice cache at its capacity bound.
+    /// Advice-cache entries dropped by [`PreparedTarget::shed_caches`].
     pub advice_cache_evictions: u64,
     /// Advice-cache entries resident right now (point-in-time).
     pub advice_cache_entries: u64,
@@ -165,8 +166,8 @@ pub struct SessionStats {
     pub verdict_cache_cross_thread_hits: u64,
     /// Shared-verdict-cache misses (each one ran the real solver).
     pub verdict_cache_misses: u64,
-    /// Entries evicted from the shared verdict cache at its byte budget
-    /// ([`QrHintConfig::verdict_cache_max_bytes`]).
+    /// Shared-verdict entries dropped by [`PreparedTarget::shed_caches`]
+    /// (those resident in the context it swapped out).
     pub verdict_cache_evictions: u64,
     /// Shared-verdict entries resident right now (point-in-time; resets
     /// on [`PreparedTarget::shed_caches`]).
@@ -222,6 +223,7 @@ struct AtomicStats {
     advice_cache_hits: AtomicU64,
     advice_cache_misses: AtomicU64,
     advice_cache_evictions: AtomicU64,
+    verdict_cache_evictions: AtomicU64,
     /// Mirrors of the cache's occupancy, updated under its write lock,
     /// so a stats snapshot never has to take the cache lock.
     advice_cache_entries: AtomicU64,
@@ -254,7 +256,7 @@ impl AtomicStats {
             verdict_cache_hits: o.verdict_hits,
             verdict_cache_cross_thread_hits: o.verdict_cross_hits,
             verdict_cache_misses: o.verdict_misses,
-            verdict_cache_evictions: o.verdict_evictions,
+            verdict_cache_evictions: self.verdict_cache_evictions.load(Ordering::Relaxed),
             verdict_cache_entries: 0,
             verdict_cache_bytes: 0,
             interned_terms: 0,
@@ -315,24 +317,11 @@ impl FromGroup {
 const STAGE_MEMO_ENTRY_BYTES: usize = 512;
 const GROUP_BASE_BYTES: usize = 2048;
 
-/// One advice-cache entry. `touched` is bumped atomically on read-path
-/// hits, so refreshing LRU recency never needs the write lock.
-struct AdviceEntry {
-    advice: Advice,
-    /// Approximate footprint, computed once at insert.
-    bytes: usize,
-    touched: AtomicU64,
-}
-
-/// The bounded whole-advice duplicate cache: an approximate LRU over
-/// resolved submissions. Capacity comes from
-/// [`QrHintConfig::advice_cache_capacity`]; eviction scans for the
-/// stalest stamp (O(n), but n is the configured capacity and an
-/// eviction is always preceded by a full grading run, so the scan is
-/// noise).
+/// The whole-advice duplicate cache: resolved submission → (advice,
+/// approximate footprint computed once at insert).
 #[derive(Default)]
 struct AdviceCache {
-    map: HashMap<Query, AdviceEntry>,
+    map: HashMap<Query, (Advice, usize)>,
     /// Sum of the entries' byte estimates.
     bytes: usize,
 }
@@ -371,8 +360,6 @@ pub struct PreparedTarget {
     /// context; in-flight advises finish safely against the old `Arc`.
     shared: RwLock<Arc<SolverContext>>,
     advice_cache: RwLock<AdviceCache>,
-    /// Monotonic stamp source for the advice cache's LRU ordering.
-    cache_clock: AtomicU64,
     stats: AtomicStats,
 }
 
@@ -393,15 +380,13 @@ impl std::fmt::Debug for PreparedTarget {
 
 impl PreparedTarget {
     pub(crate) fn new(schema: Schema, cfg: QrHintConfig, target: Query) -> PreparedTarget {
-        let shared = Arc::new(SolverContext::new(cfg.verdict_cache_max_bytes));
         PreparedTarget {
             schema,
             cfg,
             target,
             groups: RwLock::new(HashMap::new()),
-            shared: RwLock::new(shared),
-            advice_cache: RwLock::new(AdviceCache::default()),
-            cache_clock: AtomicU64::new(0),
+            shared: RwLock::default(),
+            advice_cache: RwLock::default(),
             stats: AtomicStats::default(),
         }
     }
@@ -494,15 +479,13 @@ impl PreparedTarget {
     pub fn advise(&self, q: &Query) -> QrResult<Advice> {
         let _span = qrhint_obs::span("advise");
         self.stats.advise_calls.fetch_add(1, Ordering::Relaxed);
-        let use_advice_cache = self.cfg.advice_cache_capacity > 0;
-        if use_advice_cache {
-            if let Some(hit) = self.advice_cache.read().unwrap().map.get(q) {
-                hit.touched.store(self.next_stamp(), Ordering::Relaxed);
-                self.stats.advice_cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit.advice.clone());
-            }
-            self.stats.advice_cache_misses.fetch_add(1, Ordering::Relaxed);
+        if let Some((advice, _)) =
+            self.advice_cache.read().expect("advice cache never poisoned").map.get(q)
+        {
+            self.stats.advice_cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(advice.clone());
         }
+        self.stats.advice_cache_misses.fetch_add(1, Ordering::Relaxed);
 
         // ---- Stage 1: FROM ---- (always cheap: a multiset compare)
         let from_out = {
@@ -542,9 +525,7 @@ impl PreparedTarget {
             *self.stats.oracle.lock().expect("oracle totals never poisoned") += oracle.counters;
             advice?
         };
-        if use_advice_cache {
-            self.cache_insert(q, &advice);
-        }
+        self.cache_insert(q, &advice);
         Ok(advice)
     }
 
@@ -620,39 +601,15 @@ impl PreparedTarget {
         }
     }
 
-    fn next_stamp(&self) -> u64 {
-        self.cache_clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Insert into the bounded advice cache, LRU-evicting down to the
-    /// configured capacity. Racing duplicates may both insert; the
-    /// advices are identical (deterministic grading), so replacement is
-    /// harmless. The entry just inserted carries the freshest stamp, so
-    /// it is never the eviction victim.
+    /// Insert into the advice cache. Racing duplicates may both insert;
+    /// the advices are identical (deterministic grading), so the second
+    /// replaces the first with an equal entry and the byte sum counts it
+    /// once.
     fn cache_insert(&self, q: &Query, advice: &Advice) {
-        let cap = self.cfg.advice_cache_capacity;
         let bytes = approx_advice_bytes(q, advice);
         let mut cache = self.advice_cache.write().unwrap();
-        let entry = AdviceEntry {
-            advice: advice.clone(),
-            bytes,
-            touched: AtomicU64::new(self.next_stamp()),
-        };
-        if let Some(prev) = cache.map.insert(q.clone(), entry) {
-            cache.bytes -= prev.bytes;
-        }
-        cache.bytes += bytes;
-        while cache.map.len() > cap {
-            let victim = cache
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.touched.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            if let Some(evicted) = cache.map.remove(&victim) {
-                cache.bytes -= evicted.bytes;
-                self.stats.advice_cache_evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        if cache.map.insert(q.clone(), (advice.clone(), bytes)).is_none() {
+            cache.bytes += bytes;
         }
         self.stats.advice_cache_entries.store(cache.map.len() as u64, Ordering::Relaxed);
         self.stats.advice_cache_bytes.store(cache.bytes as u64, Ordering::Relaxed);
@@ -679,7 +636,10 @@ impl PreparedTarget {
     /// compiled target and the groups' immutable derivations (unified
     /// target, domain context, typing). Returns the approximate bytes
     /// freed, interner included, so the server registry's byte budget
-    /// stays truthful after shedding.
+    /// stays truthful after shedding. This is the only path that removes
+    /// cache entries; the advice and verdict entries it drops are counted
+    /// in [`SessionStats::advice_cache_evictions`] and
+    /// [`SessionStats::verdict_cache_evictions`].
     ///
     /// This is the eviction hook a resident server uses as a middle
     /// ground: a shed target re-pays solver time on its next request
@@ -701,8 +661,10 @@ impl PreparedTarget {
             self.stats.advice_cache_bytes.store(0, Ordering::Relaxed);
             freed
         };
-        let fresh = Arc::new(SolverContext::new(self.cfg.verdict_cache_max_bytes));
-        let old = std::mem::replace(&mut *self.shared.write().unwrap(), fresh);
+        let old = std::mem::take(&mut *self.shared.write().expect("context slot never poisoned"));
+        self.stats
+            .verdict_cache_evictions
+            .fetch_add(old.verdicts.entries() as u64, Ordering::Relaxed);
         freed += old.approx_bytes();
         for group in self.groups.read().unwrap().values() {
             let mut memos = group.memos.lock().expect("stage memos never poisoned");
@@ -850,6 +812,11 @@ mod tests {
         let stats = prepared.stats();
         assert_eq!(stats.advise_calls, 4);
         assert_eq!(stats.advice_cache_hits, 3);
+        assert_eq!(
+            stats.advice_cache_hits + stats.advice_cache_misses,
+            stats.advise_calls,
+            "every advise consults the cache: {stats:?}"
+        );
         assert_eq!(stats.from_groups, 1);
     }
 
@@ -863,48 +830,6 @@ mod tests {
         let stats = prepared.stats();
         assert_eq!(stats.from_groups, 2, "s-binding shared, t-binding separate");
         assert_eq!(stats.mapping_reuses, 1);
-    }
-
-    #[test]
-    fn advice_cache_is_lru_bounded() {
-        let qr = QrHint::with_config(
-            beers_schema(),
-            QrHintConfig { advice_cache_capacity: 2, ..QrHintConfig::default() },
-        );
-        let prepared = qr.compile_target(TARGET).unwrap();
-        let sub = |price: i64| format!("SELECT s.bar FROM Serves s WHERE s.price >= {price}");
-        prepared.advise_sql(&sub(1)).unwrap();
-        prepared.advise_sql(&sub(2)).unwrap();
-        // Touch price-1 so price-2 is the LRU victim of the next insert.
-        prepared.advise_sql(&sub(1)).unwrap();
-        prepared.advise_sql(&sub(3)).unwrap();
-        let stats = prepared.stats();
-        assert_eq!(stats.advice_cache_entries, 2, "capacity bound");
-        assert_eq!(stats.advice_cache_evictions, 1);
-        assert_eq!(stats.advice_cache_hits, 1);
-        assert_eq!(stats.advice_cache_misses, 3);
-        assert!(stats.advice_cache_bytes > 0);
-        // price-1 survived (it was touched), price-2 did not.
-        prepared.advise_sql(&sub(1)).unwrap();
-        assert_eq!(prepared.stats().advice_cache_hits, 2, "touched entry kept");
-        prepared.advise_sql(&sub(2)).unwrap();
-        assert_eq!(prepared.stats().advice_cache_hits, 2, "LRU entry evicted");
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_advice_cache() {
-        let qr = QrHint::with_config(
-            beers_schema(),
-            QrHintConfig { advice_cache_capacity: 0, ..QrHintConfig::default() },
-        );
-        let prepared = qr.compile_target(TARGET).unwrap();
-        let sub = "SELECT s.bar FROM Serves s WHERE s.price > 3";
-        prepared.advise_sql(sub).unwrap();
-        prepared.advise_sql(sub).unwrap();
-        let stats = prepared.stats();
-        assert_eq!(stats.advice_cache_hits, 0);
-        assert_eq!(stats.advice_cache_misses, 0, "disabled cache counts no lookups");
-        assert_eq!(stats.advice_cache_entries, 0);
     }
 
     #[test]
@@ -1065,6 +990,10 @@ mod tests {
         let after = prepared.stats();
         assert_eq!(after.verdict_cache_entries, 0, "shared cache drained");
         assert_eq!(after.verdict_cache_bytes, 0);
+        assert_eq!(
+            after.verdict_cache_evictions, before.verdict_cache_entries,
+            "the shed counts every verdict it drops"
+        );
         assert!(after.interned_terms == 0, "fresh interner");
         assert!(after.interned_formulas <= 2, "only the pre-interned constants remain");
         // Cumulative counters survive the context swap.
@@ -1216,13 +1145,14 @@ mod tests {
 
     #[test]
     fn advice_does_not_depend_on_earlier_advises() {
-        let qr = QrHint::with_config(
-            r_schema(),
-            QrHintConfig { advice_cache_capacity: 0, ..QrHintConfig::default() },
-        );
+        let qr = QrHint::new(r_schema());
         let prepared = qr.compile_target(GROUPED_TARGET).unwrap();
         let first = prepared.advise_sql(MAX_WORK).unwrap();
-        assert_eq!(prepared.advise_sql(MAX_WORK).unwrap(), first, "graded twice");
+        // The same query with its aggregate named is a new advice-cache
+        // key with the first advise's stage inputs, so it is graded again.
+        let named = MAX_WORK.replace("MAX(r.a)", "MAX(r.a) AS m");
+        assert_eq!(prepared.advise_sql(&named).unwrap(), first, "graded twice");
+        assert_eq!(prepared.stats().advice_cache_hits, 0);
 
         let fresh = || QrHint::new(r_schema()).compile_target(GROUPED_TARGET).unwrap();
         let alone = fresh().grade_batch(&[MAX_WORK]).remove(0).unwrap();

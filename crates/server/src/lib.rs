@@ -9,8 +9,8 @@
 //! compilation on every process start; this subsystem makes the
 //! prepared target *resident*: register once, then every
 //! advise/grade request rides the session layer's memo state — FROM
-//! groups, solver verdict caches, stage memos, and the bounded advice
-//! cache — at its hottest.
+//! groups, solver verdict caches, stage memos, and the advice cache —
+//! at its hottest.
 //!
 //! ## API
 //!

@@ -45,7 +45,7 @@ pub const SESSION_GAUGES: &[(&str, &str)] = &[
     ("advise_calls", "Advise calls answered, summed over resident targets."),
     ("advice_cache_hits", "Whole-advice cache hits, summed over resident targets."),
     ("advice_cache_misses", "Whole-advice cache misses, summed over resident targets."),
-    ("advice_cache_evictions", "Advice-cache LRU evictions, summed over resident targets."),
+    ("advice_cache_evictions", "Advice-cache entries dropped by cache sheds, summed over resident targets."),
     ("advice_cache_entries", "Resident advice-cache entries, summed over resident targets."),
     ("advice_cache_bytes", "Approximate advice-cache bytes, summed over resident targets."),
     ("from_groups", "Distinct FROM groups, summed over resident targets."),
@@ -55,7 +55,7 @@ pub const SESSION_GAUGES: &[(&str, &str)] = &[
     ("verdict_cache_hits", "Shared verdict-cache hits, summed over resident targets."),
     ("verdict_cache_cross_thread_hits", "Verdict hits paid for by another advise, summed over resident targets."),
     ("verdict_cache_misses", "Shared verdict-cache misses, summed over resident targets."),
-    ("verdict_cache_evictions", "Verdict-cache byte-budget evictions, summed over resident targets."),
+    ("verdict_cache_evictions", "Shared-verdict entries dropped by cache sheds, summed over resident targets."),
     ("verdict_cache_entries", "Resident shared-verdict entries, summed over resident targets."),
     ("verdict_cache_bytes", "Approximate shared-verdict bytes, summed over resident targets."),
     ("interned_terms", "Distinct interned term nodes, summed over resident targets."),

@@ -32,8 +32,8 @@ pub struct RegistryConfig {
     /// Approximate byte budget across every resident target's caches
     /// ([`PreparedTarget::approx_cache_bytes`]); LRU targets are shed,
     /// then dropped, to get back under it. `0` disables the budget
-    /// (unlimited) — the per-target advice caches are still bounded by
-    /// [`qrhint_core::QrHintConfig::advice_cache_capacity`].
+    /// (unlimited); a target's caches have no bound of their own, so
+    /// then they grow for as long as it stays resident.
     pub max_cache_bytes: usize,
 }
 
@@ -332,7 +332,10 @@ mod tests {
         assert!(a.prepared.stats().advice_cache_entries > 0);
         let report = reg.enforce_byte_budget();
         assert!(report.shed.contains(&a.id));
-        assert_eq!(a.prepared.stats().advice_cache_entries, 0, "caches shed");
+        let stats = a.prepared.stats();
+        assert_eq!(stats.advice_cache_entries, 0, "caches shed");
+        assert_eq!(stats.verdict_cache_entries, 0, "verdicts shed");
+        assert!(stats.verdict_cache_evictions > 0, "the shed counts its verdicts: {stats:?}");
         // The freshest (only) target is never dropped.
         assert!(reg.get(&a.id).is_some());
     }

@@ -367,19 +367,6 @@ impl RouterService {
         }
     }
 
-    /// Backend addresses in ring order of declaration (spawned after
-    /// joined), with current health.
-    pub fn backend_health(&self) -> Vec<(SocketAddr, bool)> {
-        self.backends
-            .iter()
-            .map(|b| (b.addr, b.healthy.load(Ordering::SeqCst)))
-            .collect()
-    }
-
-    pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.pool.stats()
-    }
-
     fn healthy(&self, idx: usize) -> bool {
         self.backends[idx].healthy.load(Ordering::SeqCst)
     }

@@ -289,74 +289,7 @@ impl Interner {
         g
     }
 
-    // ---------------- tree interning / extraction ----------------
-
-    /// Intern an existing term tree verbatim.
-    pub fn intern_term(&mut self, t: &Term) -> TermId {
-        match t {
-            Term::Var(v) => self.var(*v),
-            Term::IntConst(c) => self.int(*c),
-            Term::StrConst(s) => self.str(s),
-            Term::Add(l, r) => {
-                let (l, r) = (self.intern_term(l), self.intern_term(r));
-                self.add(l, r)
-            }
-            Term::Sub(l, r) => {
-                let (l, r) = (self.intern_term(l), self.intern_term(r));
-                self.sub(l, r)
-            }
-            Term::Mul(l, r) => {
-                let (l, r) = (self.intern_term(l), self.intern_term(r));
-                self.mul(l, r)
-            }
-            Term::Div(l, r) => {
-                let (l, r) = (self.intern_term(l), self.intern_term(r));
-                self.div(l, r)
-            }
-            Term::Neg(inner) => {
-                let inner = self.intern_term(inner);
-                self.neg(inner)
-            }
-        }
-    }
-
-    /// Intern an existing formula tree verbatim (structure preserved, no
-    /// re-simplification), so `formula(intern_formula(f)) == f`.
-    ///
-    /// Because this does **not** apply the smart-constructor
-    /// simplifications, a tree containing shapes the smart layer never
-    /// builds (singleton or nested `And`/`Or`, `Not` of a constant)
-    /// interns to a *different* id than the simplified equivalent — do
-    /// not mix verbatim interning with constructor-built ids when id
-    /// equality is being used as formula equality.
-    pub fn intern_formula(&mut self, f: &Formula) -> FormulaId {
-        match f {
-            Formula::True => FormulaId::TRUE,
-            Formula::False => FormulaId::FALSE,
-            Formula::Atom(Atom::Cmp(l, rel, r)) => {
-                let (l, r) = (self.intern_term(l), self.intern_term(r));
-                self.cmp(l, *rel, r)
-            }
-            Formula::Atom(Atom::Like(t, p)) => {
-                let t = self.intern_term(t);
-                self.like(t, p)
-            }
-            Formula::And(cs) => {
-                let ids: Box<[FormulaId]> =
-                    cs.iter().map(|c| self.intern_formula(c)).collect();
-                self.formula_node(FormulaNode::And(ids))
-            }
-            Formula::Or(cs) => {
-                let ids: Box<[FormulaId]> =
-                    cs.iter().map(|c| self.intern_formula(c)).collect();
-                self.formula_node(FormulaNode::Or(ids))
-            }
-            Formula::Not(c) => {
-                let c = self.intern_formula(c);
-                self.formula_node(FormulaNode::Not(c))
-            }
-        }
-    }
+    // ---------------- tree extraction ----------------
 
     /// Extract the term tree of `t`.
     pub fn term(&self, t: TermId) -> Term {
@@ -488,32 +421,6 @@ mod tests {
         assert_eq!(it.not(n1), atom, "double negation unwraps");
         assert_eq!(it.not(FormulaId::TRUE), FormulaId::FALSE);
         assert_eq!(it.not(FormulaId::FALSE), FormulaId::TRUE);
-    }
-
-    #[test]
-    fn tree_round_trip_is_exact() {
-        let mut pool = VarPool::new();
-        let a = Term::var(pool.fresh(Sort::Int));
-        let s = Term::var(pool.fresh(Sort::Str));
-        let f = Formula::and(vec![
-            Formula::cmp(
-                Term::add(a.clone(), Term::IntConst(2)),
-                Rel::Le,
-                Term::mul(Term::IntConst(3), a.clone()),
-            ),
-            Formula::or(vec![
-                Formula::not(Formula::atom(Atom::Like(s.clone(), "A%".into()))),
-                Formula::cmp(s, Rel::Eq, Term::StrConst("Amy".into())),
-            ]),
-        ]);
-        let mut it = Interner::new();
-        let id = it.intern_formula(&f);
-        assert_eq!(it.formula(id), f, "verbatim round trip");
-        // Interning the same tree again yields the same id with no new
-        // nodes.
-        let (nt, nf) = (it.num_terms(), it.num_formulas());
-        assert_eq!(it.intern_formula(&f), id);
-        assert_eq!((it.num_terms(), it.num_formulas()), (nt, nf));
     }
 
     #[test]

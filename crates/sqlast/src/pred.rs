@@ -100,11 +100,6 @@ impl Pred {
         Pred::Cmp(lhs, op, rhs)
     }
 
-    /// Build an equality atom between two columns.
-    pub fn col_eq(lt: &str, lc: &str, rt: &str, rc: &str) -> Pred {
-        Pred::Cmp(Scalar::col(lt, lc), CmpOp::Eq, Scalar::col(rt, rc))
-    }
-
     /// Smart conjunction: flattens nested `And`s, drops `True`, collapses
     /// to `False` on any `False` child, unwraps singletons.
     pub fn and(children: Vec<Pred>) -> Pred {

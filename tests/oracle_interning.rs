@@ -315,31 +315,3 @@ fn shed_then_advise_resyncs_scratch_and_regrades_identically() {
         "hit/miss pairing must survive the shed boundary: {final_stats:?}"
     );
 }
-
-#[test]
-fn shared_cache_under_tiny_budget_still_grades_identically() {
-    // A byte budget small enough to force evictions mid-batch: the
-    // cache degrades to misses, never to wrong answers.
-    let (schema, target, subs) = batches::beers_batch(12);
-    let qr = QrHint::new(schema.clone());
-    let baseline = {
-        let prepared = qr.compile_target(&target).unwrap();
-        fingerprint(&prepared.grade_batch(&subs))
-    };
-    let tiny = QrHint::with_config(
-        schema,
-        QrHintConfig { verdict_cache_max_bytes: 4096, ..QrHintConfig::default() },
-    );
-    let prepared = tiny.compile_target(&target).unwrap();
-    let out = fingerprint(&prepared.grade_batch(&subs));
-    assert_eq!(out, baseline);
-    let stats = prepared.stats();
-    assert!(stats.verdict_cache_evictions > 0, "tiny budget must evict: {stats:?}");
-    // The budget is approximate: each of the 16 shards keeps its newest
-    // entry regardless of size, so allow the documented overshoot of
-    // one (possibly large-context) entry per shard.
-    assert!(
-        stats.verdict_cache_bytes <= 4096 * 5,
-        "resident bytes must track the budget: {stats:?}"
-    );
-}
