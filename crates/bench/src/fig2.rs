@@ -3,7 +3,7 @@
 //! atom errors, comparing `DeriveFixes` vs `DeriveFixesOPT` plus the
 //! time-to-first-viable-site series.
 
-use qrhint_core::repair::{repair_where, CostModel, FixStrategy, Repair, RepairConfig};
+use qrhint_core::repair::{repair_cost, repair_where, FixStrategy, Repair, RepairConfig};
 use qrhint_core::Oracle;
 use qrhint_sqlparse::parse_pred;
 use qrhint_workloads::{inject, tpch};
@@ -55,7 +55,7 @@ pub fn run_up_to(errors_per_case: usize, seed: u64, max_atoms: usize) -> Vec<Fig
             .map(|p| target.at_path(p).expect("path valid").clone())
             .collect();
         let gt = Repair { sites: gt_sites, fixes: gt_fixes };
-        let gt_cost = CostModel::default().cost(&wrong, &target, &gt);
+        let gt_cost = repair_cost(&wrong, &target, &gt);
 
         for (strategy, label) in
             [(FixStrategy::Basic, "DeriveFixes"), (FixStrategy::Optimized, "DeriveFixesOPT")]

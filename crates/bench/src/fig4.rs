@@ -39,7 +39,6 @@ pub fn run(max_errors: usize, seed: u64) -> Vec<Trace> {
                 // No early stopping: Figure 4 shows *all* viable repairs
                 // found during the course of execution.
                 disable_early_stop: true,
-                ..RepairConfig::default()
             };
             let mut oracle = Oracle::for_preds(&[&wrong, &target]);
             let outcome = repair_where(&mut oracle, &[], &wrong, &target, &cfg);

@@ -46,8 +46,9 @@
 //! assert_eq!(advices[0].as_ref().unwrap().stage, Stage::Where);
 //! assert!(advices[1].as_ref().unwrap().is_equivalent());
 //!
-//! // Incremental tutoring: advise → apply; unchanged stages are memo
-//! // hits, so each step pays solver work only where the query changed.
+//! // Incremental tutoring: advise → apply; unchanged stages are
+//! // re-checked from the shared verdict cache, so each step pays solver
+//! // work only where the query changed.
 //! let mut session = prepared
 //!     .tutor_sql("SELECT s.bar FROM Serves s WHERE s.price > 3")
 //!     .unwrap();
@@ -65,7 +66,7 @@
 //! [`QrHint::advise_sql`] / [`QrHint::fix_fully`] remain as thin wrappers
 //! over the session layer for one-shot use.
 //!
-//! [`PreparedTarget`]'s memo state is sharded for concurrency (see the
+//! [`PreparedTarget`]'s caches are sharded for concurrency (see the
 //! [`session`] module docs): large, mostly-distinct batches can fan out
 //! over a scoped worker pool with
 //! [`session::PreparedTarget::grade_batch_parallel`] (built on

@@ -76,7 +76,6 @@ use qrhint_sqlast::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::AddAssign;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Column typing environment.
@@ -441,10 +440,6 @@ pub struct OracleCounters {
     pub solver_calls: u64,
     /// Shared-verdict-cache hits.
     pub verdict_hits: u64,
-    /// Hits on entries inserted by a *different* oracle (another advise,
-    /// earlier or concurrent) — the sharing the interned representation
-    /// exists to enable.
-    pub verdict_cross_hits: u64,
     /// Shared-verdict-cache misses (each one paid a real solver check).
     pub verdict_misses: u64,
     /// Literals pushed onto the solver's theory stack (root units and
@@ -477,7 +472,6 @@ impl AddAssign for OracleCounters {
     fn add_assign(&mut self, o: OracleCounters) {
         self.solver_calls += o.solver_calls;
         self.verdict_hits += o.verdict_hits;
-        self.verdict_cross_hits += o.verdict_cross_hits;
         self.verdict_misses += o.verdict_misses;
         self.theory_pushes += o.theory_pushes;
         self.theory_full_checks += o.theory_full_checks;
@@ -490,18 +484,11 @@ impl AddAssign for OracleCounters {
     }
 }
 
-/// Source of unique oracle ids (cross-thread hit attribution in the
-/// shared verdict cache).
-static ORACLE_IDS: AtomicU64 = AtomicU64::new(1);
-
 /// The oracle: shared interning context, tri-valued predicates, and the
 /// ambient lowering state the stages install.
 pub struct Oracle {
     pub solver: Solver,
     ctx: Arc<SolverContext>,
-    /// Unique per-oracle id; stored with inserted verdicts so hits can
-    /// be attributed as same-oracle or cross-advise.
-    id: u64,
     types: Arc<TypeEnv>,
     /// Aggregate keys **this oracle** interned since its ambient state
     /// was last cleared. Axiom generation iterates this private record,
@@ -540,7 +527,6 @@ impl Oracle {
         Oracle {
             solver: Solver::default(),
             ctx,
-            id: ORACLE_IDS.fetch_add(1, Ordering::Relaxed),
             types,
             agg_vars: BTreeMap::new(),
             counters: OracleCounters::default(),
@@ -1192,14 +1178,11 @@ impl Oracle {
 
     /// Probe the shared verdict cache, counting one hit or one miss.
     fn probe(&mut self, key: &VerdictKey) -> Option<TriBool> {
-        let Some((verdict, owner)) = self.ctx.verdicts.get(key) else {
+        let Some(verdict) = self.ctx.verdicts.get(key) else {
             self.counters.verdict_misses += 1;
             return None;
         };
         self.counters.verdict_hits += 1;
-        if owner != self.id {
-            self.counters.verdict_cross_hits += 1;
-        }
         Some(verdict)
     }
 
@@ -1209,7 +1192,7 @@ impl Oracle {
         if verdict == TriBool::Unknown {
             self.counters.unknown_verdicts += 1;
         } else {
-            self.ctx.verdicts.insert(key, verdict, self.id);
+            self.ctx.verdicts.insert(key, verdict);
         }
     }
 
@@ -1631,7 +1614,7 @@ mod tests {
     #[test]
     fn shared_context_verdicts_cross_oracles() {
         // Two oracles over one SolverContext: the second's identical
-        // check is a cross-oracle read-path hit, not a solver call.
+        // check is a read-path hit, not a solver call.
         let p = parse_pred("t.a > 1 AND t.a < 0").unwrap();
         let shared = Arc::new(SolverContext::default());
         let types = Arc::new(TypeEnv::infer_from_preds(&[&p]));
@@ -1641,7 +1624,6 @@ mod tests {
         assert_eq!(o1.counters.verdict_misses, 1);
         assert_eq!(o2.sat_pred(&p, &[]), TriBool::False);
         assert_eq!(o2.counters.verdict_hits, 1, "{:?}", shared);
-        assert_eq!(o2.counters.verdict_cross_hits, 1);
         assert_eq!(o2.counters.verdict_misses, 0);
         assert_eq!(shared.stats_snapshot().verdict_entries, 1);
         assert!(shared.approx_bytes() > 0);

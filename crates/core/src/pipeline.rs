@@ -103,8 +103,8 @@ impl QrHint {
     }
 
     /// Compile a target query for advise-many grading: parse, resolve,
-    /// and set up the per-target memo layers (FROM groups with their
-    /// stage memos, shared solver verdicts, advice cache). The result
+    /// and set up the per-target reuse state (FROM groups, shared solver
+    /// verdicts, advice cache). The result
     /// grades any number of submissions via [`PreparedTarget::advise`] /
     /// [`PreparedTarget::grade_batch`], and drives incremental tutoring
     /// via [`PreparedTarget::tutor`].

@@ -19,55 +19,38 @@ pub fn tree_size(p: &Pred) -> usize {
     }
 }
 
-/// Cost-model parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// Per-site penalty weight `w` (the paper uses 1/6 in §9).
-    pub w: f64,
-}
+/// Per-site penalty weight `w` (the paper uses 1/6 in §9).
+const SITE_WEIGHT: f64 = 1.0 / 6.0;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel { w: 1.0 / 6.0 }
-    }
-}
-
-impl CostModel {
-    /// Full cost of a repair of `p` toward `p_star`.
-    pub fn cost(&self, p: &Pred, p_star: &Pred, repair: &Repair) -> f64 {
-        let denom = (tree_size(p) + tree_size(p_star)) as f64;
-        let dist: usize = repair
-            .sites
-            .iter()
-            .zip(&repair.fixes)
-            .map(|(site, fix)| {
-                let sub = p.at_path(site).expect("site path valid");
-                tree_size(sub) + tree_size(fix)
-            })
-            .sum();
-        self.w * repair.sites.len() as f64 + dist as f64 / denom
-    }
-
-    /// Lower bound on the cost of any repair using the given sites
-    /// (every fix has size ≥ 1). Drives Algorithm 1's early stopping.
-    pub fn lower_bound(&self, p: &Pred, p_star: &Pred, sites: &[Vec<usize>]) -> f64 {
-        let denom = (tree_size(p) + tree_size(p_star)) as f64;
-        let dist: usize = sites
-            .iter()
-            .map(|site| tree_size(p.at_path(site).expect("site path valid")) + 1)
-            .sum();
-        self.w * sites.len() as f64 + dist as f64 / denom
-    }
-
-    /// Lower bound from the site count alone (Line 4 of Algorithm 1).
-    pub fn sites_only_bound(&self, nsites: usize) -> f64 {
-        self.w * nsites as f64
-    }
-}
-
-/// Convenience wrapper using the default model.
+/// Full cost of a repair of `p` toward `p_star`.
 pub fn repair_cost(p: &Pred, p_star: &Pred, repair: &Repair) -> f64 {
-    CostModel::default().cost(p, p_star, repair)
+    let denom = (tree_size(p) + tree_size(p_star)) as f64;
+    let dist: usize = repair
+        .sites
+        .iter()
+        .zip(&repair.fixes)
+        .map(|(site, fix)| {
+            let sub = p.at_path(site).expect("site path valid");
+            tree_size(sub) + tree_size(fix)
+        })
+        .sum();
+    SITE_WEIGHT * repair.sites.len() as f64 + dist as f64 / denom
+}
+
+/// Lower bound on the cost of any repair using the given sites (every
+/// fix has size ≥ 1). Drives Algorithm 1's early stopping.
+pub(crate) fn lower_bound(p: &Pred, p_star: &Pred, sites: &[Vec<usize>]) -> f64 {
+    let denom = (tree_size(p) + tree_size(p_star)) as f64;
+    let dist: usize = sites
+        .iter()
+        .map(|site| tree_size(p.at_path(site).expect("site path valid")) + 1)
+        .sum();
+    SITE_WEIGHT * sites.len() as f64 + dist as f64 / denom
+}
+
+/// Lower bound from the site count alone (Line 4 of Algorithm 1).
+pub(crate) fn sites_only_bound(nsites: usize) -> f64 {
+    SITE_WEIGHT * nsites as f64
 }
 
 #[cfg(test)]
@@ -101,7 +84,6 @@ mod tests {
             "(a = c AND (e < 5 OR d > 10 OR d < 7)) OR (a = b AND (d <> e OR d > f))",
         )
         .unwrap();
-        let model = CostModel::default();
         // Repair 1: sites x4, x10, x12 (atoms) with atomic fixes →
         // 3w + 3·(1+1)/24 = 0.5 + 0.25 = 0.75.
         let r1 = Repair {
@@ -112,7 +94,7 @@ mod tests {
                 parse_pred("e < 5").unwrap(),
             ],
         };
-        let c1 = model.cost(&p, &p_star, &r1);
+        let c1 = repair_cost(&p, &p_star, &r1);
         assert!((c1 - 0.75).abs() < 1e-9, "got {c1}");
         // Repair 2: sites x5 (size 4... per paper |x5|=4: OR + 3 nodes? x5
         // is (D≠E ∨ D>F): 3 nodes by our counting; the paper counts
@@ -128,11 +110,11 @@ mod tests {
                 parse_pred("a = b AND (d <> e OR d > f)").unwrap(),
             ],
         };
-        let c2 = model.cost(&p, &p_star, &r2);
+        let c2 = repair_cost(&p, &p_star, &r2);
         assert!(c2 > c1);
         // Trivial whole-predicate repair costs the most.
         let r3 = Repair { sites: vec![vec![]], fixes: vec![p_star.clone()] };
-        let c3 = model.cost(&p, &p_star, &r3);
+        let c3 = repair_cost(&p, &p_star, &r3);
         assert!((c3 - (1.0 / 6.0 + 1.0)).abs() < 1e-9);
         assert!(c3 > c2);
     }
@@ -141,10 +123,9 @@ mod tests {
     fn lower_bounds_are_lower() {
         let p = parse_pred("a = 1 AND b = 2").unwrap();
         let p_star = parse_pred("a = 1 AND b = 3").unwrap();
-        let model = CostModel::default();
         let sites = vec![vec![1]];
         let r = Repair { sites: sites.clone(), fixes: vec![parse_pred("b = 3").unwrap()] };
-        assert!(model.lower_bound(&p, &p_star, &sites) <= model.cost(&p, &p_star, &r));
-        assert!(model.sites_only_bound(1) <= model.lower_bound(&p, &p_star, &sites));
+        assert!(lower_bound(&p, &p_star, &sites) <= repair_cost(&p, &p_star, &r));
+        assert!(sites_only_bound(1) <= lower_bound(&p, &p_star, &sites));
     }
 }

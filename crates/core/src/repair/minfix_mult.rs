@@ -285,7 +285,7 @@ pub fn min_fix_mult(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::cost::CostModel;
+    use crate::repair::cost::repair_cost;
     use crate::repair::derive_fixes::derive_fixes;
     use crate::repair::Repair;
     use qrhint_sqlparse::parse_pred;
@@ -343,9 +343,8 @@ mod tests {
         let opt_repair = apply_and_check(&p, &p_star, &sites, opt_fixes);
         let basic_fixes = derive_fixes(&mut o, &[], &p, &sites, &p_star, &p_star);
         let basic_repair = apply_and_check(&p, &p_star, &sites, basic_fixes);
-        let model = CostModel::default();
-        let c_opt = model.cost(&p, &p_star, &opt_repair);
-        let c_basic = model.cost(&p, &p_star, &basic_repair);
+        let c_opt = repair_cost(&p, &p_star, &opt_repair);
+        let c_basic = repair_cost(&p, &p_star, &basic_repair);
         assert!(
             c_opt <= c_basic,
             "OPT ({c_opt}) should not cost more than basic ({c_basic})"

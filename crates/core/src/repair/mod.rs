@@ -10,7 +10,7 @@ pub mod minfix_mult;
 pub mod repair_where;
 
 pub use bounds::{bounds_admit, create_bounds};
-pub use cost::{repair_cost, tree_size, CostModel};
+pub use cost::{repair_cost, tree_size};
 pub use derive_fixes::derive_fixes;
 pub use minfix::{min_fix, NormalForm};
 pub use minfix_mult::min_fix_mult;

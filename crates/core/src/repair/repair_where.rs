@@ -9,7 +9,7 @@
 //! completeness.
 
 use super::bounds::{bounds_admit, create_bounds};
-use super::cost::{tree_size, CostModel};
+use super::cost::{lower_bound, repair_cost, sites_only_bound, tree_size};
 use super::derive_fixes::derive_fixes;
 use super::minfix_mult::min_fix_mult;
 use super::{paths_disjoint, Repair};
@@ -18,10 +18,15 @@ use qrhint_sqlast::pred::PredPath;
 use qrhint_sqlast::Pred;
 use std::time::{Duration, Instant};
 
+/// Maximum number of repair sites to explore (the paper's experiments
+/// use 2).
+const MAX_SITES: usize = 2;
+
 /// Fix-derivation strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FixStrategy {
     /// `DeriveFixes` (Algorithm 3): faster, per-site bounds.
+    #[default]
     Basic,
     /// `DeriveFixesOPT` (`MinFixMult`): holistic, smaller fixes, slower.
     /// Falls back to `Basic` when resource caps are hit.
@@ -29,29 +34,13 @@ pub enum FixStrategy {
 }
 
 /// Configuration for the repair search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RepairConfig {
-    /// Maximum number of repair sites to explore (the paper's experiments
-    /// use 2).
-    pub max_sites: usize,
     pub strategy: FixStrategy,
-    pub cost: CostModel,
     /// Record every unpruned viable repair (for the Figure-4 traces).
     pub collect_trace: bool,
     /// Disable Algorithm 1's cost-bound early stopping (A1 ablation).
     pub disable_early_stop: bool,
-}
-
-impl Default for RepairConfig {
-    fn default() -> Self {
-        RepairConfig {
-            max_sites: 2,
-            strategy: FixStrategy::Basic,
-            cost: CostModel::default(),
-            collect_trace: false,
-            disable_early_stop: false,
-        }
-    }
 }
 
 /// One viable repair discovered during the search (Figure 4's dots).
@@ -141,19 +130,17 @@ pub fn repair_where(
     let p_star_id = oracle.lower_pred(p_star);
     oracle.counters.equiv_batches += 1;
 
-    'outer: for k in 1..=cfg.max_sites {
+    'outer: for k in 1..=MAX_SITES {
         // Early stop on site count alone (Line 4 of Algorithm 1).
-        if !cfg.disable_early_stop && cfg.cost.sites_only_bound(k) >= best_cost {
+        if !cfg.disable_early_stop && sites_only_bound(k) >= best_cost {
             break;
         }
         for sites in site_sets(p, k) {
             sets_examined += 1;
             // Sets are ordered by total site size; once the lower bound
             // passes the best cost, no set of this size can win.
-            if !cfg.disable_early_stop
-                && cfg.cost.lower_bound(p, p_star, &sites) >= best_cost
-            {
-                if cfg.cost.sites_only_bound(k + 1) >= best_cost {
+            if !cfg.disable_early_stop && lower_bound(p, p_star, &sites) >= best_cost {
+                if sites_only_bound(k + 1) >= best_cost {
                     break 'outer;
                 }
                 break;
@@ -198,7 +185,7 @@ pub fn repair_where(
             if !oracle.equiv_f(applied_id, p_star_id, &ctx_ids).is_true() {
                 continue;
             }
-            let cost = cfg.cost.cost(p, p_star, &candidate);
+            let cost = repair_cost(p, p_star, &candidate);
             if cfg.collect_trace {
                 trace.push(TraceEvent { elapsed: start.elapsed(), cost, nsites: k });
             }
@@ -302,12 +289,8 @@ mod tests {
             "(a = c AND (d <> e OR d > f)) OR (a = c AND (d > 11 OR d < 7 OR e <= 5))";
         let p_star_sql =
             "(a = c AND (e < 5 OR d > 10 OR d < 7)) OR (a = b AND (d <> e OR d > f))";
-        let basic_cfg = RepairConfig { max_sites: 2, ..Default::default() };
-        let opt_cfg = RepairConfig {
-            max_sites: 2,
-            strategy: FixStrategy::Optimized,
-            ..Default::default()
-        };
+        let basic_cfg = RepairConfig::default();
+        let opt_cfg = RepairConfig { strategy: FixStrategy::Optimized, ..Default::default() };
         let (p, p_star, out_b) = run(p_sql, p_star_sql, &basic_cfg);
         let (_, _, out_o) = run(p_sql, p_star_sql, &opt_cfg);
         assert_correct(&p, &p_star, &out_b);

@@ -1,128 +1,34 @@
 //! The stage runner: the WHERE → GROUP BY → HAVING → SELECT walk of
 //! §3.1, factored out of the old monolithic pipeline so the session layer
 //! ([`crate::session`]) can drive it with a fresh oracle per advise and
-//! its FROM group's stage memos.
+//! its FROM group's derivations.
 //!
-//! Each solver-backed stage is memoized by **every input its outcome
-//! depends on** (given the FROM group's fixed unified target and domain
-//! context). A tutoring session that re-advises after repairing a later
-//! stage therefore pays no solver work for the unchanged earlier stages —
-//! and because a memo hit requires the stage's exact inputs, the cached
-//! verdict is sound by construction: no monotonicity trust is involved,
-//! and a repair that *does* change an earlier stage's inputs (e.g. the
-//! structure fix rewriting HAVING) forces that stage to be re-checked.
-//! Nothing else reaches a stage's outcome: the oracle starts each advise
-//! empty, and the HAVING and SELECT stages clear its aggregate record
-//! before they emit axioms. So one memo serves every advise of the
-//! group, concurrent ones included; it is locked only to look up or
-//! insert an outcome, never while a stage runs.
+//! Every advise runs each stage it reaches; no stage outcome is stored.
+//! A tutoring session that re-advises after repairing a later stage
+//! therefore re-checks the unchanged earlier stages, and those
+//! re-checks cost no solver work: each check lowers its formulas
+//! into the target-shared [`crate::oracle::SolverContext`], whose
+//! interner gives structurally equal inputs equal ids, so an unchanged
+//! stage asks exactly the `(formula, context)` keys it asked before and
+//! the shared verdict cache answers them. Only checks that answered
+//! `Unknown`, which are never cached, run the solver again. A repair
+//! that *does* change an earlier stage's inputs (e.g. the structure fix
+//! rewriting HAVING) asks new keys, which the solver decides. No outcome
+//! depends on an earlier advise: the oracle starts each advise empty,
+//! and the HAVING and SELECT stages clear its aggregate record before
+//! they emit axioms.
 //!
 //! The FROM stage and table-mapping derivation stay in the session layer:
 //! the oracle and the unified target both depend on their result, and the
-//! session memoizes them per working-FROM binding.
-//!
-//! Stage memos key on the SQL-level inputs (predicates, expression
-//! lists); everything below them is interned — the ambient contexts this
-//! runner installs are `FormulaId` vectors into the target-shared
-//! [`crate::oracle::SolverContext`], and the per-check memoization lives
-//! in its shared verdict cache rather than in cloned formula trees.
+//! session derives the unified target once per FROM group.
 
 use crate::error::QrResult;
 use crate::hint::{Hint, Stage};
 use crate::mapping::TableMapping;
 use crate::oracle::{LowerEnv, Oracle};
 use crate::pipeline::{Advice, QrHintConfig};
-use crate::stages::groupby_stage::GroupByOutcome;
-use crate::stages::having_stage::HavingOutcome;
-use crate::stages::where_stage::WhereOutcome;
 use crate::stages::{groupby_stage, having_stage, select_stage, where_stage};
 use qrhint_sqlast::{Pred, Query, Scalar};
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::Mutex;
-
-/// Memo key for the WHERE stage: every part of the working query its
-/// outcome depends on. `group_by` feeds the movable-conjunct
-/// normalization; `distinct` and the aggregate mask decide SPJA-ness
-/// (`Query::is_spja`), which gates both sides' normalization.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct WhereKey {
-    where_pred: Pred,
-    having: Option<Pred>,
-    group_by: Vec<Scalar>,
-    distinct: bool,
-    select_has_agg: bool,
-}
-
-impl WhereKey {
-    fn of(q: &Query) -> WhereKey {
-        WhereKey {
-            where_pred: q.where_pred.clone(),
-            having: q.having.clone(),
-            group_by: q.group_by.clone(),
-            distinct: q.distinct,
-            select_has_agg: q.select.iter().any(|s| s.expr.has_aggregate()),
-        }
-    }
-}
-
-/// Memo key for the GROUP BY stage: the working GROUP BY list plus the
-/// working query's SPJA-ness (which decides the target-side WHERE/HAVING
-/// normalization that `reasoning_where` is built from). The target GROUP
-/// BY and domain context are fixed per FROM group.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct GroupByKey {
-    group_by: Vec<Scalar>,
-    work_is_spja: bool,
-}
-
-/// Memo key for the HAVING stage: the normalized working HAVING plus the
-/// working query's SPJA-ness (same reasoning as [`GroupByKey`]). The
-/// unified target, its normalized split, and the repair config are fixed
-/// per FROM group / session.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct HavingKey {
-    working_having: Pred,
-    work_is_spja: bool,
-}
-
-/// Per-FROM-group memos of stage outcomes, keyed by exact stage inputs:
-/// submissions (or tutoring steps) that share a stage's inputs pay its
-/// solver work once.
-#[derive(Default)]
-pub(crate) struct StageMemos {
-    where_memo: HashMap<WhereKey, WhereOutcome>,
-    groupby_memo: HashMap<GroupByKey, GroupByOutcome>,
-    having_memo: HashMap<HavingKey, HavingOutcome>,
-}
-
-impl StageMemos {
-    /// Resident memo entries across all stages (cache-size accounting
-    /// for [`crate::session::PreparedTarget::approx_cache_bytes`]).
-    pub(crate) fn len(&self) -> usize {
-        self.where_memo.len() + self.groupby_memo.len() + self.having_memo.len()
-    }
-}
-
-/// Look `key` up in the stage table `table` selects from `memos`; on a
-/// miss, `run` the stage and insert its outcome for later advises. The
-/// lock is held only to look up and to insert, neither of which can
-/// panic, so it is never poisoned; two advises that miss the same key at
-/// once both run the stage and insert equal outcomes.
-fn memoized<K: Eq + Hash, V: Clone>(
-    memos: &Mutex<StageMemos>,
-    table: fn(&mut StageMemos) -> &mut HashMap<K, V>,
-    key: K,
-    run: impl FnOnce() -> V,
-) -> V {
-    let lock = || memos.lock().expect("stage memos never poisoned");
-    if let Some(hit) = table(&mut lock()).get(&key) {
-        return hit.clone();
-    }
-    let out = run();
-    table(&mut lock()).insert(key, out.clone());
-    out
-}
 
 /// Everything the WHERE→SELECT walk needs. The oracle must be fresh and
 /// typed for the working query's FROM binding (and therefore also covers
@@ -139,22 +45,17 @@ pub(crate) struct StageInputs<'a> {
     pub domain_ctx: &'a [Pred],
     /// The table mapping the unification came from (reported in advice).
     pub mapping: &'a TableMapping,
-    /// Cross-submission stage memos for this FROM group.
-    pub memos: &'a Mutex<StageMemos>,
 }
 
 /// Run the checked stages on a working query whose FROM stage already
 /// passed, returning the first failing stage's advice.
 pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
-    let StageInputs { oracle, unified, q, cfg, domain_ctx, mapping, memos } = inp;
-    let work_is_spja = q.is_spja();
+    let StageInputs { oracle, unified, q, cfg, domain_ctx, mapping } = inp;
 
     // ---- Stage 2: WHERE (with SPJA look-ahead) ----
     let where_out = {
         let _span = qrhint_obs::span("stage:where");
-        memoized(memos, |m| &mut m.where_memo, WhereKey::of(q), || {
-            where_stage::check_where(oracle, unified, q, &cfg.repair, domain_ctx)
-        })
+        where_stage::check_where(oracle, unified, q, &cfg.repair, domain_ctx)
     };
     if !where_out.viable {
         let mut fixed = q.clone();
@@ -176,14 +77,14 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
                 sites: vec![crate::hint::SiteHint {
                     path: vec![],
                     current: q.where_pred.clone(),
-                    fix: where_out.target_where.clone(),
+                    fix: where_out.target_where,
                 }],
                 // Effectively infinite (whole-clause replacement), kept
                 // finite so advice serializes to valid, re-parseable JSON.
                 cost: f64::MAX,
             }]
         } else {
-            where_out.hints.clone()
+            where_out.hints
         };
         return Ok(Advice {
             stage: Stage::Where,
@@ -265,15 +166,12 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
         // ---- Stage 3: GROUP BY ----
         {
             let _span = qrhint_obs::span("stage:groupby");
-            let key = GroupByKey { group_by: q.group_by.clone(), work_is_spja };
-            let gb_out = memoized(memos, |m| &mut m.groupby_memo, key, || {
-                groupby_stage::fix_grouping(
-                    oracle,
-                    &reasoning_where,
-                    &q.group_by,
-                    &unified.group_by,
-                )
-            });
+            let gb_out = groupby_stage::fix_grouping(
+                oracle,
+                &reasoning_where,
+                &q.group_by,
+                &unified.group_by,
+            );
             if !gb_out.viable {
                 let fixed = groupby_stage::apply_grouping_fix(q, &unified.group_by, &gb_out);
                 return Ok(Advice {
@@ -288,17 +186,14 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
         {
             let _span = qrhint_obs::span("stage:having");
             let working_having = where_out.working_having.clone().unwrap_or(Pred::True);
-            let key = HavingKey { working_having: working_having.clone(), work_is_spja };
-            let hv_out = memoized(memos, |m| &mut m.having_memo, key, || {
-                having_stage::check_having(
-                    oracle,
-                    unified,
-                    &working_having,
-                    &reasoning_where,
-                    &target_having,
-                    &cfg.repair,
-                )
-            });
+            let hv_out = having_stage::check_having(
+                oracle,
+                unified,
+                &working_having,
+                &reasoning_where,
+                &target_having,
+                &cfg.repair,
+            );
             if !hv_out.viable {
                 let mut normalized = q.clone();
                 normalized.where_pred = where_out.working_where.clone();
@@ -323,7 +218,7 @@ pub(crate) fn run_stages(inp: StageInputs<'_>) -> QrResult<Advice> {
                         cost: f64::MAX,
                     }]
                 } else {
-                    hv_out.hints.clone()
+                    hv_out.hints
                 };
                 return Ok(Advice {
                     stage: Stage::Having,

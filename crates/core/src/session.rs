@@ -8,27 +8,29 @@
 //! call. This module amortizes all of that target-side work:
 //!
 //! * [`PreparedTarget`] — the target parsed, resolved and held ready,
-//!   with three per-target memo layers:
-//!   1. **FROM groups**: the unified target, domain context, and column
-//!      typing are derived once per (working FROM binding, table
-//!      mapping) pair and shared by every submission that matches.
-//!   2. **Stage memos**: each solver-backed stage (WHERE, GROUP BY,
-//!      HAVING) is memoized per FROM group by its exact inputs, so a
-//!      [`TutorSession`] step that repairs a later stage pays no solver
-//!      work for the unchanged earlier stages. A memo hit requires
-//!      identical stage inputs, so cached verdicts are sound by
-//!      construction.
-//!   3. **Advice cache**: identical resolved submissions (classrooms
+//!   with two per-target reuse layers:
+//!   1. **Advice cache**: identical resolved submissions (classrooms
 //!      produce many duplicate answers) are graded once. Every advise
 //!      consults it; [`SessionStats`] reports hits, misses and
 //!      occupancy.
+//!   2. **Shared verdict cache**: every solver check of every advise is
+//!      probed in the target's [`SolverContext`] first, so a check any
+//!      advise decided is never solved again (an `Unknown` answer is not
+//!      cached). This is the only store of graded work below the advice
+//!      cache: an advise runs every stage it reaches, and a
+//!      [`TutorSession`] step that repaired a later stage re-checks the
+//!      unchanged earlier stages from the verdict cache.
 //!
-//!   None of these layers, nor the shared solver context below, has a
-//!   bound of its own: they live as long as the target.
-//!   [`PreparedTarget::approx_cache_bytes`] accounts their bytes and
-//!   [`PreparedTarget::shed_caches`] drops them all at once, which is
-//!   how the `qr-hint serve` registry keeps resident targets within
-//!   its byte budget.
+//!   Beside them, **FROM groups** hold the immutable derivations of one
+//!   (working FROM binding, table mapping) pair: the unified target,
+//!   domain context, and column typing, derived once and shared by
+//!   every submission that matches.
+//!
+//!   Neither layer, nor the group map, has a bound of its own: they
+//!   live as long as the target. [`PreparedTarget::approx_cache_bytes`]
+//!   accounts their bytes and [`PreparedTarget::shed_caches`] drops both
+//!   caches at once, which is how the `qr-hint serve` registry keeps
+//!   resident targets within its byte budget.
 //! * [`PreparedTarget::grade_batch`] / [`PreparedTarget::grade_batch_parallel`]
 //!   — classroom-scale bulk grading, sequential or fanned out over a
 //!   scoped worker pool ([`crate::parallel`]).
@@ -44,7 +46,8 @@
 //!
 //! * The **group map** (FROM binding + table mapping → `FromGroup`)
 //!   sits behind an `RwLock`: lookups of existing groups take the read
-//!   lock only, so submissions in distinct memo groups never contend.
+//!   lock only, so submissions in distinct groups never contend. A
+//!   group is immutable once created, so advises share it with no lock.
 //!   Group *creation* derives the unified target, domain context and
 //!   typing outside the write lock; a racing creator for the same key
 //!   simply drops its copy and reuses the winner's.
@@ -55,13 +58,6 @@
 //!   still grades in parallel, and no advise inherits another's oracle
 //!   state. A panic while grading drops the oracle with the unwinding
 //!   stack and leaves nothing behind to poison.
-//! * Each group keeps **one stage memo** behind a `Mutex` that is held
-//!   only to look up or insert an outcome, never while a stage runs.
-//!   Every advise of the group reads and fills it: a stage outcome is a
-//!   function of its memo key alone (the oracle starts each advise
-//!   empty, and the HAVING and SELECT stages clear its aggregate record
-//!   before they emit axioms), so a hit returns exactly what the advise
-//!   would have computed itself.
 //! * Every advise interns formulas into — and **shares solver verdicts
 //!   through** — one target-wide [`SolverContext`]: a sharded
 //!   `(formula, context) → verdict` table keyed by interned ids, so a
@@ -115,7 +111,7 @@ use crate::hint::Stage;
 use crate::mapping::{table_mapping, unify_target, TableMapping};
 use crate::oracle::{Oracle, OracleCounters, SolverContext, TypeEnv};
 use crate::pipeline::{Advice, QrHintConfig};
-use crate::runner::{run_stages, StageInputs, StageMemos};
+use crate::runner::{run_stages, StageInputs};
 use crate::stages::from_stage;
 use qrhint_sqlast::{resolve::resolve_query, Pred, Query, Schema};
 use qrhint_sqlparse::{parse_query, parse_query_extended, FlattenOptions};
@@ -147,9 +143,9 @@ pub struct SessionStats {
     /// [`PreparedTarget::approx_cache_bytes`]).
     pub advice_cache_bytes: u64,
     /// Distinct (working-FROM binding, table mapping) pairs seen (each
-    /// owns one memo group).
+    /// owns one FROM group).
     pub from_groups: u64,
-    /// Calls that reused an existing FROM group's memoized derivations.
+    /// Calls that reused an existing FROM group's derivations.
     pub mapping_reuses: u64,
     /// Solver checks issued across all advises' oracles, accumulated as
     /// each advise completes.
@@ -160,10 +156,6 @@ pub struct SessionStats {
     /// advise of every FROM group probes one sharded table; see
     /// [`crate::oracle::SolverContext`]).
     pub verdict_cache_hits: u64,
-    /// Of those hits, how many reused a verdict *another* advise paid
-    /// for, earlier or concurrently, on any thread (each advise has its
-    /// own oracle, and a verdict records the oracle that decided it).
-    pub verdict_cache_cross_thread_hits: u64,
     /// Shared-verdict-cache misses (each one ran the real solver).
     pub verdict_cache_misses: u64,
     /// Shared-verdict entries dropped by [`PreparedTarget::shed_caches`]
@@ -254,7 +246,6 @@ impl AtomicStats {
             solver_calls: o.solver_calls,
             diagnostics_emitted: self.diagnostics_emitted.load(Ordering::Relaxed),
             verdict_cache_hits: o.verdict_hits,
-            verdict_cache_cross_thread_hits: o.verdict_cross_hits,
             verdict_cache_misses: o.verdict_misses,
             verdict_cache_evictions: self.verdict_cache_evictions.load(Ordering::Relaxed),
             verdict_cache_entries: 0,
@@ -275,12 +266,11 @@ impl AtomicStats {
     }
 }
 
-/// Per-(FROM-binding, table-mapping) memoized derivations. Submissions
-/// sharing both are compared against the identical unified target, so
-/// the immutable fields are shared lock-free by every concurrent advise
-/// in the group; the binding fixes the column typing, so every advise's
-/// oracle types the group's columns alike, and the stage memo is sound
-/// across the group.
+/// Per-(FROM-binding, table-mapping) derivations. Submissions sharing
+/// both are compared against the identical unified target, so a group
+/// is built once, never changes, and is shared lock-free by every
+/// concurrent advise in it; the binding fixes the column typing, so
+/// every advise's oracle types the group's columns alike.
 ///
 /// The table mapping itself is *recomputed per submission* (cheap and
 /// solver-free) rather than cached by binding: for self-join targets,
@@ -294,27 +284,14 @@ struct FromGroup {
     domain_ctx: Vec<Pred>,
     /// Column typing fixed by the binding; types each advise's oracle.
     types: Arc<TypeEnv>,
-    /// The group's stage memo, shared by every advise in it (see
-    /// [`crate::runner`] for the locking).
-    memos: Mutex<StageMemos>,
 }
 
-impl FromGroup {
-    /// Resident stage-memo entries (the lock is held only to count,
-    /// which cannot panic).
-    fn memo_entries(&self) -> usize {
-        self.memos.lock().expect("stage memos never poisoned").len()
-    }
-}
-
-/// Byte estimates for the cache-accounting API
-/// ([`PreparedTarget::approx_cache_bytes`]): per-entry costs of the
-/// structures we do not walk exactly. Deliberately coarse — the point is
-/// that a registry's byte budget *scales with real usage*, not that the
-/// number matches the allocator. The shared interner and verdict cache
-/// carry their own accounting ([`SolverContext::approx_bytes`]); these
-/// constants cover the groups and their stage memos.
-const STAGE_MEMO_ENTRY_BYTES: usize = 512;
+/// Byte estimate of one FROM group for the cache-accounting API
+/// ([`PreparedTarget::approx_cache_bytes`]). Deliberately coarse — the
+/// point is that a registry's byte budget *scales with real usage*, not
+/// that the number matches the allocator. The shared interner and
+/// verdict cache carry their own accounting
+/// ([`SolverContext::approx_bytes`]).
 const GROUP_BASE_BYTES: usize = 2048;
 
 /// The whole-advice duplicate cache: resolved submission → (advice,
@@ -345,7 +322,7 @@ type FromBinding = BTreeMap<String, String>;
 type FromKey = (FromBinding, TableMapping);
 
 /// A target query compiled for advise-many grading: parsed, resolved,
-/// and carrying the per-target memo layers and sharded concurrency
+/// and carrying the per-target reuse layers and sharded concurrency
 /// state described in the [module docs](self).
 ///
 /// Construct via [`crate::QrHint::compile_target`] (SQL) or
@@ -475,7 +452,7 @@ impl PreparedTarget {
     }
 
     /// Advise on one resolved working query: the first failing stage's
-    /// hints, with every memo layer engaged.
+    /// hints, with every reuse layer engaged.
     pub fn advise(&self, q: &Query) -> QrResult<Advice> {
         let _span = qrhint_obs::span("advise");
         self.stats.advise_calls.fetch_add(1, Ordering::Relaxed);
@@ -520,7 +497,6 @@ impl PreparedTarget {
                 cfg: &self.cfg,
                 domain_ctx: &group.domain_ctx,
                 mapping: &group.mapping,
-                memos: &group.memos,
             });
             *self.stats.oracle.lock().expect("oracle totals never poisoned") += oracle.counters;
             advice?
@@ -541,8 +517,8 @@ impl PreparedTarget {
     ///
     /// Result `i` always corresponds to submission `i`, and every
     /// advice is identical to what the sequential path produces —
-    /// grading is deterministic, and the sharded memo state never
-    /// changes answers (see the [module docs](self)). `jobs <= 1`
+    /// grading is deterministic, and the shared caches never change
+    /// answers (see the [module docs](self)). `jobs <= 1`
     /// degrades to the sequential loop on the calling thread.
     pub fn grade_batch_parallel<S: AsRef<str> + Sync>(
         &self,
@@ -565,7 +541,7 @@ impl PreparedTarget {
         Ok(self.tutor(self.prepare(working_sql)?))
     }
 
-    /// Look up (read lock only) or create the memo group for `key`.
+    /// Look up (read lock only) or create the FROM group for `key`.
     ///
     /// Creation derives the group's immutable state *outside* the write
     /// lock — it is solver-free (alias unification, domain-context
@@ -582,13 +558,7 @@ impl PreparedTarget {
         let unified = unify_target(&self.target, &mapping);
         let domain_ctx = self.schema.domain_context(q);
         let types = Arc::new(TypeEnv::from_queries(&self.schema, &[&unified, q]));
-        let fresh = Arc::new(FromGroup {
-            mapping,
-            unified,
-            domain_ctx,
-            types,
-            memos: Mutex::new(StageMemos::default()),
-        });
+        let fresh = Arc::new(FromGroup { mapping, unified, domain_ctx, types });
         match self.groups.write().unwrap().entry(key) {
             std::collections::hash_map::Entry::Occupied(o) => {
                 self.stats.mapping_reuses.fetch_add(1, Ordering::Relaxed);
@@ -615,26 +585,22 @@ impl PreparedTarget {
         self.stats.advice_cache_bytes.store(cache.bytes as u64, Ordering::Relaxed);
     }
 
-    /// Approximate bytes held by this target's rebuildable caches: the
-    /// advice cache (exact per-entry estimates), the shared solver
-    /// context (interner tables + shared verdict cache, self-accounted),
-    /// and every FROM group with its stage memo (estimated per entry).
-    /// The `qr-hint serve` registry steers its byte-budget eviction with
-    /// this number.
+    /// Approximate bytes held by this target's caches: the advice cache
+    /// (exact per-entry estimates), the shared solver context (interner
+    /// tables + shared verdict cache, self-accounted), and the FROM
+    /// groups (a fixed estimate each). The `qr-hint serve` registry
+    /// steers its byte-budget eviction with this number.
     pub fn approx_cache_bytes(&self) -> usize {
-        let mut total = self.stats.advice_cache_bytes.load(Ordering::Relaxed) as usize;
-        total += self.solver_context().approx_bytes();
-        for group in self.groups.read().unwrap().values() {
-            total += GROUP_BASE_BYTES + group.memo_entries() * STAGE_MEMO_ENTRY_BYTES;
-        }
-        total
+        self.stats.advice_cache_bytes.load(Ordering::Relaxed) as usize
+            + self.solver_context().approx_bytes()
+            + self.groups.read().unwrap().len() * GROUP_BASE_BYTES
     }
 
-    /// Drop every rebuildable cache — the whole-advice cache, the shared
-    /// solver context (interner tables **and** the shared verdict
-    /// cache), and each FROM group's stage memo — while keeping the
-    /// compiled target and the groups' immutable derivations (unified
-    /// target, domain context, typing). Returns the approximate bytes
+    /// Drop every rebuildable cache — the whole-advice cache and the
+    /// shared solver context (interner tables **and** the shared verdict
+    /// cache) — while keeping the compiled target and the FROM groups'
+    /// immutable derivations (unified target, domain context, typing).
+    /// Returns the approximate bytes
     /// freed, interner included, so the server registry's byte budget
     /// stays truthful after shedding. This is the only path that removes
     /// cache entries; the advice and verdict entries it drops are counted
@@ -647,10 +613,9 @@ impl PreparedTarget {
     /// both. Safe under concurrent grading: the context is *swapped*,
     /// not drained — an in-flight advise keeps its oracle and the old
     /// context alive until it finishes, and its interned ids stay
-    /// valid. A stage outcome it memoizes after the shed is still
-    /// right: outcomes are SQL-level and do not depend on the context.
+    /// valid.
     pub fn shed_caches(&self) -> usize {
-        let mut freed = {
+        let freed = {
             let mut cache = self.advice_cache.write().unwrap();
             let freed = cache.bytes;
             let dropped = cache.map.len() as u64;
@@ -665,12 +630,7 @@ impl PreparedTarget {
         self.stats
             .verdict_cache_evictions
             .fetch_add(old.verdicts.entries() as u64, Ordering::Relaxed);
-        freed += old.approx_bytes();
-        for group in self.groups.read().unwrap().values() {
-            let mut memos = group.memos.lock().expect("stage memos never poisoned");
-            freed += std::mem::take(&mut *memos).len() * STAGE_MEMO_ENTRY_BYTES;
-        }
-        freed
+        freed + old.approx_bytes()
     }
 }
 
@@ -678,12 +638,13 @@ impl PreparedTarget {
 /// advise → apply-fix loop of the paper's user study, one stage
 /// interaction per [`TutorSession::step`].
 ///
-/// After a stage's repair is applied, the next step's walk re-verifies
-/// the earlier stages through the prepared target's per-stage memos:
-/// stages whose inputs the repair left unchanged cost no solver work
-/// (their memoized outcome is reused), while a repair that *did* touch
-/// an earlier stage's clauses triggers a genuine re-check — so a
-/// session's final `Done` is always a fully verified equivalence.
+/// After a stage's repair is applied, the next step's walk re-checks
+/// every earlier stage. An unchanged stage is re-checked from the
+/// prepared target's shared verdict cache, and only checks that
+/// answered `Unknown` run the solver again; a repair that *did* touch
+/// an earlier stage's clauses asks new checks, which the solver decides
+/// — so a session's final `Done` is always a fully verified
+/// equivalence.
 /// [`TutorSession::revise`] accepts an arbitrary user-written revision
 /// in place of the suggested fix.
 pub struct TutorSession<'a> {
@@ -718,10 +679,10 @@ impl TutorSession<'_> {
     }
 
     /// One interaction: advise on the current working query (unchanged
-    /// stages are memo hits) and auto-apply the suggested repair, as the
-    /// simulated user of the experiments does. Returns the advice. Once
-    /// the session is `Done`, further steps return the final advice
-    /// unchanged.
+    /// stages are re-checked from the verdict cache) and auto-apply the
+    /// suggested repair, as the simulated user of the experiments does.
+    /// Returns the advice. Once the session is `Done`, further steps
+    /// return the final advice unchanged.
     pub fn step(&mut self) -> QrResult<Advice> {
         if self.done {
             if let Some(last) = self.trail.last() {
@@ -1067,7 +1028,7 @@ mod tests {
     }
 
     #[test]
-    fn tutor_session_converges_with_stage_memos() {
+    fn tutor_session_converges_to_a_verified_done() {
         let qr = QrHint::new(beers_schema());
         let prepared = qr
             .compile_target(
@@ -1093,7 +1054,7 @@ mod tests {
 
     #[test]
     fn self_join_submissions_with_swapped_roles_grade_independently() {
-        // Regression: the memo group used to cache the table mapping by
+        // Regression: the FROM group used to cache the table mapping by
         // FROM binding alone, but self-join alias alignment depends on
         // each submission's predicates — a correct answer with the alias
         // roles swapped relative to an earlier submission was misgraded.
@@ -1168,28 +1129,23 @@ mod tests {
     }
 
     #[test]
-    fn advises_of_one_group_share_its_stage_memo() {
-        // Two submissions with one WHERE stage input: the second advise's
-        // own oracle runs no solver check, because the group's memo
-        // already holds the WHERE outcome the first advise computed.
+    fn rechecking_one_where_input_only_hits_the_verdict_cache() {
+        // Two submissions with one WHERE stage input: the second advise
+        // runs the WHERE stage again with its own oracle, and each check
+        // it asks is one the first advise decided, so the shared verdict
+        // cache answers every one and the solver runs none.
         let qr = QrHint::new(beers_schema());
         let prepared = qr.compile_target(TARGET).unwrap();
         let first = prepared.advise_sql("SELECT s.bar FROM Serves s WHERE s.price > 3").unwrap();
-        let calls = prepared.stats().solver_calls;
-        assert!(calls > 0);
+        let before = prepared.stats();
+        assert!(before.verdict_cache_misses > 0, "{before:?}");
+        assert_eq!(before.unknown_verdicts, 0, "{before:?}");
         let second = prepared.advise_sql("SELECT s.beer FROM Serves s WHERE s.price > 3").unwrap();
+        let after = prepared.stats();
         assert_eq!((first.stage, second.stage), (Stage::Where, Stage::Where));
-        assert_eq!(prepared.stats().solver_calls, calls, "WHERE outcome reused");
-        let group = {
-            let groups = prepared.groups.read().unwrap();
-            assert_eq!(groups.len(), 1);
-            Arc::clone(groups.values().next().unwrap())
-        };
-        assert_eq!(group.memo_entries(), 1);
-        let before = prepared.approx_cache_bytes();
-        assert!(prepared.shed_caches() >= STAGE_MEMO_ENTRY_BYTES);
-        assert_eq!(group.memo_entries(), 0, "shed clears the group memo");
-        assert!(prepared.approx_cache_bytes() < before);
+        assert_eq!((after.from_groups, after.advice_cache_hits), (1, 0), "{after:?}");
+        assert!(after.verdict_cache_hits > before.verdict_cache_hits, "{after:?}");
+        assert_eq!(after.verdict_cache_misses, before.verdict_cache_misses, "{after:?}");
     }
 
     #[test]

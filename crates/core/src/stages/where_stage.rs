@@ -116,11 +116,7 @@ pub fn normalize_split(q: &Query) -> (Pred, Option<Pred>) {
 /// the pair `(target_where, target_having)` the later stages compare
 /// against. The working query's normalized split is obtained by calling
 /// [`normalize_split`] on it directly.
-pub fn rewrite_target_split(
-    _oracle: &mut Oracle,
-    q_star: &Query,
-    q: &Query,
-) -> (Pred, Option<Pred>) {
+pub fn rewrite_target_split(q_star: &Query, q: &Query) -> (Pred, Option<Pred>) {
     if !q_star.is_spja() || !q.is_spja() {
         return (q_star.where_pred.clone(), q_star.having.clone());
     }
@@ -144,7 +140,7 @@ pub fn check_where(
     domain_ctx: &[Pred],
 ) -> WhereOutcome {
     let ctx: Vec<&Pred> = domain_ctx.iter().collect();
-    let (target_where, target_having) = rewrite_target_split(oracle, q_star, q);
+    let (target_where, target_having) = rewrite_target_split(q_star, q);
     let (working_where, working_having) = if q_star.is_spja() && q.is_spja() {
         normalize_split(q)
     } else {
@@ -224,7 +220,7 @@ mod tests {
             &test_schema(),
             &[&unified, &q],
         );
-        let (tw, th) = rewrite_target_split(&mut oracle, &unified, &q);
+        let (tw, th) = rewrite_target_split(&unified, &q);
         // The HAVING condition moved into WHERE…
         let printed = tw.to_string();
         assert!(printed.contains("drinker = 'Amy'"), "{printed}");
@@ -301,8 +297,7 @@ mod tests {
             "SELECT s.bar, COUNT(*) FROM Serves s GROUP BY s.bar",
         )
         .unwrap();
-        let mut oracle = Oracle::for_queries(&test_schema(), &[&q_star, &q]);
-        let (tw, _) = rewrite_target_split(&mut oracle, &q_star, &q);
+        let (tw, _) = rewrite_target_split(&q_star, &q);
         assert!(tw.to_string().contains("price > 3"));
     }
 }

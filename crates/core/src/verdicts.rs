@@ -53,11 +53,7 @@ pub(crate) struct VerdictKey {
 
 #[derive(Default)]
 struct Shard {
-    /// Each verdict with the id of the oracle that paid for it. Each
-    /// advise has its own oracle, so a hit by another id is a
-    /// cross-advise hit
-    /// ([`crate::session::SessionStats::verdict_cache_cross_thread_hits`]).
-    map: HashMap<VerdictKey, (TriBool, u64)>,
+    map: HashMap<VerdictKey, TriBool>,
     bytes: usize,
 }
 
@@ -80,20 +76,19 @@ impl VerdictCache {
         &self.shards[(h.finish() as usize) % STRIPES]
     }
 
-    /// Probe; a hit reports the verdict together with the oracle id
-    /// that inserted it.
-    pub fn get(&self, key: &VerdictKey) -> Option<(TriBool, u64)> {
+    /// Probe for a cached verdict.
+    pub fn get(&self, key: &VerdictKey) -> Option<TriBool> {
         self.shard_of(key).read().unwrap().map.get(key).copied()
     }
 
     /// Insert a definitive verdict. Racing inserts for the same key are
     /// harmless: the verdict is deterministic, so both writers store the
     /// same value, and the byte estimate counts the key once.
-    pub fn insert(&self, key: VerdictKey, verdict: TriBool, owner: u64) {
+    pub fn insert(&self, key: VerdictKey, verdict: TriBool) {
         debug_assert_ne!(verdict, TriBool::Unknown, "only definitive verdicts are cached");
         let bytes = entry_bytes(key.ctx.len());
         let mut shard = self.shard_of(&key).write().unwrap();
-        if shard.map.insert(key, (verdict, owner)).is_none() {
+        if shard.map.insert(key, verdict).is_none() {
             shard.bytes += bytes;
         }
     }
@@ -130,12 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn get_after_insert_round_trips_with_owner() {
+    fn get_after_insert_round_trips() {
         let cache = VerdictCache::default();
         let k = key(0, &[1, 2]);
         assert!(cache.get(&k).is_none());
-        cache.insert(k.clone(), TriBool::False, 7);
-        assert_eq!(cache.get(&k), Some((TriBool::False, 7)));
+        cache.insert(k.clone(), TriBool::False);
+        assert_eq!(cache.get(&k), Some(TriBool::False));
         assert_eq!(cache.entries(), 1);
         assert!(cache.bytes() > 0);
     }
@@ -143,20 +138,20 @@ mod tests {
     #[test]
     fn distinct_contexts_are_distinct_keys() {
         let cache = VerdictCache::default();
-        cache.insert(key(0, &[1]), TriBool::True, 1);
+        cache.insert(key(0, &[1]), TriBool::True);
         assert!(cache.get(&key(0, &[2])).is_none());
         assert!(cache.get(&key(0, &[])).is_none());
-        assert_eq!(cache.get(&key(0, &[1])), Some((TriBool::True, 1)));
+        assert_eq!(cache.get(&key(0, &[1])), Some(TriBool::True));
     }
 
     #[test]
     fn racing_reinserts_count_their_bytes_once() {
         let cache = VerdictCache::default();
         let k = key(0, &[1]);
-        cache.insert(k.clone(), TriBool::True, 1);
+        cache.insert(k.clone(), TriBool::True);
         let bytes = cache.bytes();
-        cache.insert(k.clone(), TriBool::True, 2);
+        cache.insert(k.clone(), TriBool::True);
         assert_eq!((cache.entries(), cache.bytes()), (1, bytes));
-        assert_eq!(cache.get(&k), Some((TriBool::True, 2)));
+        assert_eq!(cache.get(&k), Some(TriBool::True));
     }
 }

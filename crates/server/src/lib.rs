@@ -8,9 +8,9 @@
 //! against a stream of student submissions. The CLI pays target
 //! compilation on every process start; this subsystem makes the
 //! prepared target *resident*: register once, then every
-//! advise/grade request rides the session layer's memo state — FROM
-//! groups, solver verdict caches, stage memos, and the advice cache —
-//! at its hottest.
+//! advise/grade request rides the session layer's warm state — FROM
+//! groups, the shared solver verdict cache, and the advice cache — at
+//! its hottest.
 //!
 //! ## API
 //!

@@ -53,7 +53,6 @@ pub const SESSION_GAUGES: &[(&str, &str)] = &[
     ("solver_calls", "Solver checks issued, summed over resident targets."),
     ("diagnostics_emitted", "Analyzer diagnostics emitted, summed over resident targets."),
     ("verdict_cache_hits", "Shared verdict-cache hits, summed over resident targets."),
-    ("verdict_cache_cross_thread_hits", "Verdict hits paid for by another advise, summed over resident targets."),
     ("verdict_cache_misses", "Shared verdict-cache misses, summed over resident targets."),
     ("verdict_cache_evictions", "Shared-verdict entries dropped by cache sheds, summed over resident targets."),
     ("verdict_cache_entries", "Resident shared-verdict entries, summed over resident targets."),

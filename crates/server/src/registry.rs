@@ -7,8 +7,7 @@
 //! 1. **Shed** ([`qrhint_core::PreparedTarget::shed_caches`]) — when the
 //!    registry's *byte budget* is exceeded, the least-recently-used
 //!    targets drop their rebuildable caches (advice cache, the shared
-//!    interner + verdict cache, stage memos) but keep the compiled
-//!    target. The freed bytes include the interner tables, so the
+//!    interner + verdict cache) but keep the compiled target. The freed bytes include the interner tables, so the
 //!    budget arithmetic stays truthful after shedding. The next request
 //!    re-pays solver time, not compilation.
 //! 2. **Drop** — when the *entry capacity* is exceeded (or shedding

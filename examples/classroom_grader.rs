@@ -8,9 +8,10 @@
 //! are graded against the prepared target through
 //! [`PreparedTarget::grade_batch_parallel`] — every advise grades with
 //! its own oracle, so the batch fans out over one worker per available
-//! core while sharing the target's memoized table mappings, per-group
-//! stage outcomes and solver verdicts. Hinted submissions then replay
-//! the full tutoring loop (sequentially; it reuses the warm memos).
+//! core while sharing the target's FROM groups and solver verdicts.
+//! Hinted submissions then replay the full tutoring loop (sequentially;
+//! its re-checks of unchanged stages are answered by the warm verdict
+//! cache).
 //!
 //! Run with: `cargo run --release --example classroom_grader`
 
@@ -79,8 +80,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
                 println!();
             }
-            // The tutoring replay rides the warm memo layers the batch
-            // just populated.
+            // The tutoring replay rides the warm caches the batch just
+            // populated.
             let working = target.prepare(sql)?;
             let (_, trail) = target.tutor(working).run_to_completion()?;
             if trail.last().map(|a| a.is_equivalent()).unwrap_or(false) {

@@ -24,9 +24,9 @@
 //! going until the working query is equivalent to the target (showing
 //! every hint on the way). **grade** compiles the target once and grades
 //! every `*.sql` file in a submissions directory — the classroom batch
-//! mode, backed by [`PreparedTarget`]'s memoization. `--jobs N` fans the
-//! batch out over N worker threads against the one shared prepared
-//! target (its memo state is sharded for concurrent grading); output is
+//! mode, backed by [`PreparedTarget`]'s shared caches. `--jobs N` fans
+//! the batch out over N worker threads against the one shared prepared
+//! target (its caches are sharded for concurrent grading); output is
 //! identical to `--jobs 1`, in the same submission order. `--jobs 0` or
 //! `--jobs auto` uses `std::thread::available_parallelism`.
 //!
@@ -47,7 +47,7 @@
 //!
 //! **serve** runs the long-lived grading daemon (see `qrhint-server`):
 //! targets are registered over HTTP and stay hot — compiled once,
-//! advice/grade requests ride the session layer's memo state. The first
+//! advice/grade requests ride the session layer's warm caches. The first
 //! stdout line is `qr-hint serving on http://ADDR` (with the resolved
 //! ephemeral port for `--addr ...:0`); `POST /shutdown` drains
 //! gracefully. Per-request access logs (request id, route, status,
@@ -816,7 +816,7 @@ fn run_grade(args: &Args) -> Result<u8, CliError> {
         return Err(CliError::internal(format!("no *.sql submissions in {dir}")));
     }
 
-    // The prepared target's memo state is sharded for concurrency, so
+    // The prepared target's caches are sharded for concurrency, so
     // the workers share it directly; results come back in file order
     // and are identical to the sequential (`--jobs 1`) output.
     let jobs = qrhint_core::parallel::resolve_jobs(args.jobs);

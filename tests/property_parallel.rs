@@ -2,8 +2,8 @@
 //! duplicate-heavy submission batches grade identically under
 //! [`PreparedTarget::grade_batch`] and
 //! [`PreparedTarget::grade_batch_parallel`] — the advice-cache read
-//! path and the shared group stage memos must never change an answer,
-//! only the wall-clock.
+//! path and the verdicts concurrent advises share must never change an
+//! answer, only the wall-clock.
 
 use proptest::prelude::*;
 use qr_hint::prelude::*;
