@@ -22,9 +22,9 @@
 //!
 //! The deployment shape is one hidden target graded against many student
 //! submissions. [`QrHint::compile_target`] does the target-side work once
-//! (parse, resolve, and — per working-FROM binding — table mapping,
-//! unification and solver setup); the returned [`session::PreparedTarget`]
-//! then grades each submission incrementally:
+//! (parse and resolve, and one solver context whose verdicts every
+//! advise shares); the returned [`session::PreparedTarget`] then grades
+//! each submission incrementally:
 //!
 //! ```
 //! use qrhint_core::{QrHint, Stage};

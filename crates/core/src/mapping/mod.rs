@@ -27,8 +27,9 @@ pub fn table_mapping(q_star: &Query, q: &Query) -> Option<TableMapping> {
         return None;
     }
     let mut mapping = TableMapping::new();
-    let classes_star = equivalence_classes(q_star);
-    let classes_work = equivalence_classes(q);
+    // Only self-joins consult signatures, so most submissions never
+    // build the equivalence classes.
+    let mut classes = None;
     for (table, _) in q_star.table_multiset() {
         let aliases_star = q_star.aliases_of(&table);
         let aliases_work = q.aliases_of(&table);
@@ -38,13 +39,15 @@ pub fn table_mapping(q_star: &Query, q: &Query) -> Option<TableMapping> {
             continue;
         }
         // Self-join: signature similarity matrix + perfect matching.
+        let (classes_star, classes_work) =
+            &*classes.get_or_insert_with(|| (equivalence_classes(q_star), equivalence_classes(q)));
         let sigs_star: Vec<TableSignature> = aliases_star
             .iter()
-            .map(|a| table_signature(q_star, a, &classes_star))
+            .map(|a| table_signature(q_star, a, classes_star))
             .collect();
         let sigs_work: Vec<TableSignature> = aliases_work
             .iter()
-            .map(|a| table_signature(q, a, &classes_work))
+            .map(|a| table_signature(q, a, classes_work))
             .collect();
         let n = aliases_star.len();
         let mut weight = vec![vec![0.0f64; n]; n];

@@ -338,9 +338,9 @@ struct LowerState {
     interner: Interner,
     pool: VarPool,
     /// `(column, tuple-tag, sort)` → variable. The sort is part of the
-    /// key because different FROM groups of one target can bind the same
-    /// alias to different tables: conflicting sorts must never share a
-    /// variable.
+    /// key because different submissions to one target can bind the
+    /// same alias to different tables: conflicting sorts must never
+    /// share a variable.
     col_vars: BTreeMap<(ColRef, u8, Sort), VarId>,
     agg_vars: BTreeMap<(AggKey, Sort), VarId>,
 }
@@ -489,7 +489,7 @@ impl AddAssign for OracleCounters {
 pub struct Oracle {
     pub solver: Solver,
     ctx: Arc<SolverContext>,
-    types: Arc<TypeEnv>,
+    types: TypeEnv,
     /// Aggregate keys **this oracle** interned since its ambient state
     /// was last cleared. Axiom generation iterates this private record,
     /// not the shared table, so a stage's axiom set never depends on
@@ -519,11 +519,11 @@ impl Oracle {
     /// tests). A session's advises share one context via
     /// [`Oracle::with_context`].
     pub fn new(types: TypeEnv) -> Oracle {
-        Oracle::with_context(Arc::new(types), Arc::default())
+        Oracle::with_context(types, Arc::default())
     }
 
     /// Oracle bound to a shared interning/verdict context.
-    pub fn with_context(types: Arc<TypeEnv>, ctx: Arc<SolverContext>) -> Oracle {
+    pub fn with_context(types: TypeEnv, ctx: Arc<SolverContext>) -> Oracle {
         Oracle {
             solver: Solver::default(),
             ctx,
@@ -1617,8 +1617,8 @@ mod tests {
         // check is a read-path hit, not a solver call.
         let p = parse_pred("t.a > 1 AND t.a < 0").unwrap();
         let shared = Arc::new(SolverContext::default());
-        let types = Arc::new(TypeEnv::infer_from_preds(&[&p]));
-        let mut o1 = Oracle::with_context(Arc::clone(&types), Arc::clone(&shared));
+        let types = TypeEnv::infer_from_preds(&[&p]);
+        let mut o1 = Oracle::with_context(types.clone(), Arc::clone(&shared));
         let mut o2 = Oracle::with_context(types, Arc::clone(&shared));
         assert_eq!(o1.sat_pred(&p, &[]), TriBool::False);
         assert_eq!(o1.counters.verdict_misses, 1);
@@ -1638,8 +1638,8 @@ mod tests {
         let where_pred = parse_pred("r.a > 100").unwrap();
         let having = parse_pred("MAX(r.a) >= 101").unwrap();
         let shared = Arc::new(SolverContext::default());
-        let types = Arc::new(TypeEnv::infer_from_preds(&[&where_pred, &having]));
-        let mut o1 = Oracle::with_context(Arc::clone(&types), Arc::clone(&shared));
+        let types = TypeEnv::infer_from_preds(&[&where_pred, &having]);
+        let mut o1 = Oracle::with_context(types.clone(), Arc::clone(&shared));
         let mut o2 = Oracle::with_context(types, Arc::clone(&shared));
         let _ = o1.lower_pred_env(&having, &LowerEnv::plain());
         assert!(!o1.aggregate_axioms(&where_pred).is_empty());

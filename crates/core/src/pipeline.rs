@@ -7,7 +7,7 @@
 //! compatibility wrappers over the session layer ([`crate::session`]):
 //! compile the target once with [`QrHint::compile_target`] when grading
 //! many submissions or tutoring interactively — the session amortizes
-//! target-side parsing, table-mapping derivation, and solver work.
+//! target-side parsing and resolution, and solver work.
 //! The stage walk itself lives in the crate-private `runner` module.
 
 use crate::error::QrResult;
@@ -74,6 +74,20 @@ impl Advice {
     }
 }
 
+/// Parse `sql` with the single-block parser (`front_end` `None`) or the
+/// multi-block front end, then resolve it against `schema`.
+pub(crate) fn parse_resolve(
+    schema: &Schema,
+    sql: &str,
+    front_end: Option<&FlattenOptions>,
+) -> QrResult<Query> {
+    let q = match front_end {
+        Some(opts) => parse_query_extended(sql, opts)?,
+        None => parse_query(sql)?,
+    };
+    Ok(resolve_query(schema, &q)?)
+}
+
 impl QrHint {
     pub fn new(schema: Schema) -> QrHint {
         QrHint { schema, cfg: QrHintConfig::default() }
@@ -89,8 +103,7 @@ impl QrHint {
 
     /// Parse and resolve a query against the session schema.
     pub fn prepare(&self, sql: &str) -> QrResult<Query> {
-        let q = parse_query(sql)?;
-        Ok(resolve_query(&self.schema, &q)?)
+        parse_resolve(&self.schema, sql, None)
     }
 
     /// Parse with the multi-block front-end (footnote 2 of the paper:
@@ -98,13 +111,12 @@ impl QrHint {
     /// plus the opt-in positive EXISTS/IN rewrite of §3), flatten to the
     /// single-block fragment, and resolve.
     pub fn prepare_extended(&self, sql: &str, opts: &FlattenOptions) -> QrResult<Query> {
-        let q = parse_query_extended(sql, opts)?;
-        Ok(resolve_query(&self.schema, &q)?)
+        parse_resolve(&self.schema, sql, Some(opts))
     }
 
     /// Compile a target query for advise-many grading: parse, resolve,
-    /// and set up the per-target reuse state (FROM groups, shared solver
-    /// verdicts, advice cache). The result
+    /// and set up the per-target reuse state (shared solver verdicts,
+    /// advice cache). The result
     /// grades any number of submissions via [`PreparedTarget::advise`] /
     /// [`PreparedTarget::grade_batch`], and drives incremental tutoring
     /// via [`PreparedTarget::tutor`].
@@ -112,18 +124,22 @@ impl QrHint {
         Ok(self.prepare_target(self.prepare(target_sql)?))
     }
 
-    /// [`QrHint::compile_target`] with the multi-block front-end.
+    /// [`QrHint::compile_target`] with the multi-block front-end. The
+    /// target keeps `opts`: [`PreparedTarget::prepare`] and its `*_sql`
+    /// methods parse submissions with the same front end.
     pub fn compile_target_extended(
         &self,
         target_sql: &str,
         opts: &FlattenOptions,
     ) -> QrResult<PreparedTarget> {
-        Ok(self.prepare_target(self.prepare_extended(target_sql, opts)?))
+        let q_star = self.prepare_extended(target_sql, opts)?;
+        Ok(PreparedTarget::new(self.schema.clone(), self.cfg.clone(), q_star, Some(opts.clone())))
     }
 
-    /// Wrap an already-resolved target query as a [`PreparedTarget`].
+    /// Wrap an already-resolved target query as a [`PreparedTarget`]
+    /// whose submissions are parsed with the single-block parser.
     pub fn prepare_target(&self, q_star: Query) -> PreparedTarget {
-        PreparedTarget::new(self.schema.clone(), self.cfg.clone(), q_star)
+        PreparedTarget::new(self.schema.clone(), self.cfg.clone(), q_star, None)
     }
 
     /// [`QrHint::advise_sql`] with both queries run through the

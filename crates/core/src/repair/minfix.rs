@@ -333,7 +333,7 @@ mod tests {
 
     /// An oracle typed by inference over `preds`, on the given context.
     fn oracle_on(preds: &[&Pred], ctx: Arc<SolverContext>) -> Oracle {
-        Oracle::with_context(Arc::new(TypeEnv::infer_from_preds(preds)), ctx)
+        Oracle::with_context(TypeEnv::infer_from_preds(preds), ctx)
     }
 
     /// An oracle from `fresh` on a fresh context, which the caller keeps

@@ -1,7 +1,7 @@
 //! The stage runner: the WHERE → GROUP BY → HAVING → SELECT walk of
 //! §3.1, factored out of the old monolithic pipeline so the session layer
 //! ([`crate::session`]) can drive it with a fresh oracle per advise and
-//! its FROM group's derivations.
+//! the unified target that advise derived.
 //!
 //! Every advise runs each stage it reaches; no stage outcome is stored.
 //! A tutoring session that re-advises after repairing a later stage
@@ -20,7 +20,7 @@
 //!
 //! The FROM stage and table-mapping derivation stay in the session layer:
 //! the oracle and the unified target both depend on their result, and the
-//! session derives the unified target once per FROM group.
+//! session derives them per advise.
 
 use crate::error::QrResult;
 use crate::hint::{Hint, Stage};

@@ -3,9 +3,9 @@
 //!
 //! The paper's deployment scenario (§1, §10) is one instructor-written
 //! target graded against many student submissions, interactively. The
-//! stateless [`crate::QrHint::advise_sql`] re-parses, re-resolves and
-//! re-lowers the target — and re-derives the table mapping — on every
-//! call. This module amortizes all of that target-side work:
+//! stateless [`crate::QrHint::advise_sql`] re-parses and re-resolves the
+//! target, and decides every solver check afresh, on every call. This
+//! module amortizes that target-side work:
 //!
 //! * [`PreparedTarget`] — the target parsed, resolved and held ready,
 //!   with two per-target reuse layers:
@@ -21,16 +21,21 @@
 //!      [`TutorSession`] step that repaired a later stage re-checks the
 //!      unchanged earlier stages from the verdict cache.
 //!
-//!   Beside them, **FROM groups** hold the immutable derivations of one
-//!   (working FROM binding, table mapping) pair: the unified target,
-//!   domain context, and column typing, derived once and shared by
-//!   every submission that matches.
+//!   An advice-cache miss derives its submission's table mapping,
+//!   unified target, domain context and column typing itself: they are
+//!   solver-free and cost little beside the stages they feed.
 //!
-//!   Neither layer, nor the group map, has a bound of its own: they
-//!   live as long as the target. [`PreparedTarget::approx_cache_bytes`]
-//!   accounts their bytes and [`PreparedTarget::shed_caches`] drops both
-//!   caches at once, which is how the `qr-hint serve` registry keeps
-//!   resident targets within its byte budget.
+//!   Neither layer has a bound of its own: they live as long as the
+//!   target. [`PreparedTarget::approx_cache_bytes`] accounts their bytes
+//!   and [`PreparedTarget::shed_caches`] drops both at once, which is how
+//!   the `qr-hint serve` registry keeps resident targets within its byte
+//!   budget.
+//!
+//!   A target compiled with
+//!   [`crate::QrHint::compile_target_extended`] keeps its
+//!   [`FlattenOptions`]: [`PreparedTarget::prepare`] and every `*_sql`
+//!   method parse submissions with the front end the target was
+//!   compiled with.
 //! * [`PreparedTarget::grade_batch`] / [`PreparedTarget::grade_batch_parallel`]
 //!   — classroom-scale bulk grading, sequential or fanned out over a
 //!   scoped worker pool ([`crate::parallel`]).
@@ -44,20 +49,13 @@
 //! advise — its interior state is sharded so concurrent advises against
 //! *one* target genuinely overlap:
 //!
-//! * The **group map** (FROM binding + table mapping → `FromGroup`)
-//!   sits behind an `RwLock`: lookups of existing groups take the read
-//!   lock only, so submissions in distinct groups never contend. A
-//!   group is immutable once created, so advises share it with no lock.
-//!   Group *creation* derives the unified target, domain context and
-//!   typing outside the write lock; a racing creator for the same key
-//!   simply drops its copy and reuses the winner's.
-//! * **One oracle per advise.** Each advise builds its own [`Oracle`]
-//!   from the group's column typing and the target's current
-//!   [`SolverContext`], owns it while it grades, and drops it on return,
-//!   so a classroom batch whose submissions all share one FROM clause
-//!   still grades in parallel, and no advise inherits another's oracle
-//!   state. A panic while grading drops the oracle with the unwinding
-//!   stack and leaves nothing behind to poison.
+//! * **One oracle per advise.** Each advise builds its own [`Oracle`],
+//!   typed from its submission's FROM clause and bound to the target's
+//!   current [`SolverContext`], owns it while it grades, and drops it on
+//!   return, so a classroom batch whose submissions all share one FROM
+//!   clause still grades in parallel, and no advise inherits another's
+//!   oracle state. A panic while grading drops the oracle with the
+//!   unwinding stack and leaves nothing behind to poison.
 //! * Every advise interns formulas into — and **shares solver verdicts
 //!   through** — one target-wide [`SolverContext`]: a sharded
 //!   `(formula, context) → verdict` table keyed by interned ids, so a
@@ -108,15 +106,15 @@
 
 use crate::error::{QrHintError, QrResult};
 use crate::hint::Stage;
-use crate::mapping::{table_mapping, unify_target, TableMapping};
+use crate::mapping::{table_mapping, unify_target};
 use crate::oracle::{Oracle, OracleCounters, SolverContext, TypeEnv};
-use crate::pipeline::{Advice, QrHintConfig};
+use crate::pipeline::{parse_resolve, Advice, QrHintConfig};
 use crate::runner::{run_stages, StageInputs};
 use crate::stages::from_stage;
-use qrhint_sqlast::{resolve::resolve_query, Pred, Query, Schema};
-use qrhint_sqlparse::{parse_query, parse_query_extended, FlattenOptions};
+use qrhint_sqlast::{Query, Schema};
+use qrhint_sqlparse::FlattenOptions;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -142,18 +140,13 @@ pub struct SessionStats {
     /// (point-in-time; the per-entry estimate of
     /// [`PreparedTarget::approx_cache_bytes`]).
     pub advice_cache_bytes: u64,
-    /// Distinct (working-FROM binding, table mapping) pairs seen (each
-    /// owns one FROM group).
-    pub from_groups: u64,
-    /// Calls that reused an existing FROM group's derivations.
-    pub mapping_reuses: u64,
     /// Solver checks issued across all advises' oracles, accumulated as
     /// each advise completes.
     pub solver_calls: u64,
     /// Analyzer diagnostics emitted by [`PreparedTarget`] lint runs.
     pub diagnostics_emitted: u64,
     /// Checks answered by the target's **shared verdict cache** (every
-    /// advise of every FROM group probes one sharded table; see
+    /// advise probes one sharded table; see
     /// [`crate::oracle::SolverContext`]).
     pub verdict_cache_hits: u64,
     /// Shared-verdict-cache misses (each one ran the real solver).
@@ -220,8 +213,6 @@ struct AtomicStats {
     /// so a stats snapshot never has to take the cache lock.
     advice_cache_entries: AtomicU64,
     advice_cache_bytes: AtomicU64,
-    from_groups: AtomicU64,
-    mapping_reuses: AtomicU64,
     diagnostics_emitted: AtomicU64,
     /// Work of every finished advise's oracle. Held only for one `+=`
     /// or copy, neither of which can panic, so it is never poisoned.
@@ -241,8 +232,6 @@ impl AtomicStats {
             advice_cache_evictions: self.advice_cache_evictions.load(Ordering::Relaxed),
             advice_cache_entries: self.advice_cache_entries.load(Ordering::Relaxed),
             advice_cache_bytes: self.advice_cache_bytes.load(Ordering::Relaxed),
-            from_groups: self.from_groups.load(Ordering::Relaxed),
-            mapping_reuses: self.mapping_reuses.load(Ordering::Relaxed),
             solver_calls: o.solver_calls,
             diagnostics_emitted: self.diagnostics_emitted.load(Ordering::Relaxed),
             verdict_cache_hits: o.verdict_hits,
@@ -266,34 +255,6 @@ impl AtomicStats {
     }
 }
 
-/// Per-(FROM-binding, table-mapping) derivations. Submissions sharing
-/// both are compared against the identical unified target, so a group
-/// is built once, never changes, and is shared lock-free by every
-/// concurrent advise in it; the binding fixes the column typing, so
-/// every advise's oracle types the group's columns alike.
-///
-/// The table mapping itself is *recomputed per submission* (cheap and
-/// solver-free) rather than cached by binding: for self-join targets,
-/// `table_mapping` aligns aliases by predicate signatures, so two
-/// submissions with the same FROM clause can need different mappings —
-/// reusing the first submission's mapping would misgrade the second
-/// (stage-wise clause comparison requires the right alignment).
-struct FromGroup {
-    mapping: TableMapping,
-    unified: Query,
-    domain_ctx: Vec<Pred>,
-    /// Column typing fixed by the binding; types each advise's oracle.
-    types: Arc<TypeEnv>,
-}
-
-/// Byte estimate of one FROM group for the cache-accounting API
-/// ([`PreparedTarget::approx_cache_bytes`]). Deliberately coarse — the
-/// point is that a registry's byte budget *scales with real usage*, not
-/// that the number matches the allocator. The shared interner and
-/// verdict cache carry their own accounting
-/// ([`SolverContext::approx_bytes`]).
-const GROUP_BASE_BYTES: usize = 2048;
-
 /// The whole-advice duplicate cache: resolved submission → (advice,
 /// approximate footprint computed once at insert).
 #[derive(Default)]
@@ -314,13 +275,6 @@ fn approx_advice_bytes(q: &Query, advice: &Advice) -> usize {
     n + advice.hints.len() * 96
 }
 
-/// Alias → table binding of a working query's FROM clause.
-type FromBinding = BTreeMap<String, String>;
-
-/// Memo-group key: the FROM binding plus the table mapping chosen for
-/// the submission.
-type FromKey = (FromBinding, TableMapping);
-
 /// A target query compiled for advise-many grading: parsed, resolved,
 /// and carrying the per-target reuse layers and sharded concurrency
 /// state described in the [module docs](self).
@@ -331,7 +285,9 @@ pub struct PreparedTarget {
     schema: Schema,
     cfg: QrHintConfig,
     target: Query,
-    groups: RwLock<HashMap<FromKey, Arc<FromGroup>>>,
+    /// The multi-block front end the target was compiled with (`None`:
+    /// the single-block parser); submissions are parsed the same way.
+    front_end: Option<FlattenOptions>,
     /// The target-wide interning + shared-verdict state every advise's
     /// oracle binds to. [`PreparedTarget::shed_caches`] swaps in a fresh
     /// context; in-flight advises finish safely against the old `Arc`.
@@ -356,12 +312,17 @@ impl std::fmt::Debug for PreparedTarget {
 }
 
 impl PreparedTarget {
-    pub(crate) fn new(schema: Schema, cfg: QrHintConfig, target: Query) -> PreparedTarget {
+    pub(crate) fn new(
+        schema: Schema,
+        cfg: QrHintConfig,
+        target: Query,
+        front_end: Option<FlattenOptions>,
+    ) -> PreparedTarget {
         PreparedTarget {
             schema,
             cfg,
             target,
-            groups: RwLock::new(HashMap::new()),
+            front_end,
             shared: RwLock::default(),
             advice_cache: RwLock::default(),
             stats: AtomicStats::default(),
@@ -416,16 +377,10 @@ impl PreparedTarget {
         stats
     }
 
-    /// Parse and resolve a working query against the session schema.
+    /// Parse and resolve a working query against the session schema,
+    /// with the front end the target was compiled with.
     pub fn prepare(&self, sql: &str) -> QrResult<Query> {
-        let q = parse_query(sql)?;
-        Ok(resolve_query(&self.schema, &q)?)
-    }
-
-    /// [`PreparedTarget::prepare`] with the multi-block front-end.
-    pub fn prepare_extended(&self, sql: &str, opts: &FlattenOptions) -> QrResult<Query> {
-        let q = parse_query_extended(sql, opts)?;
-        Ok(resolve_query(&self.schema, &q)?)
+        parse_resolve(&self.schema, sql, self.front_end.as_ref())
     }
 
     /// Advise on one working query given as SQL.
@@ -477,26 +432,25 @@ impl PreparedTarget {
                 mapping: None,
             }
         } else {
-            // The mapping is recomputed per submission (see [`FromGroup`]
-            // docs): it aligns self-joined aliases by the submission's own
-            // predicate signatures, so it cannot be cached by binding.
+            // Solver-free and cheap beside the stages, so derived per
+            // advise. The mapping in particular cannot be keyed by FROM
+            // binding: it aligns self-joined aliases by the submission's
+            // own predicate signatures. The unified target's FROM has
+            // `q`'s alias→table pairs, so typing `q` types both.
             let mapping = table_mapping(&self.target, q).ok_or_else(|| {
                 QrHintError::Internal("table mapping failed after viable FROM".into())
             })?;
-            let binding: FromBinding = q
-                .from
-                .iter()
-                .map(|t| (t.alias.clone(), t.table.clone()))
-                .collect();
-            let group = self.group_for((binding, mapping), q);
-            let mut oracle = Oracle::with_context(Arc::clone(&group.types), self.solver_context());
+            let unified = unify_target(&self.target, &mapping);
+            let domain_ctx = self.schema.domain_context(q);
+            let types = TypeEnv::from_queries(&self.schema, &[q]);
+            let mut oracle = Oracle::with_context(types, self.solver_context());
             let advice = run_stages(StageInputs {
                 oracle: &mut oracle,
-                unified: &group.unified,
+                unified: &unified,
                 q,
                 cfg: &self.cfg,
-                domain_ctx: &group.domain_ctx,
-                mapping: &group.mapping,
+                domain_ctx: &domain_ctx,
+                mapping: &mapping,
             });
             *self.stats.oracle.lock().expect("oracle totals never poisoned") += oracle.counters;
             advice?
@@ -541,36 +495,6 @@ impl PreparedTarget {
         Ok(self.tutor(self.prepare(working_sql)?))
     }
 
-    /// Look up (read lock only) or create the FROM group for `key`.
-    ///
-    /// Creation derives the group's immutable state *outside* the write
-    /// lock — it is solver-free (alias unification, domain-context
-    /// instantiation, column typing), and if two threads race on the
-    /// same fresh key the loser just drops its copy, counting as a
-    /// reuse. `from_groups` is bumped only by the one thread whose
-    /// insert wins, so it counts distinct keys exactly.
-    fn group_for(&self, key: FromKey, q: &Query) -> Arc<FromGroup> {
-        if let Some(g) = self.groups.read().unwrap().get(&key) {
-            self.stats.mapping_reuses.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(g);
-        }
-        let mapping = key.1.clone();
-        let unified = unify_target(&self.target, &mapping);
-        let domain_ctx = self.schema.domain_context(q);
-        let types = Arc::new(TypeEnv::from_queries(&self.schema, &[&unified, q]));
-        let fresh = Arc::new(FromGroup { mapping, unified, domain_ctx, types });
-        match self.groups.write().unwrap().entry(key) {
-            std::collections::hash_map::Entry::Occupied(o) => {
-                self.stats.mapping_reuses.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(o.get())
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.stats.from_groups.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(v.insert(fresh))
-            }
-        }
-    }
-
     /// Insert into the advice cache. Racing duplicates may both insert;
     /// the advices are identical (deterministic grading), so the second
     /// replaces the first with an equal entry and the byte sum counts it
@@ -586,25 +510,23 @@ impl PreparedTarget {
     }
 
     /// Approximate bytes held by this target's caches: the advice cache
-    /// (exact per-entry estimates), the shared solver context (interner
-    /// tables + shared verdict cache, self-accounted), and the FROM
-    /// groups (a fixed estimate each). The `qr-hint serve` registry
-    /// steers its byte-budget eviction with this number.
+    /// (exact per-entry estimates) and the shared solver context
+    /// (interner tables + shared verdict cache, self-accounted). The
+    /// `qr-hint serve` registry steers its byte-budget eviction with
+    /// this number.
     pub fn approx_cache_bytes(&self) -> usize {
         self.stats.advice_cache_bytes.load(Ordering::Relaxed) as usize
             + self.solver_context().approx_bytes()
-            + self.groups.read().unwrap().len() * GROUP_BASE_BYTES
     }
 
     /// Drop every rebuildable cache — the whole-advice cache and the
     /// shared solver context (interner tables **and** the shared verdict
-    /// cache) — while keeping the compiled target and the FROM groups'
-    /// immutable derivations (unified target, domain context, typing).
-    /// Returns the approximate bytes
-    /// freed, interner included, so the server registry's byte budget
-    /// stays truthful after shedding. This is the only path that removes
-    /// cache entries; the advice and verdict entries it drops are counted
-    /// in [`SessionStats::advice_cache_evictions`] and
+    /// cache) — while keeping the compiled target. Returns the
+    /// approximate bytes freed, interner included, so the server
+    /// registry's byte budget stays truthful after shedding. This is the
+    /// only path that removes cache entries; the advice and verdict
+    /// entries it drops are counted in
+    /// [`SessionStats::advice_cache_evictions`] and
     /// [`SessionStats::verdict_cache_evictions`].
     ///
     /// This is the eviction hook a resident server uses as a middle
@@ -778,19 +700,29 @@ mod tests {
             stats.advise_calls,
             "every advise consults the cache: {stats:?}"
         );
-        assert_eq!(stats.from_groups, 1);
     }
 
     #[test]
-    fn same_from_binding_shares_one_group() {
+    fn extended_target_parses_submissions_with_its_front_end() {
+        // A target compiled with the multi-block front end parses every
+        // submission with it: JOIN syntax advises exactly as the one-shot
+        // extended path does, and lints and tutors too.
         let qr = QrHint::new(beers_schema());
-        let prepared = qr.compile_target(TARGET).unwrap();
-        prepared.advise_sql("SELECT s.bar FROM Serves s WHERE s.price > 3").unwrap();
-        prepared.advise_sql("SELECT s.bar FROM Serves s WHERE s.price >= 2").unwrap();
-        prepared.advise_sql("SELECT t.bar FROM Serves t WHERE t.price >= 3").unwrap();
-        let stats = prepared.stats();
-        assert_eq!(stats.from_groups, 2, "s-binding shared, t-binding separate");
-        assert_eq!(stats.mapping_reuses, 1);
+        let target = "SELECT s.bar FROM Serves s JOIN Likes l ON s.beer = l.beer \
+                      WHERE s.price >= 3";
+        let working = "SELECT s.bar FROM Serves s JOIN Likes l ON s.beer = l.beer \
+                       WHERE s.price > 3";
+        let opts = FlattenOptions::default();
+        let prepared = qr.compile_target_extended(target, &opts).unwrap();
+        let advice = prepared.advise_sql(working).unwrap();
+        assert_eq!(advice.stage, Stage::Where);
+        assert_eq!(advice, qr.advise_sql_extended(target, working, &opts).unwrap());
+        assert!(prepared.lint_sql(working).unwrap().is_empty());
+        let (_, trail) = prepared.tutor_sql(working).unwrap().run_to_completion().unwrap();
+        assert!(trail.last().unwrap().is_equivalent());
+        // The single-block parser of a plain target still refuses JOIN.
+        let plain = qr.compile_target("SELECT s.bar FROM Serves s WHERE s.price >= 3").unwrap();
+        assert!(matches!(plain.advise_sql(working), Err(QrHintError::Unsupported(_))));
     }
 
     #[test]
@@ -1054,10 +986,10 @@ mod tests {
 
     #[test]
     fn self_join_submissions_with_swapped_roles_grade_independently() {
-        // Regression: the FROM group used to cache the table mapping by
-        // FROM binding alone, but self-join alias alignment depends on
-        // each submission's predicates — a correct answer with the alias
-        // roles swapped relative to an earlier submission was misgraded.
+        // Regression: the table mapping was once cached by FROM binding
+        // alone, but self-join alias alignment depends on each
+        // submission's predicates — a correct answer with the alias roles
+        // swapped relative to an earlier submission was misgraded.
         let qr = QrHint::new(beers_schema());
         let prepared = qr
             .compile_target(
@@ -1081,7 +1013,6 @@ mod tests {
             )
             .unwrap();
         assert!(swapped.is_equivalent(), "{:?}", swapped.hints);
-        assert_eq!(prepared.stats().from_groups, 2, "one group per mapping");
     }
 
     fn r_schema() -> Schema {
@@ -1143,7 +1074,7 @@ mod tests {
         let second = prepared.advise_sql("SELECT s.beer FROM Serves s WHERE s.price > 3").unwrap();
         let after = prepared.stats();
         assert_eq!((first.stage, second.stage), (Stage::Where, Stage::Where));
-        assert_eq!((after.from_groups, after.advice_cache_hits), (1, 0), "{after:?}");
+        assert_eq!(after.advice_cache_hits, 0, "{after:?}");
         assert!(after.verdict_cache_hits > before.verdict_cache_hits, "{after:?}");
         assert_eq!(after.verdict_cache_misses, before.verdict_cache_misses, "{after:?}");
     }

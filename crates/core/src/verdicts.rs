@@ -1,7 +1,7 @@
 //! The shared solver-verdict cache: one sharded table of
 //! `(formula, context) → TriBool` per
 //! [`crate::session::PreparedTarget`], shared by the oracle of every
-//! advise in every FROM group.
+//! advise.
 //!
 //! With tree-keyed entries, sharing would have meant deep structural
 //! compares under a shared lock. With interned formulas

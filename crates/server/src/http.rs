@@ -21,10 +21,10 @@ use std::io::{self, BufRead, Write};
 /// streaming garbage forever.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
-/// Default cap on request bodies (a whole classroom batch of SQL fits
-/// in well under a megabyte; 8 MiB leaves room for pathological
-/// corpora without letting one request exhaust the process).
-pub const DEFAULT_MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
+/// Cap on request bodies (a whole classroom batch of SQL fits in well
+/// under a megabyte; 8 MiB leaves room for pathological corpora without
+/// letting one request exhaust the process).
+pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
 /// One parsed request.
 #[derive(Debug)]
@@ -306,7 +306,7 @@ mod tests {
 
     fn parse(raw: &str) -> Result<Request, HttpError> {
         let mut sink = Vec::new();
-        read_request(&mut Cursor::new(raw.as_bytes()), &mut sink, DEFAULT_MAX_BODY_BYTES)
+        read_request(&mut Cursor::new(raw.as_bytes()), &mut sink, MAX_BODY_BYTES)
     }
 
     #[test]
@@ -391,7 +391,7 @@ mod tests {
         let mut sink = Vec::new();
         let raw = "POST /x HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\nhi";
         let req =
-            read_request(&mut Cursor::new(raw.as_bytes()), &mut sink, DEFAULT_MAX_BODY_BYTES)
+            read_request(&mut Cursor::new(raw.as_bytes()), &mut sink, MAX_BODY_BYTES)
                 .unwrap();
         assert_eq!(req.body, b"hi");
         assert_eq!(sink, b"HTTP/1.1 100 Continue\r\n\r\n");

@@ -8,15 +8,14 @@
 //! against a stream of student submissions. The CLI pays target
 //! compilation on every process start; this subsystem makes the
 //! prepared target *resident*: register once, then every
-//! advise/grade request rides the session layer's warm state — FROM
-//! groups, the shared solver verdict cache, and the advice cache — at
-//! its hottest.
+//! advise/grade request rides the session layer's warm state — the
+//! shared solver verdict cache and the advice cache — at its hottest.
 //!
 //! ## API
 //!
 //! | Route | Effect |
 //! |-------|--------|
-//! | `POST /targets` | register `{schema, target[, extended, rewrite_subqueries]}` → `201 {id, evicted}` |
+//! | `POST /targets` | register `{schema, target[, extended, rewrite_subqueries]}` (`rewrite_subqueries` implies `extended`) → `201 {id, evicted}` |
 //! | `POST /targets/{id}/advise` | one submission `{sql}` → `200` [`qrhint_core::AdviceReport`] |
 //! | `POST /targets/{id}/grade` | batch `{submissions[, jobs]}` → `200 {jobs, entries}` (fanned out over [`qrhint_core::parallel::run_indexed`]) |
 //! | `GET /targets/{id}/stats` | `200 {id, stats, approx_cache_bytes}` (one coherent [`qrhint_core::SessionStats`] snapshot) |

@@ -48,8 +48,6 @@ pub const SESSION_GAUGES: &[(&str, &str)] = &[
     ("advice_cache_evictions", "Advice-cache entries dropped by cache sheds, summed over resident targets."),
     ("advice_cache_entries", "Resident advice-cache entries, summed over resident targets."),
     ("advice_cache_bytes", "Approximate advice-cache bytes, summed over resident targets."),
-    ("from_groups", "Distinct FROM groups, summed over resident targets."),
-    ("mapping_reuses", "Advises reusing an existing FROM group, summed over resident targets."),
     ("solver_calls", "Solver checks issued, summed over resident targets."),
     ("diagnostics_emitted", "Analyzer diagnostics emitted, summed over resident targets."),
     ("verdict_cache_hits", "Shared verdict-cache hits, summed over resident targets."),

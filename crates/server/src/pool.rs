@@ -34,8 +34,8 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Default cap on idle parked connections per backend address.
-pub const DEFAULT_MAX_IDLE_PER_ADDR: usize = 16;
+/// Cap on idle parked connections per backend address.
+pub const MAX_IDLE_PER_ADDR: usize = 16;
 
 /// Lifetime counters for one [`ClientPool`]. All monotone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,7 +56,6 @@ pub struct PoolStats {
 /// A thread-safe keep-alive connection pool keyed by backend address.
 pub struct ClientPool {
     idle: Mutex<HashMap<SocketAddr, Vec<Client>>>,
-    max_idle_per_addr: usize,
     checkouts: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -72,15 +71,8 @@ impl Default for ClientPool {
 
 impl ClientPool {
     pub fn new() -> ClientPool {
-        ClientPool::with_capacity(DEFAULT_MAX_IDLE_PER_ADDR)
-    }
-
-    /// `max_idle_per_addr = 0` disables parking: every request opens a
-    /// fresh connection (useful to A/B the pooling win in benches).
-    pub fn with_capacity(max_idle_per_addr: usize) -> ClientPool {
         ClientPool {
             idle: Mutex::new(HashMap::new()),
-            max_idle_per_addr,
             checkouts: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -105,13 +97,13 @@ impl ClientPool {
     /// Return a connection after use. Parked for the next checkout
     /// unless the server closed it or the idle list is full.
     pub fn check_in(&self, addr: SocketAddr, client: Client) {
-        if !client.is_reusable() || self.max_idle_per_addr == 0 {
+        if !client.is_reusable() {
             self.discarded.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let mut idle = self.idle.lock().unwrap();
         let parked = idle.entry(addr).or_default();
-        if parked.len() >= self.max_idle_per_addr {
+        if parked.len() >= MAX_IDLE_PER_ADDR {
             self.discarded.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -271,18 +263,5 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.retries, 1, "stale reuse must be retried: {stats:?}");
         assert_eq!(pool.idle_count(), 0, "stale conn must not be re-parked");
-    }
-
-    #[test]
-    fn capacity_zero_disables_parking() {
-        let (addr, server) = tiny_server(100);
-        let pool = ClientPool::with_capacity(0);
-        for _ in 0..3 {
-            pool.request(addr, "GET", "/x", "").unwrap();
-        }
-        assert_eq!(pool.idle_count(), 0);
-        assert_eq!(pool.stats().misses, 3);
-        pool.request(addr, "GET", "/stop", "").unwrap();
-        server.join().unwrap();
     }
 }

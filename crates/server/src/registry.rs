@@ -45,13 +45,11 @@ impl Default for RegistryConfig {
     }
 }
 
-/// One registered target: the prepared state plus the front-end options
-/// it was compiled under (submissions must be parsed the same way).
+/// One registered target. The prepared state parses submissions with
+/// the front end it was compiled with.
 pub struct RegisteredTarget {
     pub id: String,
     pub prepared: PreparedTarget,
-    pub extended: bool,
-    pub rewrite_subqueries: bool,
 }
 
 struct Entry {
@@ -118,19 +116,9 @@ impl TargetRegistry {
     /// Register a compiled target, returning its handle and whatever
     /// eviction the capacity bound forced. The new target is the
     /// freshest entry and is never its own eviction victim.
-    pub fn register(
-        &self,
-        prepared: PreparedTarget,
-        extended: bool,
-        rewrite_subqueries: bool,
-    ) -> (Arc<RegisteredTarget>, EvictionReport) {
+    pub fn register(&self, prepared: PreparedTarget) -> (Arc<RegisteredTarget>, EvictionReport) {
         let id = format!("t{}", self.next_id.fetch_add(1, Ordering::Relaxed));
-        let target = Arc::new(RegisteredTarget {
-            id: id.clone(),
-            prepared,
-            extended,
-            rewrite_subqueries,
-        });
+        let target = Arc::new(RegisteredTarget { id: id.clone(), prepared });
         self.registered_total.fetch_add(1, Ordering::Relaxed);
         let mut report = EvictionReport::default();
         {
@@ -294,8 +282,8 @@ mod tests {
     #[test]
     fn ids_are_unique_and_resolvable() {
         let reg = registry(8);
-        let (a, _) = reg.register(prepared(1), false, false);
-        let (b, _) = reg.register(prepared(2), false, false);
+        let (a, _) = reg.register(prepared(1));
+        let (b, _) = reg.register(prepared(2));
         assert_ne!(a.id, b.id);
         assert_eq!(reg.get(&a.id).unwrap().id, a.id);
         assert_eq!(reg.len(), 2);
@@ -305,11 +293,11 @@ mod tests {
     #[test]
     fn capacity_drops_the_least_recently_used() {
         let reg = registry(2);
-        let (a, _) = reg.register(prepared(1), false, false);
-        let (b, _) = reg.register(prepared(2), false, false);
+        let (a, _) = reg.register(prepared(1));
+        let (b, _) = reg.register(prepared(2));
         // Touch `a` so `b` is the LRU when the third target arrives.
         reg.get(&a.id).unwrap();
-        let (c, report) = reg.register(prepared(3), false, false);
+        let (c, report) = reg.register(prepared(3));
         assert_eq!(report.dropped, vec![b.id.clone()]);
         assert!(reg.get(&b.id).is_none(), "evicted id must 404");
         assert!(reg.get(&a.id).is_some());
@@ -324,7 +312,7 @@ mod tests {
             // something, so enforcement must act.
             max_cache_bytes: 1,
         });
-        let (a, _) = reg.register(prepared(1), false, false);
+        let (a, _) = reg.register(prepared(1));
         a.prepared
             .advise_sql("SELECT s.bar FROM Serves s WHERE s.price > 1")
             .unwrap();
@@ -342,7 +330,7 @@ mod tests {
     #[test]
     fn generous_budget_is_a_no_op() {
         let reg = registry(8);
-        let (a, _) = reg.register(prepared(1), false, false);
+        let (a, _) = reg.register(prepared(1));
         a.prepared
             .advise_sql("SELECT s.bar FROM Serves s WHERE s.price > 1")
             .unwrap();

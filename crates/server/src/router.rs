@@ -54,7 +54,6 @@ use serde::Serialize;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -148,35 +147,26 @@ pub struct RouterConfig {
     pub addr: String,
     /// Already-running backends to join (not owned by the router).
     pub backends: Vec<SocketAddr>,
-    /// Backend `serve` children to spawn on ephemeral ports.
+    /// Backend `serve` children of this executable (`current_exe`) to
+    /// spawn on ephemeral ports.
     pub spawn: usize,
-    /// Binary to spawn backends from; `None` = this executable
-    /// (`current_exe`). Tests point it elsewhere or use joined
-    /// backends.
-    pub spawn_exe: Option<PathBuf>,
     /// `/healthz` probe period (also the failover-recovery bound).
     pub health_interval: Duration,
     /// Router request workers (`0` = available parallelism).
     pub workers: usize,
     /// Bounded dispatch queue; beyond it, `429` + `Retry-After`.
     pub max_pending: usize,
-    pub read_timeout: Duration,
-    pub max_body_bytes: usize,
 }
 
 impl Default for RouterConfig {
     fn default() -> RouterConfig {
-        let shell = ShellConfig::default();
         RouterConfig {
             addr: "127.0.0.1:7979".into(),
             backends: Vec::new(),
             spawn: 0,
-            spawn_exe: None,
             health_interval: Duration::from_millis(250),
             workers: 0,
-            max_pending: shell.max_pending,
-            read_timeout: shell.read_timeout,
-            max_body_bytes: shell.max_body_bytes,
+            max_pending: ShellConfig::default().max_pending,
         }
     }
 }
@@ -722,7 +712,7 @@ impl Router {
             .collect();
         let mut children = Vec::with_capacity(cfg.spawn);
         for _ in 0..cfg.spawn {
-            let (child, addr) = spawn_backend(cfg.spawn_exe.as_deref())?;
+            let (child, addr) = spawn_backend()?;
             backends.push(BackendState {
                 addr,
                 label: addr.to_string(),
@@ -750,13 +740,8 @@ impl Router {
             }
         }
         let service = Arc::new(RouterService::new(backends, cfg.health_interval));
-        let shell = ShellConfig {
-            addr: cfg.addr,
-            workers: cfg.workers,
-            max_body_bytes: cfg.max_body_bytes,
-            read_timeout: cfg.read_timeout,
-            max_pending: cfg.max_pending,
-        };
+        let shell =
+            ShellConfig { addr: cfg.addr, workers: cfg.workers, max_pending: cfg.max_pending };
         let server = Server::bind_with(shell, Arc::clone(&service))?;
         Ok(Router { server, service, children, health_interval: cfg.health_interval })
     }
@@ -811,12 +796,8 @@ impl Router {
 
 /// Spawn one backend `serve` child on an ephemeral port and parse its
 /// announce line (`qr-hint serving on http://ADDR`) for the address.
-fn spawn_backend(exe: Option<&std::path::Path>) -> io::Result<(Child, SocketAddr)> {
-    let exe = match exe {
-        Some(p) => p.to_path_buf(),
-        None => std::env::current_exe()?,
-    };
-    let mut child = Command::new(&exe)
+fn spawn_backend() -> io::Result<(Child, SocketAddr)> {
+    let mut child = Command::new(std::env::current_exe()?)
         .args(["serve", "--addr", "127.0.0.1:0"])
         .stdin(Stdio::null())
         .stdout(Stdio::piped())

@@ -35,6 +35,13 @@
 //! Closing connections free their fds meanwhile, and the loop never
 //! spins on a backlog it cannot accept.
 //!
+//! ## Handler panics
+//!
+//! A handler that panics costs one request, not a worker: the shell
+//! answers that request `500`, closes its connection, logs the panic at
+//! error, and the worker takes the next connection, so [`Server::run`]
+//! still drains cleanly.
+//!
 //! `POST /shutdown` flips the service's draining flag; the worker that
 //! answered it wakes the event loop, which stops accepting, drops its
 //! idle connections, lets workers finish queued connections, and
@@ -51,9 +58,13 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+/// Per-socket read timeout, so a dead client cannot pin a worker.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What the serving shell needs from a request handler. Implemented by
 /// [`QrHintService`] (the grading daemon) and the router's forwarding
@@ -61,7 +72,8 @@ use std::time::Duration;
 /// drain implementation.
 pub trait HttpHandler: Send + Sync {
     /// Answer one request. Must be infallible: every failure mode is a
-    /// well-formed error [`Response`].
+    /// well-formed error [`Response`]. Should it panic anyway, the shell
+    /// answers `500` and closes that connection.
     fn handle(&self, req: &Request) -> Response;
 
     /// `true` once a shutdown request has been accepted; the shell
@@ -82,10 +94,6 @@ pub struct ServerConfig {
     /// Request workers (`0` = use available parallelism).
     pub workers: usize,
     pub service: ServiceConfig,
-    /// Cap on request bodies.
-    pub max_body_bytes: usize,
-    /// Per-socket read timeout so a dead client cannot pin a worker.
-    pub read_timeout: Duration,
     /// Bound on connections queued for a worker; a readable connection
     /// beyond it is shed with `429 Too Many Requests` + `Retry-After`.
     pub max_pending: usize,
@@ -97,8 +105,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7878".into(),
             workers: 0,
             service: ServiceConfig::default(),
-            max_body_bytes: http::DEFAULT_MAX_BODY_BYTES,
-            read_timeout: Duration::from_secs(30),
             max_pending: 1024,
         }
     }
@@ -205,21 +211,13 @@ enum Returned {
 pub struct ShellConfig {
     pub addr: String,
     pub workers: usize,
-    pub max_body_bytes: usize,
-    pub read_timeout: Duration,
     pub max_pending: usize,
 }
 
 impl Default for ShellConfig {
     fn default() -> ShellConfig {
         let cfg = ServerConfig::default();
-        ShellConfig {
-            addr: cfg.addr,
-            workers: cfg.workers,
-            max_body_bytes: cfg.max_body_bytes,
-            read_timeout: cfg.read_timeout,
-            max_pending: cfg.max_pending,
-        }
+        ShellConfig { addr: cfg.addr, workers: cfg.workers, max_pending: cfg.max_pending }
     }
 }
 
@@ -231,8 +229,6 @@ pub struct Server<H = QrHintService> {
     addr: SocketAddr,
     service: Arc<H>,
     workers: usize,
-    max_body_bytes: usize,
-    read_timeout: Duration,
     max_pending: usize,
 }
 
@@ -240,13 +236,8 @@ impl Server<QrHintService> {
     /// Bind the listener (so the caller knows the ephemeral port before
     /// the serve loop starts) and build the grading service.
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
-        let shell = ShellConfig {
-            addr: cfg.addr,
-            workers: cfg.workers,
-            max_body_bytes: cfg.max_body_bytes,
-            read_timeout: cfg.read_timeout,
-            max_pending: cfg.max_pending,
-        };
+        let shell =
+            ShellConfig { addr: cfg.addr, workers: cfg.workers, max_pending: cfg.max_pending };
         Server::bind_with(shell, Arc::new(QrHintService::new(cfg.service)))
     }
 
@@ -266,8 +257,6 @@ impl<H: HttpHandler> Server<H> {
             addr,
             service: handler,
             workers,
-            max_body_bytes: shell.max_body_bytes,
-            read_timeout: shell.read_timeout,
             max_pending: shell.max_pending.max(1),
         })
     }
@@ -433,7 +422,7 @@ impl<H: HttpHandler> Server<H> {
         if conn.set_nonblocking(false).is_err() {
             return Returned::Closed(conn);
         }
-        let _ = conn.fd_source().set_read_timeout(Some(self.read_timeout));
+        let _ = conn.fd_source().set_read_timeout(Some(READ_TIMEOUT));
         let mut conn = conn;
         loop {
             match self.serve_one(&mut conn) {
@@ -479,13 +468,34 @@ impl<H: HttpHandler> Server<H> {
         }
     }
 
-    /// Read, dispatch and answer exactly one request.
+    /// Read, dispatch and answer exactly one request. A handler that
+    /// panics gets its request answered `500` and its connection closed,
+    /// and the worker lives on to serve the next connection.
     fn serve_one(&self, conn: &mut Conn) -> ServeOutcome {
-        let request =
-            http::read_request(&mut conn.reader, &mut conn.writer, self.max_body_bytes);
+        let request = http::read_request(&mut conn.reader, &mut conn.writer, http::MAX_BODY_BYTES);
         match request {
             Ok(req) => {
-                let resp = self.service.handle(&req);
+                // The handler's shared state is its own to keep
+                // consistent; the shell only needs its worker back.
+                let resp = match catch_unwind(AssertUnwindSafe(|| self.service.handle(&req))) {
+                    Ok(resp) => resp,
+                    // The panic hook has already printed the message.
+                    Err(_) => {
+                        obs_log::event(
+                            Level::Error,
+                            "server",
+                            "request handler panicked",
+                            &[("method", &req.method), ("path", &req.path)],
+                        );
+                        let resp = crate::service::error_response(
+                            500,
+                            "internal",
+                            "internal error: the request handler panicked",
+                        );
+                        let _ = http::write_response(&mut conn.writer, &resp, false);
+                        return ServeOutcome::Close;
+                    }
+                };
                 // Keep-alive survives unless the client opted out or
                 // the server is draining after this response. (A drain
                 // needs no wake-up here: the worker notifies the event

@@ -56,8 +56,11 @@ pub use qrhint_core::parallel::resolve_jobs;
 struct RegisterRequest {
     schema: String,
     target: String,
+    /// Compile with the multi-block front end.
     #[serde(default)]
     extended: bool,
+    /// Also rewrite positive subqueries into joins; implies `extended`,
+    /// as `--rewrite-subqueries` does on the CLI.
     #[serde(default)]
     rewrite_subqueries: bool,
 }
@@ -348,8 +351,8 @@ impl QrHintService {
             Err(e) => return error_response(422, "bad_sql", format!("schema: {e}")),
         };
         let qr = QrHint::new(schema);
-        let opts = FlattenOptions { rewrite_positive_subqueries: body.rewrite_subqueries };
-        let compiled = if body.extended {
+        let compiled = if body.extended || body.rewrite_subqueries {
+            let opts = FlattenOptions { rewrite_positive_subqueries: body.rewrite_subqueries };
             qr.compile_target_extended(&body.target, &opts)
         } else {
             qr.compile_target(&body.target)
@@ -358,8 +361,7 @@ impl QrHintService {
             Ok(p) => p,
             Err(e) => return sql_error_response("target query", &e),
         };
-        let (target, eviction) =
-            self.registry.register(prepared, body.extended, body.rewrite_subqueries);
+        let (target, eviction) = self.registry.register(prepared);
         json_response(
             201,
             &RegisterResponse { id: target.id.clone(), evicted: eviction.dropped },
@@ -374,14 +376,8 @@ impl QrHintService {
         let Some(target) = self.registry.get(id) else {
             return error_response(404, "unknown_target", format!("no target `{id}`"));
         };
-        let opts = FlattenOptions { rewrite_positive_subqueries: target.rewrite_subqueries };
         let prepared = &target.prepared;
-        let working = if target.extended {
-            prepared.prepare_extended(&body.sql, &opts)
-        } else {
-            prepared.prepare(&body.sql)
-        };
-        let resp = match working {
+        let resp = match prepared.prepare(&body.sql) {
             Ok(q) => match prepared.advise(&q) {
                 Ok(advice) => {
                     let diagnostics = prepared.lint(&q);
@@ -403,14 +399,8 @@ impl QrHintService {
         let Some(target) = self.registry.get(id) else {
             return error_response(404, "unknown_target", format!("no target `{id}`"));
         };
-        let opts = FlattenOptions { rewrite_positive_subqueries: target.rewrite_subqueries };
         let prepared = &target.prepared;
-        let working = if target.extended {
-            prepared.prepare_extended(&body.sql, &opts)
-        } else {
-            prepared.prepare(&body.sql)
-        };
-        match working {
+        match prepared.prepare(&body.sql) {
             Ok(q) => {
                 let diagnostics = prepared.lint(&q);
                 json_response(
@@ -438,14 +428,8 @@ impl QrHintService {
         // cap keeps one request from spawning unbounded threads.
         let jobs = if body.jobs == 0 { self.jobs } else { body.jobs.min(64) };
         let prepared = &target.prepared;
-        let opts = FlattenOptions { rewrite_positive_subqueries: target.rewrite_subqueries };
         let entries = qrhint_core::parallel::run_indexed(body.submissions.len(), jobs, |i| {
-            let sql = &body.submissions[i];
-            let working = if target.extended {
-                prepared.prepare_extended(sql, &opts)
-            } else {
-                prepared.prepare(sql)
-            };
+            let working = prepared.prepare(&body.submissions[i]);
             match working.and_then(|q| prepared.advise(&q).map(|a| (q, a))) {
                 Ok((q, advice)) => GradeEntry {
                     index: i,

@@ -8,7 +8,7 @@
 //! are graded against the prepared target through
 //! [`PreparedTarget::grade_batch_parallel`] — every advise grades with
 //! its own oracle, so the batch fans out over one worker per available
-//! core while sharing the target's FROM groups and solver verdicts.
+//! core while sharing the target's solver verdicts.
 //! Hinted submissions then replay the full tutoring loop (sequentially;
 //! its re-checks of unchanged stages are answered by the warm verdict
 //! cache).
@@ -110,8 +110,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (question, target) in &prepared {
         let s = target.stats();
         println!(
-            "  question {question}: {} advises, {} duplicate hits, {} FROM groups, {} solver calls",
-            s.advise_calls, s.advice_cache_hits, s.from_groups, s.solver_calls
+            "  question {question}: {} advises, {} duplicate hits, {} solver calls, \
+             {} verdict hits",
+            s.advise_calls, s.advice_cache_hits, s.solver_calls, s.verdict_cache_hits
         );
     }
     Ok(())

@@ -51,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = prepared.stats();
     println!(
-        "\nsession stats: {} advises, {} FROM groups, {} solver checks",
-        stats.advise_calls, stats.from_groups, stats.solver_calls
+        "\nsession stats: {} advises, {} solver checks, {} answered by the verdict cache",
+        stats.advise_calls, stats.solver_calls, stats.verdict_cache_hits
     );
     Ok(())
 }

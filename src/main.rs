@@ -652,19 +652,6 @@ fn compile(args: &Args) -> Result<PreparedTarget, CliError> {
     prepared.map_err(|e| CliError::internal(format!("target query: {e}")))
 }
 
-fn prepare_working(
-    prepared: &PreparedTarget,
-    args: &Args,
-    sql: &str,
-) -> Result<Query, QrHintError> {
-    if args.extended {
-        let opts = FlattenOptions { rewrite_positive_subqueries: args.rewrite_subqueries };
-        prepared.prepare_extended(sql, &opts)
-    } else {
-        prepared.prepare(sql)
-    }
-}
-
 fn emit_json<T: Serialize>(value: &T) -> Result<(), CliError> {
     let json = serde_json::to_string_pretty(value)
         .map_err(|e| CliError::internal(format!("JSON serialization failed: {e}")))?;
@@ -703,7 +690,7 @@ fn run_advise(args: &Args) -> Result<(), CliError> {
 fn run_advise_inner(args: &Args) -> Result<(), CliError> {
     let prepared = compile(args)?;
     let working_sql = read(args.working.as_deref().expect("checked in parse_args"))?;
-    let working = prepare_working(&prepared, args, &working_sql).map_err(working_error)?;
+    let working = prepared.prepare(&working_sql).map_err(working_error)?;
 
     if !args.interactive {
         let advice = prepared.advise(&working).map_err(|e| CliError::internal(e.to_string()))?;
@@ -768,7 +755,7 @@ fn run_advise_inner(args: &Args) -> Result<(), CliError> {
 /// Grade one submission file. The second component classifies failures
 /// for the batch-wide exit code: `0` graded, `EXIT_BAD_WORKING` the
 /// student's SQL is malformed/unsupported, `EXIT_INTERNAL` tool error.
-fn grade_one(prepared: &PreparedTarget, args: &Args, path: &std::path::Path) -> (GradeEntry, u8) {
+fn grade_one(prepared: &PreparedTarget, path: &std::path::Path) -> (GradeEntry, u8) {
     let file = path.display().to_string();
     match std::fs::read_to_string(path) {
         Err(e) => (
@@ -780,8 +767,7 @@ fn grade_one(prepared: &PreparedTarget, args: &Args, path: &std::path::Path) -> 
             },
             EXIT_INTERNAL,
         ),
-        Ok(sql) => match prepare_working(prepared, args, &sql)
-            .and_then(|q| prepared.advise(&q).map(|a| (q, a)))
+        Ok(sql) => match prepared.prepare(&sql).and_then(|q| prepared.advise(&q).map(|a| (q, a)))
         {
             Ok((q, advice)) => (
                 GradeEntry {
@@ -821,7 +807,7 @@ fn run_grade(args: &Args) -> Result<u8, CliError> {
     // and are identical to the sequential (`--jobs 1`) output.
     let jobs = qrhint_core::parallel::resolve_jobs(args.jobs);
     let graded = qrhint_core::parallel::run_indexed(files.len(), jobs, |i| {
-        grade_one(&prepared, args, &files[i])
+        grade_one(&prepared, &files[i])
     });
     // Batch-wide exit code: any internal error wins over any malformed
     // submission, which wins over success.
@@ -1067,7 +1053,6 @@ fn run_serve(args: &Args) -> Result<(), CliError> {
             },
         },
         max_pending: args.max_pending,
-        ..ServerConfig::default()
     };
     let server = Server::bind(cfg)
         .map_err(|e| CliError::internal(format!("cannot bind {}: {e}", args.addr)))?;
@@ -1103,7 +1088,6 @@ fn run_route(args: &Args) -> Result<(), CliError> {
         health_interval: std::time::Duration::from_millis(args.health_interval_ms),
         workers: args.jobs,
         max_pending: args.max_pending,
-        ..RouterConfig::default()
     };
     let router = Router::start(cfg)
         .map_err(|e| CliError::internal(format!("cannot start router on {}: {e}", args.addr)))?;

@@ -6,7 +6,10 @@
 //! and graceful shutdown — both in-process ([`Server`]) and through the
 //! actual `qr-hint serve` binary.
 
-use qr_hint::server::{Client, RegistryConfig, Server, ServerConfig, ServiceConfig};
+use qr_hint::server::http::{Request, Response};
+use qr_hint::server::{
+    Client, HttpHandler, RegistryConfig, Server, ServerConfig, ServiceConfig, ShellConfig,
+};
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -116,8 +119,14 @@ impl TestServer {
     }
 
     fn register(&self, schema: &str, target: &str) -> String {
+        self.register_with(schema, target, "")
+    }
+
+    /// Register with extra request fields (`extra` is spliced into the
+    /// JSON object, e.g. `, "extended": true`).
+    fn register_with(&self, schema: &str, target: &str, extra: &str) -> String {
         let body = format!(
-            "{{\"schema\": {}, \"target\": {}}}",
+            "{{\"schema\": {}, \"target\": {}{extra}}}",
             serde_json::to_string(schema).unwrap(),
             serde_json::to_string(target).unwrap()
         );
@@ -298,6 +307,105 @@ fn advice_json_is_byte_identical_to_offline_grade_json() {
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn extended_targets_parse_submissions_with_their_front_end() {
+    // A target registered with `"extended": true` parses its submissions
+    // with the multi-block front end: a JOIN submission gets exactly the
+    // advice `qr-hint --extended --json` prints. `"rewrite_subqueries"`
+    // alone implies `extended`, as `--rewrite-subqueries` does.
+    use std::process::Command;
+
+    const BEERS: &str = "CREATE TABLE Likes (drinker VARCHAR(20), beer VARCHAR(20), \
+        PRIMARY KEY (drinker, beer)); CREATE TABLE Serves (bar VARCHAR(20), \
+        beer VARCHAR(20), price INT, PRIMARY KEY (bar, beer));";
+    let target = "SELECT s.bar FROM Serves s JOIN Likes l ON s.beer = l.beer \
+                  WHERE s.price >= 3";
+    let working = "SELECT s.bar FROM Serves s JOIN Likes l ON s.beer = l.beer \
+                   WHERE s.price > 3";
+
+    let dir = std::env::temp_dir().join(format!("qrhint-server-extended-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, text) in [("schema.sql", BEERS), ("target.sql", target), ("working.sql", working)] {
+        std::fs::write(dir.join(name), text).unwrap();
+    }
+    let path = |name: &str| dir.join(name).display().to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_qr-hint"))
+        .args(["--schema", &path("schema.sql")])
+        .args(["--target", &path("target.sql")])
+        .args(["--working", &path("working.sql")])
+        .args(["--extended", "--json"])
+        .output()
+        .expect("run qr-hint --extended --json");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let cli = parse_json(&String::from_utf8(out.stdout).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let server = TestServer::start(8);
+    let id = server.register_with(BEERS, target, ", \"extended\": true");
+    let body = format!("{{\"sql\": {}}}", serde_json::to_string(working).unwrap());
+    let (status, resp) = request(server.addr, "POST", &format!("/targets/{id}/advise"), &body);
+    assert_eq!(status, 200, "{resp}");
+    let report = parse_json(&resp);
+    assert_eq!(json_str(json_get(&report, "stage")), "WHERE");
+    assert_eq!(canonical(&report), canonical(&cli), "server advice diverged from the CLI's");
+
+    let exists = "SELECT DISTINCT l.drinker FROM Likes l \
+                  WHERE EXISTS (SELECT * FROM Serves s WHERE s.beer = l.beer)";
+    let id = server.register_with(BEERS, exists, ", \"rewrite_subqueries\": true");
+    let joined = "SELECT DISTINCT l.drinker FROM Likes l JOIN Serves s ON l.beer = s.beer";
+    let body = format!("{{\"sql\": {}}}", serde_json::to_string(joined).unwrap());
+    let (status, resp) = request(server.addr, "POST", &format!("/targets/{id}/advise"), &body);
+    assert_eq!(status, 200, "{resp}");
+    assert_eq!(json_get(&parse_json(&resp), "equivalent"), &Value::Bool(true), "{resp}");
+
+    server.shutdown();
+}
+
+/// A handler that panics on `/boom` and otherwise answers `200`.
+#[derive(Default)]
+struct PanickyHandler {
+    draining: std::sync::atomic::AtomicBool,
+}
+
+impl HttpHandler for PanickyHandler {
+    fn handle(&self, req: &Request) -> Response {
+        match req.path.as_str() {
+            "/boom" => panic!("boom"),
+            "/shutdown" => {
+                self.draining.store(true, std::sync::atomic::Ordering::SeqCst);
+                Response::new(200, "{\"status\":\"draining\"}".into())
+            }
+            _ => Response::new(200, "{}".into()),
+        }
+    }
+
+    fn is_draining(&self) -> bool {
+        self.draining.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    fn observe_shed(&self) {}
+}
+
+#[test]
+fn a_panicking_handler_answers_500_and_keeps_its_worker() {
+    let shell = ShellConfig { addr: "127.0.0.1:0".into(), workers: 2, ..ShellConfig::default() };
+    let server = Server::bind_with(shell, std::sync::Arc::new(PanickyHandler::default()))
+        .expect("bind test server");
+    let addr = server.addr();
+    let handle = std::thread::spawn(move || server.run());
+
+    // More panics than workers: each is answered, and none costs a
+    // worker, so the shell still serves and drains afterwards.
+    let within = Duration::from_secs(5);
+    for _ in 0..3 {
+        assert_eq!(status_within(addr, "GET", "/boom", within), Some(500));
+    }
+    assert_eq!(status_within(addr, "GET", "/healthz", within), Some(200), "workers lost");
+    assert_eq!(status_within(addr, "POST", "/shutdown", within), Some(200));
+    handle.join().expect("server thread panicked").expect("server run() errored");
 }
 
 #[test]
@@ -564,7 +672,6 @@ fn idle_keep_alive_connections_neither_pin_workers_nor_hold_up_drain() {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        read_timeout: Duration::from_secs(30),
         ..ServerConfig::default()
     })
     .expect("bind test server");

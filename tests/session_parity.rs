@@ -1,6 +1,6 @@
 //! Session-layer soundness: grading through a shared [`PreparedTarget`]
-//! (FROM groups reused across submissions, one verdict cache shared by
-//! every advise's oracle, duplicate-advice cache) must produce
+//! (one verdict cache shared by every advise's oracle, duplicate-advice
+//! cache) must produce
 //! exactly the advice the cold stateless path produces, across the
 //! Students corpus — including the self-join questions that exercise
 //! signature-based mapping.
@@ -31,9 +31,10 @@ fn prepared_grading_matches_cold_grading_on_students_corpus() {
         compared += 1;
     }
     assert!(compared >= 80, "only {compared} entries compared");
-    // FROM-group reuse must actually have been exercised by the sweep.
+    // Verdict sharing across submissions must actually have been
+    // exercised by the sweep.
     let stats: Vec<SessionStats> = prepared.values().map(|p| p.stats()).collect();
-    assert!(stats.iter().any(|s| s.mapping_reuses > 0), "{stats:?}");
+    assert!(stats.iter().any(|s| s.verdict_cache_hits > 0), "{stats:?}");
 }
 
 #[test]
